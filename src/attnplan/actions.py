@@ -16,13 +16,20 @@ events fall together under the branch rule:
 Costs are constant across each connected component of ``q`` union ``qstar``
 by construction: explicit entries name a component via any member event and
 lookups normalize to the component representative.
+
+``branch_classes`` gives both branch relations of an agent, their classes
+and a witness when one is not transitive; the update, ``to_post`` and the
+validators all read it.  The update groups survivors by source block,
+attending bit and event class instead of comparing them pairwise, and finds
+them from extension sets: each precondition labelled bottom-up over the
+whole state, shared subformulas once, not evaluated world by world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .errors import (
     CostLookupError,
@@ -32,7 +39,13 @@ from .errors import (
     StateValidationError,
 )
 from .logic import (
+    And,
+    AttEq,
+    AttLess,
     Formula,
+    Know,
+    Not,
+    PropAtom,
     Signature,
     Top,
     TOP,
@@ -45,10 +58,10 @@ from .models import (
     AttentionState,
     EpistemicState,
     Partition,
-    _eval,
     _eval_epistemic,
     _normalize_partition,
     check,
+    close_into_partition,
     require_same_signature,
     validate_state,
 )
@@ -111,38 +124,19 @@ class AttentionActionModel:
     @cached_property
     def _component_rep(self) -> dict[str, dict[str, str]]:
         """Representative (least-index member) of each q-union-qstar component."""
-        index = {e: k for k, e in enumerate(self.events)}
         reps: dict[str, dict[str, str]] = {}
         for agent in self.sig.agents:
-            parent = {e: e for e in self.events}
-
-            def find(x: str) -> str:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for blocks in (self.q[agent], self.qstar[agent]):
-                for block in blocks:
-                    members = sorted(block, key=lambda e: index.get(e, len(index)))
-                    for member in members[1:]:
-                        ra, rb = find(members[0]), find(member)
-                        if ra != rb:
-                            parent[rb] = ra
-            components: dict[str, list[str]] = {}
-            for e in self.events:
-                components.setdefault(find(e), []).append(e)
             reps[agent] = {}
-            for members in components.values():
-                rep = min(members, key=lambda e: index[e])
-                for e in members:
-                    reps[agent][e] = rep
+            blocks = self.q[agent] + self.qstar[agent]
+            for component in close_into_partition(self.events, blocks):
+                rep = next(e for e in self.events if e in component)
+                reps[agent].update(dict.fromkeys(component, rep))
         return reps
 
     def component_of(self, agent: str, event: str) -> str:
         try:
             return self._component_rep[agent][event]
-        except KeyError:
+        except (KeyError, ValueError):
             raise CostLookupError(f"unknown agent {agent!r} or event {event!r}")
 
     def cost_of(self, agent: str, question: Formula, event: str) -> int:
@@ -173,16 +167,6 @@ class AttentionActionModel:
         raise CostLookupError(
             f"no cost entry or default covers agent {agent!r} at event {event!r}"
         )
-
-    def union_related(self, agent: str, e: str, f: str) -> bool:
-        """Whether two events are related by q or qstar for ``agent``."""
-        return self._same_block(self.q[agent], e, f) or self._same_block(
-            self.qstar[agent], e, f
-        )
-
-    @staticmethod
-    def _same_block(blocks: Partition, e: str, f: str) -> bool:
-        return any(e in block and f in block for block in blocks)
 
 
 @dataclass(frozen=True)
@@ -300,9 +284,13 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
             validate_formula(sig, pre)
         except FormulaValidationError as exc:
             out.append(Diagnostic("error", f"pre of {event!r}: {exc}"))
+    partitioned: list[str] = []
     for agent in sig.agents:
-        out.extend(_check_partition(agent, "q", model.q[agent], model.events))
-        out.extend(_check_partition(agent, "qstar", model.qstar[agent], model.events))
+        problems = _check_partition(agent, "q", model.q[agent], model.events)
+        problems += _check_partition(agent, "qstar", model.qstar[agent], model.events)
+        out.extend(problems)
+        if not problems:
+            partitioned.append(agent)
     for agent, question in x.questions.items():
         if agent not in sig.agents:
             out.append(Diagnostic("error", f"question for unknown agent {agent!r}"))
@@ -365,8 +353,8 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
                 )
         else:
             seen_components[key] = entry.cost
-    for agent in sig.agents:
-        if not _union_transitive(model, agent):
+    for agent in partitioned:
+        if branch_classes(model, agent)[0].witness is not None:
             out.append(
                 Diagnostic(
                     "warning",
@@ -377,18 +365,67 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
     return out
 
 
-def _union_transitive(model: AttentionActionModel, agent: str) -> bool:
-    events = model.events
-    for e in events:
-        for f in events:
-            if not model.union_related(agent, e, f):
-                continue
-            for g in events:
-                if model.union_related(agent, f, g) and not model.union_related(
-                    agent, e, g
-                ):
-                    return False
-    return True
+def _union_classes(
+    items: tuple[str, ...], keys: Mapping[str, tuple[Hashable, Hashable]]
+) -> tuple[Partition, tuple[str, tuple[str, str, str]] | None]:
+    """Classes of the union of two partitions of ``items``; ``keys[x]`` names
+    x's block in each.  The union is transitive iff every class is a single
+    block of one of the two.  The first class (in item order) that is not
+    comes back as its first member and a witness (a~b, b~c, not a~c).
+    """
+    blocks: dict[tuple[int, Hashable], list[str]] = {}
+    for x in items:
+        for side in (0, 1):
+            blocks.setdefault((side, keys[x][side]), []).append(x)
+    classes = close_into_partition(items, list(blocks.values()))
+    for block in classes:
+        if all(len({keys[x][side] for x in block}) > 1 for side in (0, 1)):
+            members = [x for x in items if x in block]
+
+            def rel(a: str, b: str) -> bool:
+                return keys[a][0] == keys[b][0] or keys[a][1] == keys[b][1]
+
+            witness = next((a, b, c) for a in members for b in members for c in members
+                           if rel(a, b) and rel(b, c) and not rel(a, c))
+            return classes, (members[0], witness)
+    return classes, None
+
+
+@dataclass(frozen=True)
+class BranchRelation:
+    """One branch relation of an agent: events are related when they share a
+    block of ``q`` or of the starred relation as the branch sees it, the two
+    blocks ``keys`` names.  ``witness`` is None when it is transitive."""
+
+    keys: Mapping[str, tuple[int, tuple[int, bool | None]]]
+    classes: Partition  # connected components, in event order
+    class_of: Mapping[str, int]
+    witness: tuple[str, str, str] | None
+
+
+def branch_classes(
+    model: AttentionActionModel, agent: str, answers: Mapping[str, bool] | None = None
+) -> tuple[BranchRelation, BranchRelation]:
+    """The agent's branch relations, indexed by the attending bit.
+
+    Bit 0 (the question is unaffordable) relates events by ``q`` or
+    ``qstar``; bit 1 (the agent attends) by ``q``, or by ``qstar`` when the
+    preconditions give the same ``answers`` to the question (None: every
+    event gives the same answer).  The model's partitions must be exact.
+    """
+    plain = {e: k for k, block in enumerate(model.q[agent]) for e in block}
+    star = {e: k for k, block in enumerate(model.qstar[agent]) for e in block}
+    relations = []
+    for bit in (0, 1):
+        keys = {
+            e: (plain[e], (star[e], answers[e] if bit and answers is not None else None))
+            for e in model.events
+        }
+        classes, broken = _union_classes(model.events, keys)
+        class_of = {e: k for k, block in enumerate(classes) for e in block}
+        witness = broken[1] if broken else None
+        relations.append(BranchRelation(keys, classes, class_of, witness))
+    return relations[0], relations[1]
 
 
 def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
@@ -401,11 +438,8 @@ def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
     model = x.model
     for agent in model.sig.agents:
         if relaxed:
-            total = all(
-                model.union_related(agent, e, f)
-                for e in model.events
-                for f in model.events
-            )
+            union = branch_classes(model, agent)[0]
+            total = len(union.classes) <= 1 and union.witness is None
         else:
             total = len(model.qstar[agent]) == 1 and set(model.qstar[agent][0]) == set(
                 model.events
@@ -431,18 +465,51 @@ def _pair_name(world: str, event: str) -> str:
     return f"{world}*{event}"
 
 
-def _find_intransitive_triple(
-    members: list[str], related: set[tuple[str, str]]
-) -> tuple[str, str, str] | None:
-    for a in members:
-        for b in members:
-            if a != b and (a, b) not in related:
-                continue
-            for c in members:
-                if (b, c) in related or b == c:
-                    if a != c and (a, c) not in related:
-                        return (a, b, c)
-    return None
+class _Labelling:
+    """Extensions in ``s`` as bitmasks, bit k for ``s.worlds[k]``, built from
+    the subformulas' (labelling model checking): ``Know`` keeps the blocks
+    inside its argument's extension.  The memo is keyed by node identity and
+    lives as long as the object, one update, so shared subformulas are
+    evaluated once."""
+
+    def __init__(self, s: AttentionState) -> None:
+        self.s = s
+        self.bit = {w: 1 << k for k, w in enumerate(s.worlds)}
+        self.full = (1 << len(s.worlds)) - 1
+        self.memo: dict[int, int] = {}
+        self.atoms: dict[str, int] = {}
+        for w, atoms in s.valuation.items():
+            for atom in atoms:
+                self.atoms[atom] = self.atoms.get(atom, 0) | self.bit[w]
+        partitions = s.partitions.items()
+        self.blocks = {agent: [self.mask(b) for b in blocks] for agent, blocks in partitions}
+
+    def mask(self, worlds: Iterable[str]) -> int:
+        return sum(self.bit[w] for w in worlds)
+
+    def extension(self, f: Formula) -> int:
+        if id(f) in self.memo:
+            return self.memo[id(f)]
+        budgets = self.s.attention
+        if isinstance(f, Top):
+            out = self.full
+        elif isinstance(f, PropAtom):
+            out = self.atoms.get(f.name, 0)
+        elif isinstance(f, AttEq):
+            out = self.mask(w for w, n in budgets[f.agent].items() if n == f.bound)
+        elif isinstance(f, AttLess):
+            out = self.mask(w for w, n in budgets[f.agent].items() if n < f.bound)
+        elif isinstance(f, Not):
+            out = self.full & ~self.extension(f.sub)
+        elif isinstance(f, And):
+            out = self.extension(f.left) & self.extension(f.right)
+        elif isinstance(f, Know):
+            inner = self.extension(f.sub)
+            out = sum(b for b in self.blocks[f.agent] if b & inner == b)
+        else:
+            raise ValueError(f"not a formula node: {f!r}")
+        self.memo[id(f)] = out
+        return out
 
 
 def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
@@ -455,16 +522,15 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     require_same_signature(s.sig, x.sig)
     model = x.model
     sig = s.sig
-    if not _eval(s, model.pre[x.actual], s.actual):
+    extension = _Labelling(s).extension
+    if not extension(model.pre[x.actual]) >> s.worlds.index(s.actual) & 1:
         raise NotApplicable(
             f"pre of actual event {x.actual!r} fails at actual world {s.actual!r}"
         )
 
+    pre = {e: extension(model.pre[e]) for e in model.events}
     survivors = [
-        (w, e)
-        for w in s.worlds
-        for e in model.events
-        if _eval(s, model.pre[e], w)
+        (w, e) for k, w in enumerate(s.worlds) for e in model.events if pre[e] >> k & 1
     ]
     names = {pair: _pair_name(*pair) for pair in survivors}
     if len(set(names.values())) != len(names):
@@ -483,54 +549,37 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
 
     partitions: dict[str, Partition] = {}
     for agent in sig.agents:
-        q_blocks = model.q[agent]
-        qstar_blocks = model.qstar[agent]
-        related: set[tuple[str, str]] = set()
-        for i, (w, e) in enumerate(survivors):
-            for v, f in survivors[i + 1 :]:
-                if v not in s.block_of(agent, w):
-                    continue
-                in_q = model._same_block(q_blocks, e, f)
-                in_qstar = model._same_block(qstar_blocks, e, f)
-                if not (in_q or in_qstar):
-                    continue
-                if costs[agent][e] > s.att(agent, w):
-                    hit = True  # below budget: no refinement of qstar
-                else:
-                    hit = in_q or (in_qstar and answers[agent][e] == answers[agent][f])
-                if hit:
-                    a, b = names[(w, e)], names[(v, f)]
-                    related.add((a, b))
-                    related.add((b, a))
-        # Connected components, then verify the relation is complete on each.
-        parent = {names[p]: names[p] for p in survivors}
-
-        def find(z: str) -> str:
-            while parent[z] != z:
-                parent[z] = parent[parent[z]]
-                z = parent[z]
-            return z
-
-        for a, b in related:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-        components: dict[str, list[str]] = {}
-        for pair in survivors:
-            components.setdefault(find(names[pair]), []).append(names[pair])
-        for members in components.values():
-            if len(members) < 2:
+        relations = branch_classes(model, agent, answers[agent])
+        source = {w: k for k, block in enumerate(s.partitions[agent]) for w in block}
+        budget = s.attention[agent]
+        # Cost is constant on each q-union-qstar component and the budget on
+        # each source block, so the key fixes the attending bit; with that
+        # bit's relation transitive, each group is one block of the result.
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for k, (w, e) in enumerate(survivors):
+            attends = int(costs[agent][e] <= budget[w])
+            key = (source[w], attends, relations[attends].class_of[e])
+            groups.setdefault(key, []).append(k)
+        blocks: list[frozenset[str]] = []
+        broken: list[tuple[int, tuple[str, str, str]]] = []
+        for (_, attends, _), members in groups.items():
+            relation = relations[attends]
+            member_names = tuple(names[survivors[k]] for k in members)
+            if relation.witness is None:
+                blocks.append(frozenset(member_names))
                 continue
-            complete = all(
-                a == b or (a, b) in related for a in members for b in members
-            )
-            if not complete:
-                triple = _find_intransitive_triple(members, related)
-                assert triple is not None
-                raise IllFormedResult(agent, triple)
-        partitions[agent] = tuple(
-            frozenset(members) for members in components.values()
-        )
+            # The pairs of this group are related as their events are.  The
+            # members keep survivor order, so the earliest broken class and
+            # its witness are the ones an all-pairs check would report.
+            keys = {n: relation.keys[survivors[k][1]] for n, k in zip(member_names, members)}
+            classes, group_broken = _union_classes(member_names, keys)
+            blocks.extend(classes)
+            if group_broken:
+                first, witness = group_broken
+                broken.append((members[member_names.index(first)], witness))
+        if broken:
+            raise IllFormedResult(agent, min(broken)[1])
+        partitions[agent] = tuple(blocks)
 
     new_worlds = tuple(names[p] for p in survivors)
     valuation = {names[(w, e)]: s.valuation[w] for (w, e) in survivors}

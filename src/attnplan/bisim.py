@@ -22,7 +22,7 @@ from .logic import (
     and_all,
     or_all,
 )
-from .models import AttentionState, EpistemicState, check_epistemic
+from .models import AttentionState, EpistemicState, check_epistemic, close_into_partition
 
 Node = tuple[int, str]  # (side, world) — side 0/1 tags the disjoint union
 
@@ -91,67 +91,46 @@ def _union_block(s1, s2) -> Callable[[str, Node], list[Node]]:
     return block_of
 
 
-def bisimilar(s1: AttentionState, s2: AttentionState) -> BisimWitness | NotBisimilar:
-    """Compare two pointed attention states over the same signature."""
+def _compare(s1, s2, colour: Callable[[Node], Hashable]) -> BisimWitness | NotBisimilar:
     if s1.sig != s2.sig:
         raise SignatureMismatch("states are over different signatures")
-    sig = s1.sig
+    rounds = _refine(_union_nodes(s1, s2), s1.sig.agents, colour, _union_block(s1, s2))
+    final = rounds[-1]
+    actual1, actual2 = (0, s1.actual), (1, s2.actual)
+    if final[actual1] != final[actual2]:
+        separated = next(r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2])
+        return NotBisimilar(round=separated)
+    pairs = frozenset(
+        (w1, w2) for w1 in s1.worlds for w2 in s2.worlds if final[(0, w1)] == final[(1, w2)]
+    )
+    return BisimWitness(pairs=pairs)
+
+
+def bisimilar(s1: AttentionState, s2: AttentionState) -> BisimWitness | NotBisimilar:
+    """Compare two pointed attention states over the same signature."""
+    agents = s1.sig.agents
 
     def colour(node: Node) -> Hashable:
         side, world = node
         state = s1 if side == 0 else s2
         return (
             state.valuation[world],
-            tuple(state.attention[a][world] for a in sig.agents),
+            tuple(state.attention[a][world] for a in agents),
         )
 
-    rounds = _refine(_union_nodes(s1, s2), sig.agents, colour, _union_block(s1, s2))
-    final = rounds[-1]
-    if final[(0, s1.actual)] != final[(1, s2.actual)]:
-        separated = next(
-            r
-            for r, ids in enumerate(rounds)
-            if ids[(0, s1.actual)] != ids[(1, s2.actual)]
-        )
-        return NotBisimilar(round=separated)
-    pairs = frozenset(
-        (w1, w2)
-        for w1 in s1.worlds
-        for w2 in s2.worlds
-        if final[(0, w1)] == final[(1, w2)]
-    )
-    return BisimWitness(pairs=pairs)
+    return _compare(s1, s2, colour)
 
 
 def kripke_bisimilar(
     k1: EpistemicState, k2: EpistemicState
 ) -> BisimWitness | NotBisimilar:
     """Compare two pointed epistemic states on their full valuations."""
-    if k1.sig != k2.sig:
-        raise SignatureMismatch("states are over different signatures")
-    sig = k1.sig
 
     def colour(node: Node) -> Hashable:
         side, world = node
-        state = k1 if side == 0 else k2
-        return state.valuation[world]
+        return (k1 if side == 0 else k2).valuation[world]
 
-    rounds = _refine(_union_nodes(k1, k2), sig.agents, colour, _union_block(k1, k2))
-    final = rounds[-1]
-    if final[(0, k1.actual)] != final[(1, k2.actual)]:
-        separated = next(
-            r
-            for r, ids in enumerate(rounds)
-            if ids[(0, k1.actual)] != ids[(1, k2.actual)]
-        )
-        return NotBisimilar(round=separated)
-    pairs = frozenset(
-        (w1, w2)
-        for w1 in k1.worlds
-        for w2 in k2.worlds
-        if final[(0, w1)] == final[(1, w2)]
-    )
-    return BisimWitness(pairs=pairs)
+    return _compare(k1, k2, colour)
 
 
 def contract(s: AttentionState) -> AttentionState:
@@ -186,23 +165,14 @@ def contract(s: AttentionState) -> AttentionState:
     new_worlds = tuple(name_of[cid] for cid in class_order)
     rep_of = {cid: worlds[0] for cid, worlds in members.items()}
 
-    partitions = {}
-    for agent in sig.agents:
-        block_ids = {
-            frozenset(ids[(0, w)] for w in block) for block in s.partitions[agent]
-        }
-        # Blocks that share a class merge in the quotient.
-        merged: list[set[int]] = []
-        for group in block_ids:
-            group = set(group)
-            absorbed = [g for g in merged if g & group]
-            for g in absorbed:
-                merged.remove(g)
-                group |= g
-            merged.append(group)
-        partitions[agent] = tuple(
-            frozenset(name_of[cid] for cid in group) for group in merged
+    # Blocks that share a class merge in the quotient.
+    partitions = {
+        agent: close_into_partition(
+            new_worlds,
+            [[name_of[ids[(0, w)]] for w in block] for block in s.partitions[agent]],
         )
+        for agent in sig.agents
+    }
 
     valuation = {name_of[cid]: s.valuation[rep_of[cid]] for cid in class_order}
     attention = {

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (including "true", "bisimilar", a found plan),
 1 for honest negative answers (false, not bisimilar, no plan), 2 for
-errors (unreadable documents, unknown names, invalid formulas).
+errors (unreadable documents, unknown names, invalid formulas, and any
+unexpected exception, reported as a one-line message).
 """
 
 from __future__ import annotations
@@ -117,6 +118,13 @@ def run(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except AttnPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        raise
+    except Exception as exc:
+        # Exit 1 means an honest negative answer, so no failure may reach it.
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 
@@ -237,3 +245,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

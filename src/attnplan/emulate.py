@@ -19,9 +19,9 @@ from .actions import (
     AttentionActionModel,
     CostTable,
     EpistemicAction,
-    _find_intransitive_triple,
     applicable,
     attention_update,
+    branch_classes,
     product_update,
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
@@ -196,52 +196,14 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     q: dict[str, tuple[frozenset[str], ...]] = {}
     for k, agent in enumerate(agents):
         blocks: list[frozenset[str]] = []
-        for bit in (0, 1):
-            related: set[tuple[str, str]] = set()
-            for e in model.events:
-                for f in model.events:
-                    in_q = model._same_block(model.q[agent], e, f)
-                    in_qstar = model._same_block(model.qstar[agent], e, f)
-                    if bit == 0:
-                        hit = in_q or in_qstar
-                    else:
-                        hit = in_q or (
-                            in_qstar and answers[agent][e] == answers[agent][f]
-                        )
-                    if hit:
-                        related.add((e, f))
-            # Components of the branch relation; verify it is transitive.
-            parent = {e: e for e in model.events}
-
-            def find(z: str) -> str:
-                while parent[z] != z:
-                    parent[z] = parent[parent[z]]
-                    z = parent[z]
-                return z
-
-            for a, b in related:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-            components: dict[str, list[str]] = {}
-            for e in model.events:
-                components.setdefault(find(e), []).append(e)
-            for group in components.values():
-                complete = all(
-                    a == b or (a, b) in related for a in group for b in group
-                )
-                if not complete:
-                    triple = _find_intransitive_triple(group, related)
-                    assert triple is not None
-                    raise IllFormedResult(agent, triple)
-            for group in components.values():
-                block = frozenset(
-                    variant(e, profile)
-                    for e in group
-                    for profile in profiles
-                    if profile.bits[k] == bit
-                )
-                blocks.append(block)
+        for bit, relation in enumerate(branch_classes(model, agent, answers[agent])):
+            if relation.witness is not None:
+                raise IllFormedResult(agent, relation.witness)
+            tagged = [profile for profile in profiles if profile.bits[k] == bit]
+            blocks.extend(
+                frozenset(variant(e, profile) for e in group for profile in tagged)
+                for group in relation.classes
+            )
         q[agent] = tuple(blocks)
 
     all_on = profiles[-1]

@@ -44,6 +44,7 @@ def close_into_partition(items: tuple[str, ...], groups: Iterable[Iterable[str]]
     declaration index of a member, which makes the result deterministic.
     """
     index = {item: k for k, item in enumerate(items)}
+    groups = [list(group) for group in groups]
     for group in groups:
         for member in group:
             if member not in index:
@@ -57,7 +58,6 @@ def close_into_partition(items: tuple[str, ...], groups: Iterable[Iterable[str]]
         return x
 
     for group in groups:
-        group = list(group)
         for member in group[1:]:
             ra, rb = find(group[0]), find(member)
             if ra != rb:

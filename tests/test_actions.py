@@ -121,6 +121,21 @@ class TestValidation:
             d.severity == "warning" and "not transitive" in d.message for d in diags
         )
 
+    def test_inexact_partition_is_reported_not_raised(self):
+        model = AttentionActionModel(
+            sig=SIG,
+            events=("e1", "e2"),
+            q={"i": (frozenset({"e1"}),)},
+            qstar={"i": (frozenset({"e1", "e2"}),)},
+            pre={"e1": TOP, "e2": TOP},
+            cost=CostTable(default=1),
+        )
+        action = AttentionAction(name="x", model=model, questions={}, actual="e1")
+        diags = validate_action(action)
+        assert any(
+            d.severity == "error" and "does not partition" in d.message for d in diags
+        )
+
     def test_negative_cost_is_an_error(self):
         model = two_event_model(CostTable(entries=(CostEntry("i", P, "e", -1),)))
         action = AttentionAction(name="x", model=model, questions={}, actual="e")

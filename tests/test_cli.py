@@ -1,9 +1,14 @@
 """Command-line surface and the task-document format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import attnplan
 from attnplan.cli import run
 from attnplan.errors import TaskFileError
 from attnplan.taskfile import (
@@ -181,3 +186,27 @@ class TestCommands:
         bad.write_text("not json")
         assert run(["validate", "--task", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_two(self, capsys):
+        # Parsing nests a 400-way disjunction deeper than the evaluator's
+        # recursion allows; whatever fails, exit 1 stays an honest "false".
+        formula = " | ".join(["p"] * 400)
+        assert run(["check", "--task", TWO_FACTS, "--state", "init",
+                    "--formula", formula]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("module", ["attnplan", "attnplan.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(attnplan.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", module, "validate", "--task", TWO_FACTS],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ok: ")

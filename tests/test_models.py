@@ -71,6 +71,8 @@ class TestConstruction:
             ("a", "b", "c", "d"), [["a", "b"], ["b", "c"]]
         )
         assert blocks == (frozenset({"a", "b", "c"}), frozenset({"d"}))
+        once = (group for group in [["a", "b"], ["b", "c"]])
+        assert close_into_partition(("a", "b", "c", "d"), once) == blocks
 
     def test_close_into_partition_rejects_strangers(self):
         with pytest.raises(ValueError):
