@@ -20,9 +20,12 @@ lookups normalize to the component representative.
 ``branch_classes`` gives both branch relations of an agent, their classes
 and a witness when one is not transitive; the update, ``to_post`` and the
 validators all read it.  The update groups survivors by source block,
-attending bit and event class instead of comparing them pairwise, and finds
-them from extension sets: each precondition labelled bottom-up over the
-whole state, shared subformulas once, not evaluated world by world.
+attending bit and event class instead of comparing them pairwise.
+
+Both updates read formulas through one ``models._Labelling`` per call: the
+attention update its preconditions, the product update its preconditions
+and postconditions, each labelled bottom-up over the whole state with
+shared subformulas once, not evaluated world by world.
 """
 
 from __future__ import annotations
@@ -35,17 +38,12 @@ from .errors import (
     CostLookupError,
     FormulaValidationError,
     IllFormedResult,
+    NameCollision,
     NotApplicable,
     StateValidationError,
 )
 from .logic import (
-    And,
-    AttEq,
-    AttLess,
     Formula,
-    Know,
-    Not,
-    PropAtom,
     Signature,
     Top,
     TOP,
@@ -58,7 +56,7 @@ from .models import (
     AttentionState,
     EpistemicState,
     Partition,
-    _eval_epistemic,
+    _Labelling,
     _normalize_partition,
     check,
     close_into_partition,
@@ -220,16 +218,6 @@ class EpistemicAction:
 
     def is_nopost(self) -> bool:
         return all(not mapping for mapping in self.post.values())
-
-    @cached_property
-    def _blocks(self) -> dict[str, dict[str, frozenset[str]]]:
-        return {
-            agent: {e: block for block in blocks for e in block}
-            for agent, blocks in self.q.items()
-        }
-
-    def block_of(self, agent: str, event: str) -> frozenset[str]:
-        return self._blocks[agent][event]
 
 
 @dataclass(frozen=True)
@@ -461,55 +449,19 @@ def applicable(s: AttentionState, x: AttentionAction) -> bool:
     return check(s, x.model.pre[x.actual], s.actual)
 
 
-def _pair_name(world: str, event: str) -> str:
-    return f"{world}*{event}"
-
-
-class _Labelling:
-    """Extensions in ``s`` as bitmasks, bit k for ``s.worlds[k]``, built from
-    the subformulas' (labelling model checking): ``Know`` keeps the blocks
-    inside its argument's extension.  The memo is keyed by node identity and
-    lives as long as the object, one update, so shared subformulas are
-    evaluated once."""
-
-    def __init__(self, s: AttentionState) -> None:
-        self.s = s
-        self.bit = {w: 1 << k for k, w in enumerate(s.worlds)}
-        self.full = (1 << len(s.worlds)) - 1
-        self.memo: dict[int, int] = {}
-        self.atoms: dict[str, int] = {}
-        for w, atoms in s.valuation.items():
-            for atom in atoms:
-                self.atoms[atom] = self.atoms.get(atom, 0) | self.bit[w]
-        partitions = s.partitions.items()
-        self.blocks = {agent: [self.mask(b) for b in blocks] for agent, blocks in partitions}
-
-    def mask(self, worlds: Iterable[str]) -> int:
-        return sum(self.bit[w] for w in worlds)
-
-    def extension(self, f: Formula) -> int:
-        if id(f) in self.memo:
-            return self.memo[id(f)]
-        budgets = self.s.attention
-        if isinstance(f, Top):
-            out = self.full
-        elif isinstance(f, PropAtom):
-            out = self.atoms.get(f.name, 0)
-        elif isinstance(f, AttEq):
-            out = self.mask(w for w, n in budgets[f.agent].items() if n == f.bound)
-        elif isinstance(f, AttLess):
-            out = self.mask(w for w, n in budgets[f.agent].items() if n < f.bound)
-        elif isinstance(f, Not):
-            out = self.full & ~self.extension(f.sub)
-        elif isinstance(f, And):
-            out = self.extension(f.left) & self.extension(f.right)
-        elif isinstance(f, Know):
-            inner = self.extension(f.sub)
-            out = sum(b for b in self.blocks[f.agent] if b & inner == b)
-        else:
-            raise ValueError(f"not a formula node: {f!r}")
-        self.memo[id(f)] = out
-        return out
+def _pair_names(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
+    """Result-world names of surviving (world, event) pairs, ``world*event``;
+    raises NameCollision when two pairs would share one."""
+    names: dict[tuple[str, str], str] = {}
+    owner: dict[str, tuple[str, str]] = {}
+    for pair in pairs:
+        name = names[pair] = f"{pair[0]}*{pair[1]}"
+        if owner.setdefault(name, pair) != pair:
+            raise NameCollision(
+                f"world and event names collide under pairing: {owner[name]} and "
+                f"{pair} both become {name!r}; rename one"
+            )
+    return names
 
 
 def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
@@ -522,19 +474,17 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     require_same_signature(s.sig, x.sig)
     model = x.model
     sig = s.sig
-    extension = _Labelling(s).extension
-    if not extension(model.pre[x.actual]) >> s.worlds.index(s.actual) & 1:
+    labels = _Labelling(s)
+    if not labels.holds(model.pre[x.actual], s.actual):
         raise NotApplicable(
             f"pre of actual event {x.actual!r} fails at actual world {s.actual!r}"
         )
 
-    pre = {e: extension(model.pre[e]) for e in model.events}
+    pre = {e: labels.extension(model.pre[e]) for e in model.events}
     survivors = [
         (w, e) for k, w in enumerate(s.worlds) for e in model.events if pre[e] >> k & 1
     ]
-    names = {pair: _pair_name(*pair) for pair in survivors}
-    if len(set(names.values())) != len(names):
-        raise ValueError("world and event names collide under pairing; rename one")
+    names = _pair_names(survivors)
 
     costs = {
         agent: {e: model.cost_of(agent, x.questions[agent], e) for e in model.events}
@@ -666,16 +616,16 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
 def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     """Standard product of an epistemic state with an epistemic action."""
     require_same_signature(k.sig, y.sig)
-    if not _eval_epistemic(k, y.pre[y.actual], k.actual):
+    labels = _Labelling(k)
+    if not labels.holds(y.pre[y.actual], k.actual):
         raise NotApplicable(
             f"pre of actual event {y.actual!r} fails at actual world {k.actual!r}"
         )
+    pre = {e: labels.extension(y.pre[e]) for e in y.events}
     survivors = [
-        (w, e) for w in k.worlds for e in y.events if _eval_epistemic(k, y.pre[e], w)
+        (w, e) for i, w in enumerate(k.worlds) for e in y.events if pre[e] >> i & 1
     ]
-    names = {pair: _pair_name(*pair) for pair in survivors}
-    if len(set(names.values())) != len(names):
-        raise ValueError("world and event names collide under pairing; rename one")
+    names = _pair_names(survivors)
 
     partitions: dict[str, Partition] = {}
     for agent in k.sig.agents:
@@ -692,9 +642,7 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     for w, e in survivors:
         post = y.post.get(e, {})
         atoms: set[Atom] = {a for a in k.valuation[w] if a not in post}
-        for atom, formula in post.items():
-            if _eval_epistemic(k, formula, w):
-                atoms.add(atom)
+        atoms.update(atom for atom, formula in post.items() if labels.holds(formula, w))
         valuation[names[(w, e)]] = frozenset(atoms)
 
     return EpistemicState(

@@ -1,9 +1,9 @@
 """Bisimulation checks, quotienting, and distinguishing formulas.
 
-All three entry points run the same partition-refinement loop; they differ
-only in the initial colouring: attention-level comparisons colour worlds by
-propositional valuation plus the attention vector, Kripke-level comparisons
-colour by the full (propositional and attention-atom) valuation.
+All three entry points run the same partition-refinement loop from the
+colouring each state gives its worlds (``colour``): an attention state
+colours by propositional valuation plus the attention vector, an epistemic
+state by the full (propositional and attention-atom) valuation.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from typing import Callable, Hashable, Sequence
 
 from .errors import SignatureMismatch
 from .logic import (
-    AttEq,
-    AttLess,
     Formula,
     Know,
     Not,
@@ -22,7 +20,13 @@ from .logic import (
     and_all,
     or_all,
 )
-from .models import AttentionState, EpistemicState, check_epistemic, close_into_partition
+from .models import (
+    AttentionState,
+    EpistemicState,
+    _eval,
+    check_epistemic,
+    close_into_partition,
+)
 
 Node = tuple[int, str]  # (side, world) — side 0/1 tags the disjoint union
 
@@ -91,10 +95,20 @@ def _union_block(s1, s2) -> Callable[[str, Node], list[Node]]:
     return block_of
 
 
-def _compare(s1, s2, colour: Callable[[Node], Hashable]) -> BisimWitness | NotBisimilar:
+def _union_rounds(s1, s2) -> list[dict[Node, int]]:
+    """Refinement rounds over the disjoint union of two states."""
     if s1.sig != s2.sig:
         raise SignatureMismatch("states are over different signatures")
-    rounds = _refine(_union_nodes(s1, s2), s1.sig.agents, colour, _union_block(s1, s2))
+
+    def colour(node: Node) -> Hashable:
+        side, world = node
+        return (s1 if side == 0 else s2).colour(world)
+
+    return _refine(_union_nodes(s1, s2), s1.sig.agents, colour, _union_block(s1, s2))
+
+
+def _compare(s1, s2) -> BisimWitness | NotBisimilar:
+    rounds = _union_rounds(s1, s2)
     final = rounds[-1]
     actual1, actual2 = (0, s1.actual), (1, s2.actual)
     if final[actual1] != final[actual2]:
@@ -108,29 +122,14 @@ def _compare(s1, s2, colour: Callable[[Node], Hashable]) -> BisimWitness | NotBi
 
 def bisimilar(s1: AttentionState, s2: AttentionState) -> BisimWitness | NotBisimilar:
     """Compare two pointed attention states over the same signature."""
-    agents = s1.sig.agents
-
-    def colour(node: Node) -> Hashable:
-        side, world = node
-        state = s1 if side == 0 else s2
-        return (
-            state.valuation[world],
-            tuple(state.attention[a][world] for a in agents),
-        )
-
-    return _compare(s1, s2, colour)
+    return _compare(s1, s2)
 
 
 def kripke_bisimilar(
     k1: EpistemicState, k2: EpistemicState
 ) -> BisimWitness | NotBisimilar:
     """Compare two pointed epistemic states on their full valuations."""
-
-    def colour(node: Node) -> Hashable:
-        side, world = node
-        return (k1 if side == 0 else k2).valuation[world]
-
-    return _compare(k1, k2, colour)
+    return _compare(k1, k2)
 
 
 def contract(s: AttentionState) -> AttentionState:
@@ -143,11 +142,7 @@ def contract(s: AttentionState) -> AttentionState:
     sig = s.sig
 
     def colour(node: Node) -> Hashable:
-        _, world = node
-        return (
-            s.valuation[world],
-            tuple(s.attention[a][world] for a in sig.agents),
-        )
+        return s.colour(node[1])
 
     def block_of(agent: str, node: Node) -> list[Node]:
         return [(0, v) for v in s.block_of(agent, node[1])]
@@ -194,16 +189,9 @@ def distinguishing_formula(
 ) -> Formula | None:
     """A formula true at ``k1``'s actual and false at ``k2``'s, if one exists
     within ``max_rounds`` knowledge alternations; None otherwise."""
-    if k1.sig != k2.sig:
-        raise SignatureMismatch("states are over different signatures")
+    rounds = _union_rounds(k1, k2)
     sig = k1.sig
-
-    def colour(node: Node) -> Hashable:
-        side, world = node
-        return (k1 if side == 0 else k2).valuation[world]
-
     block_of = _union_block(k1, k2)
-    rounds = _refine(_union_nodes(k1, k2), sig.agents, colour, block_of)
     actual1, actual2 = (0, k1.actual), (1, k2.actual)
     separated = next(
         (r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None
@@ -216,11 +204,7 @@ def distinguishing_formula(
 
     def holds(node: Node, atom: Formula) -> bool:
         side, world = node
-        state = k1 if side == 0 else k2
-        val = state.valuation[world]
-        if isinstance(atom, PropAtom):
-            return atom.name in val
-        return atom in val
+        return _eval(k1 if side == 0 else k2, atom, world)
 
     reps: dict[tuple[int, int], Node] = {}
     for r, ids in enumerate(rounds):

@@ -25,7 +25,7 @@ from .actions import (
     product_update,
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
-from .errors import IllFormedResult, NotApplicable
+from .errors import AmbiguousActual, IllFormedResult, NotApplicable
 from .logic import (
     And,
     AttEq,
@@ -39,11 +39,7 @@ from .logic import (
     or_,
     or_all,
 )
-from .models import (
-    AttentionState,
-    _eval_epistemic,
-    kripke_rendition,
-)
+from .models import AttentionState, _Labelling, kripke_rendition
 
 
 @dataclass(frozen=True)
@@ -223,19 +219,22 @@ def to_post(x: AttentionAction) -> EpistemicAction:
 def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
     """Pick the family member executable at ``s``'s actual world.
 
-    Profile guards are mutually exclusive, so at most one member fires;
-    none firing means the action is not applicable at ``s``.
+    The profile guards of ``to_post`` are mutually exclusive, so at most one
+    member fires; none firing means the action is not applicable at ``s``,
+    and several (a hand-built family) raise AmbiguousActual.
     """
     family = y.actual_family or (y.actual,)
-    rendition = kripke_rendition(s)
-    matches = [
-        e for e in family if _eval_epistemic(rendition, y.pre[e], rendition.actual)
-    ]
+    labels = _Labelling(kripke_rendition(s))
+    matches = [e for e in family if labels.holds(y.pre[e], s.actual)]
     if not matches:
         raise NotApplicable(
             f"no member of the actual family fires at world {s.actual!r}"
         )
-    assert len(matches) == 1, "profile guards must be mutually exclusive"
+    if len(matches) > 1:
+        raise AmbiguousActual(
+            f"members {', '.join(map(repr, matches))} of the actual family all "
+            f"fire at world {s.actual!r}; their guards must be mutually exclusive"
+        )
     return replace(y, actual=matches[0])
 
 

@@ -49,6 +49,18 @@ class NotApplicable(AttnPlanError):
         self.index = index
 
 
+class NameCollision(AttnPlanError, ValueError):
+    """Two surviving world-event pairs of an update get the same name.
+
+    Also a ValueError, which is what updates raised for it before.
+    """
+
+
+class AmbiguousActual(AttnPlanError):
+    """More than one member of an action's actual family fires at the
+    actual world."""
+
+
 class IllFormedResult(AttnPlanError):
     """An update produced a relation that is not an equivalence.
 

@@ -10,13 +10,21 @@ attention atoms, treated as opaque extensional facts.
 Construction normalizes field order so that equal models compare equal
 regardless of how their parts were assembled; semantic well-formedness is
 checked separately by :func:`validate_state`.
+
+Truth is defined here once for both kinds, which differ only in
+``holds_attention``.  It comes in two shapes: ``_eval`` answers at one
+world and visits only the worlds the formula's knowledge operators reach;
+``_Labelling`` computes a formula's extension over the whole state,
+subformulas once each, for the updates, which need every world.  ``check``
+stays per-world because callers ask it about one world of small states,
+where building a labelling costs more than it saves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import SignatureMismatch, StateValidationError
 from .logic import (
@@ -78,8 +86,36 @@ def _normalize_partition(items: tuple[str, ...], blocks: Iterable[Iterable[str]]
     return tuple(ordered)
 
 
+class _PartitionModel:
+    """What the two state kinds share: worlds, one partition per agent and a
+    valuation, normalized on construction, and the block index.  Subclasses
+    are frozen dataclasses with those fields; each says in
+    ``holds_attention`` how it reads an attention atom, the one place the
+    two semantics differ."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "worlds", tuple(self.worlds))
+        parts = {
+            agent: _normalize_partition(self.worlds, blocks)
+            for agent, blocks in self.partitions.items()
+        }
+        object.__setattr__(self, "partitions", {a: parts[a] for a in sorted(parts)})
+        val = {w: frozenset(self.valuation.get(w, frozenset())) for w in self.worlds}
+        object.__setattr__(self, "valuation", val)
+
+    @cached_property
+    def _blocks(self) -> dict[str, dict[str, frozenset[str]]]:
+        return {
+            agent: {w: block for block in blocks for w in block}
+            for agent, blocks in self.partitions.items()
+        }
+
+    def block_of(self, agent: str, world: str) -> frozenset[str]:
+        return self._blocks[agent][world]
+
+
 @dataclass(frozen=True)
-class AttentionState:
+class AttentionState(_PartitionModel):
     """A pointed partition model with per-agent attention budgets."""
 
     sig: Signature
@@ -90,36 +126,29 @@ class AttentionState:
     actual: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "worlds", tuple(self.worlds))
-        parts = {
-            agent: _normalize_partition(self.worlds, blocks)
-            for agent, blocks in self.partitions.items()
-        }
-        object.__setattr__(self, "partitions", {a: parts[a] for a in sorted(parts)})
-        val = {w: frozenset(self.valuation.get(w, frozenset())) for w in self.worlds}
-        object.__setattr__(self, "valuation", val)
+        super().__post_init__()
         att = {
             agent: {w: int(per_world[w]) for w in self.worlds if w in per_world}
             for agent, per_world in self.attention.items()
         }
         object.__setattr__(self, "attention", {a: att[a] for a in sorted(att)})
 
-    @cached_property
-    def _blocks(self) -> dict[str, dict[str, frozenset[str]]]:
-        return {
-            agent: {w: block for block in blocks for w in block}
-            for agent, blocks in self.partitions.items()
-        }
-
-    def block_of(self, agent: str, world: str) -> frozenset[str]:
-        return self._blocks[agent][world]
-
     def att(self, agent: str, world: str) -> int:
         return self.attention[agent][world]
 
+    def holds_attention(self, atom: AttEq | AttLess, world: str) -> bool:
+        """Attention atoms compare against the agent's budget."""
+        budget = self.attention[atom.agent][world]
+        return budget == atom.bound if isinstance(atom, AttEq) else budget < atom.bound
+
+    def colour(self, world: str) -> Hashable:
+        """What bisimilar worlds must agree on: atoms and budgets."""
+        budgets = tuple(self.attention[a][world] for a in self.sig.agents)
+        return (self.valuation[world], budgets)
+
 
 @dataclass(frozen=True)
-class EpistemicState:
+class EpistemicState(_PartitionModel):
     """A pointed partition model whose valuation may carry attention atoms."""
 
     sig: Signature
@@ -128,25 +157,13 @@ class EpistemicState:
     valuation: Mapping[str, frozenset[Atom]]
     actual: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "worlds", tuple(self.worlds))
-        parts = {
-            agent: _normalize_partition(self.worlds, blocks)
-            for agent, blocks in self.partitions.items()
-        }
-        object.__setattr__(self, "partitions", {a: parts[a] for a in sorted(parts)})
-        val = {w: frozenset(self.valuation.get(w, frozenset())) for w in self.worlds}
-        object.__setattr__(self, "valuation", val)
+    def holds_attention(self, atom: AttEq | AttLess, world: str) -> bool:
+        """Attention atoms are extensional facts: true iff listed."""
+        return atom in self.valuation[world]
 
-    @cached_property
-    def _blocks(self) -> dict[str, dict[str, frozenset[str]]]:
-        return {
-            agent: {w: block for block in blocks for w in block}
-            for agent, blocks in self.partitions.items()
-        }
-
-    def block_of(self, agent: str, world: str) -> frozenset[str]:
-        return self._blocks[agent][world]
+    def colour(self, world: str) -> Hashable:
+        """What bisimilar worlds must agree on: the full valuation."""
+        return self.valuation[world]
 
 
 def validate_state(s: AttentionState) -> list[str]:
@@ -204,15 +221,13 @@ def validate_state(s: AttentionState) -> list[str]:
     return out
 
 
-def _eval(s: AttentionState, f: Formula, world: str) -> bool:
+def _eval(s: _PartitionModel, f: Formula, world: str) -> bool:
     if isinstance(f, Top):
         return True
     if isinstance(f, PropAtom):
         return f.name in s.valuation[world]
-    if isinstance(f, AttEq):
-        return s.attention[f.agent][world] == f.bound
-    if isinstance(f, AttLess):
-        return s.attention[f.agent][world] < f.bound
+    if isinstance(f, (AttEq, AttLess)):
+        return s.holds_attention(f, world)
     if isinstance(f, Not):
         return not _eval(s, f.sub, world)
     if isinstance(f, And):
@@ -222,8 +237,11 @@ def _eval(s: AttentionState, f: Formula, world: str) -> bool:
     raise ValueError(f"not a formula node: {f!r}")
 
 
-def check(s: AttentionState, f: Formula, world: str | None = None) -> bool:
-    """Truth of ``f`` at ``world`` (default: the actual world)."""
+def check(s: _PartitionModel, f: Formula, world: str | None = None) -> bool:
+    """Truth of ``f`` at ``world`` (default: the actual world).
+
+    Either state kind; in an epistemic state attention atoms are extensional.
+    """
     validate_formula(s.sig, f)
     target = s.actual if world is None else world
     if target not in s.valuation:
@@ -231,30 +249,58 @@ def check(s: AttentionState, f: Formula, world: str | None = None) -> bool:
     return _eval(s, f, target)
 
 
-def _eval_epistemic(k: EpistemicState, f: Formula, world: str) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, PropAtom):
-        return f.name in k.valuation[world]
-    if isinstance(f, (AttEq, AttLess)):
-        # Attention atoms are extensional here: true iff listed.
-        return f in k.valuation[world]
-    if isinstance(f, Not):
-        return not _eval_epistemic(k, f.sub, world)
-    if isinstance(f, And):
-        return _eval_epistemic(k, f.left, world) and _eval_epistemic(k, f.right, world)
-    if isinstance(f, Know):
-        return all(_eval_epistemic(k, f.sub, v) for v in k.block_of(f.agent, world))
-    raise ValueError(f"not a formula node: {f!r}")
+check_epistemic = check
 
 
-def check_epistemic(k: EpistemicState, f: Formula, world: str | None = None) -> bool:
-    """Truth of ``f`` in the plain epistemic model, attention atoms extensional."""
-    validate_formula(k.sig, f)
-    target = k.actual if world is None else world
-    if target not in k.valuation:
-        raise ValueError(f"unknown world {target!r}")
-    return _eval_epistemic(k, f, target)
+class _Labelling:
+    """Extensions in ``s`` as bitmasks, bit k for ``s.worlds[k]``, built from
+    the subformulas' (labelling model checking): ``Know`` keeps the blocks
+    inside its argument's extension.  The memo is keyed by node identity and
+    lives as long as the object, one update, so shared subformulas are
+    evaluated once; a longer-lived memo could meet a new formula at the
+    address of a collected one."""
+
+    def __init__(self, s: _PartitionModel) -> None:
+        self.s = s
+        self.bit = {w: 1 << k for k, w in enumerate(s.worlds)}
+        self.full = (1 << len(s.worlds)) - 1
+        self.memo: dict[int, int] = {}
+        # Propositional atoms only: a rendition lists many attention atoms
+        # per world, and a formula reads few of them.
+        self.atoms: dict[str, int] = {}
+        for w, atoms in s.valuation.items():
+            for atom in atoms:
+                if isinstance(atom, str):
+                    self.atoms[atom] = self.atoms.get(atom, 0) | self.bit[w]
+        partitions = s.partitions.items()
+        self.blocks = {agent: [self.mask(b) for b in blocks] for agent, blocks in partitions}
+
+    def mask(self, worlds: Iterable[str]) -> int:
+        return sum(self.bit[w] for w in worlds)
+
+    def holds(self, f: Formula, world: str) -> bool:
+        return bool(self.extension(f) & self.bit[world])
+
+    def extension(self, f: Formula) -> int:
+        if id(f) in self.memo:
+            return self.memo[id(f)]
+        if isinstance(f, Top):
+            out = self.full
+        elif isinstance(f, PropAtom):
+            out = self.atoms.get(f.name, 0)
+        elif isinstance(f, (AttEq, AttLess)):
+            out = self.mask(w for w in self.s.worlds if self.s.holds_attention(f, w))
+        elif isinstance(f, Not):
+            out = self.full & ~self.extension(f.sub)
+        elif isinstance(f, And):
+            out = self.extension(f.left) & self.extension(f.right)
+        elif isinstance(f, Know):
+            inner = self.extension(f.sub)
+            out = sum(b for b in self.blocks[f.agent] if b & inner == b)
+        else:
+            raise ValueError(f"not a formula node: {f!r}")
+        self.memo[id(f)] = out
+        return out
 
 
 def kripke_rendition(s: AttentionState) -> EpistemicState:

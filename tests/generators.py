@@ -31,7 +31,7 @@ from attnplan.logic import (
     TOP,
     entails,
 )
-from attnplan.models import AttentionState
+from attnplan.models import AttentionState, EpistemicState
 from attnplan.planner import PlanningTask
 
 SIG2 = Signature(agents=("a", "b"), attention_bound=2, prop_atoms=("p", "q"))
@@ -125,6 +125,23 @@ def rand_state(rng: random.Random, sig: Signature, max_worlds: int = 4) -> Atten
         partitions=partitions,
         valuation=valuation,
         attention=attention,
+        actual=rng.choice(worlds),
+    )
+
+
+def rand_epistemic_state(
+    rng: random.Random, sig: Signature, max_worlds: int = 4
+) -> EpistemicState:
+    """A random epistemic state whose worlds list arbitrary attention atoms,
+    not only the consistent sets a rendition writes."""
+    count = rng.randint(1, max_worlds)
+    worlds = tuple(f"w{j}" for j in range(count))
+    atoms = sig.prop_atoms + sig.attention_atoms()
+    return EpistemicState(
+        sig=sig,
+        worlds=worlds,
+        partitions={agent: rand_partition(rng, worlds) for agent in sig.agents},
+        valuation={w: frozenset(a for a in atoms if rng.random() < 0.5) for w in worlds},
         actual=rng.choice(worlds),
     )
 

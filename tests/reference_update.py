@@ -1,20 +1,27 @@
-"""Naive reference versions of the branch-relation code in ``attnplan``.
+"""Naive reference versions of the update and model-checking code in
+``attnplan``.
 
-These are the original all-pairs implementations: the survivor loop and
+These are the original implementations: the all-pairs survivor loop and
 partition of ``attention_update``, the per-bit relation loop of
-``to_post`` and the transitivity test behind ``validate_action`` and
-relaxed ``is_nfl``.  They evaluate preconditions world by world with
-``_eval`` and test relatedness by scanning blocks.  The differential
-suite compares the library's grouped, extension-set versions against
-them; nothing in the package imports this module.
+``to_post``, the transitivity test behind ``validate_action`` and relaxed
+``is_nfl``, the evaluator for epistemic states that read attention atoms
+from the valuation, and ``product_update`` with its preconditions and
+postconditions evaluated world by world.  They test relatedness by
+scanning blocks.  The differential suite compares the library's grouped,
+extension-set versions against them; nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
 
-from attnplan.actions import AttentionAction, AttentionActionModel, _pair_name
+from attnplan.actions import AttentionAction, AttentionActionModel, EpistemicAction
 from attnplan.errors import IllFormedResult, NotApplicable
-from attnplan.logic import entails
-from attnplan.models import AttentionState, Partition, _eval
+from attnplan.logic import And, AttEq, AttLess, Formula, Know, Not, PropAtom, Top, entails
+from attnplan.models import Atom, AttentionState, EpistemicState, Partition, _eval
+
+
+def _pair_name(world: str, event: str) -> str:
+    return f"{world}*{event}"
 
 
 def same_block(blocks: Partition, e: str, f: str) -> bool:
@@ -174,4 +181,54 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
             for agent in sig.agents
         },
         actual=names[(s.actual, x.actual)],
+    )
+
+
+def eval_epistemic(k: EpistemicState, f: Formula, world: str) -> bool:
+    """Truth in an epistemic state, attention atoms true iff listed."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, PropAtom):
+        return f.name in k.valuation[world]
+    if isinstance(f, (AttEq, AttLess)):
+        return f in k.valuation[world]
+    if isinstance(f, Not):
+        return not eval_epistemic(k, f.sub, world)
+    if isinstance(f, And):
+        return eval_epistemic(k, f.left, world) and eval_epistemic(k, f.right, world)
+    if isinstance(f, Know):
+        return all(eval_epistemic(k, f.sub, v) for v in k.block_of(f.agent, world))
+    raise ValueError(f"not a formula node: {f!r}")
+
+
+def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
+    """The product with every formula evaluated world by world."""
+    if not eval_epistemic(k, y.pre[y.actual], k.actual):
+        raise NotApplicable("pre of actual event fails at actual world")
+    pairs = [(w, e) for w in k.worlds for e in y.events if eval_epistemic(k, y.pre[e], w)]
+    names = {pair: _pair_name(*pair) for pair in pairs}
+    partitions: dict[str, Partition] = {}
+    for agent in k.sig.agents:
+        grouped: dict[tuple[int, int], list[str]] = {}
+        source_blocks = {w: i for i, block in enumerate(k.partitions[agent]) for w in block}
+        event_blocks = {e: i for i, block in enumerate(y.q[agent]) for e in block}
+        for w, e in pairs:
+            grouped.setdefault((source_blocks[w], event_blocks[e]), []).append(
+                names[(w, e)]
+            )
+        partitions[agent] = tuple(frozenset(ws) for ws in grouped.values())
+    valuation: dict[str, frozenset[Atom]] = {}
+    for w, e in pairs:
+        post = y.post.get(e, {})
+        atoms: set[Atom] = {a for a in k.valuation[w] if a not in post}
+        for atom, formula in post.items():
+            if eval_epistemic(k, formula, w):
+                atoms.add(atom)
+        valuation[names[(w, e)]] = frozenset(atoms)
+    return EpistemicState(
+        sig=k.sig,
+        worlds=tuple(names[p] for p in pairs),
+        partitions=partitions,
+        valuation=valuation,
+        actual=names[(k.actual, y.actual)],
     )

@@ -19,7 +19,7 @@ from attnplan.actions import (
     validate_action,
 )
 from attnplan.bisim import BisimWitness, bisimilar
-from attnplan.errors import CostLookupError, IllFormedResult, NotApplicable
+from attnplan.errors import CostLookupError, IllFormedResult, NameCollision, NotApplicable
 from attnplan.logic import (
     And,
     AttEq,
@@ -409,6 +409,33 @@ class TestProductUpdate:
         )
         with pytest.raises(NotApplicable):
             product_update(k, y)
+
+
+class TestPairNames:
+    def test_colliding_pair_names_raise_a_typed_value_error(self):
+        # (w, e*e) and (w*e, e) would both become w*e*e.
+        s = AttentionState(
+            sig=SIG,
+            worlds=("w", "w*e"),
+            partitions={"i": (frozenset({"w", "w*e"}),)},
+            valuation={},
+            attention={"i": {"w": 0, "w*e": 0}},
+            actual="w",
+        )
+        pre = {"e": TOP, "e*e": TOP}
+        model = AttentionActionModel(
+            sig=SIG, events=("e", "e*e"), q={}, qstar={}, pre=pre,
+            cost=CostTable(default=0),
+        )
+        x = AttentionAction(name="clash", model=model, actual="e")
+        y = EpistemicAction(sig=SIG, events=("e", "e*e"), q={}, pre=pre, actual="e")
+        for update, state, action in (
+            (attention_update, s, x),
+            (product_update, kripke_rendition(s), y),
+        ):
+            with pytest.raises(NameCollision, match=r"'w\*e\*e'") as info:
+                update(state, action)
+            assert isinstance(info.value, ValueError)
 
 
 class TestSequenceProperties:

@@ -197,6 +197,31 @@ class TestCommands:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    def test_update_name_collision_exits_two(self, capsys, tmp_path):
+        # (w, e*e) and (w*e, e) would both become w*e*e.
+        doc = {
+            "signature": {"agents": ["i"], "attention_bound": 1, "atoms": ["p"]},
+            "states": {"clash": {
+                "worlds": {name: {"atoms": [], "attention": {"i": 0}}
+                           for name in ("w", "w*e")},
+                "relations": {"i": [["w", "w*e"]]},
+                "actual": "w",
+            }},
+            "models": {"twins": {
+                "events": {"e": {"pre": "T"}, "e*e": {"pre": "T"}},
+                "q": {"i": []}, "qstar": {"i": []},
+                "costs": {"default": 0},
+            }},
+            "actions": {"go": {"model": "twins", "actual": "e"}},
+        }
+        task = tmp_path / "clash.task"
+        task.write_text(json.dumps(doc))
+        assert run(["update", "--task", str(task), "--state", "clash",
+                    "--actions", "go"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: world and event names collide")
+        assert "ValueError:" not in err
+
     @pytest.mark.parametrize("module", ["attnplan", "attnplan.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
         src = str(Path(attnplan.__file__).resolve().parents[1])

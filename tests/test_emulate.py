@@ -22,7 +22,7 @@ from attnplan.emulate import (
     resolve_actual,
     to_post,
 )
-from attnplan.errors import IllFormedResult, NotApplicable
+from attnplan.errors import AmbiguousActual, IllFormedResult, NotApplicable
 from attnplan.logic import (
     And,
     AttEq,
@@ -158,6 +158,18 @@ class TestResolveActual:
         )
         with pytest.raises(NotApplicable):
             resolve_actual(y, broke)
+
+    def test_overlapping_family_is_a_typed_error(self):
+        y = EpistemicAction(
+            sig=SIG,
+            events=("e1", "e2"),
+            q={},
+            pre={"e1": TOP, "e2": TOP},
+            actual="e1",
+            actual_family=("e1", "e2"),
+        )
+        with pytest.raises(AmbiguousActual, match="'e1', 'e2'"):
+            resolve_actual(y, self.state(1))
 
 
 class TestFromNopost:

@@ -1,5 +1,5 @@
-"""Differential tests: grouped updates and the branch kernel against the
-all-pairs reference versions in ``reference_update``.
+"""Differential tests: grouped updates, the branch kernel and the shared
+evaluators against the reference versions in ``reference_update``.
 
 Random actions come in two kinds: the rejection-sampled ones of
 ``generators`` (every update defined) and unfiltered ones, whose branch
@@ -16,20 +16,27 @@ from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
     CostTable,
-    _Labelling,
     attention_update,
     branch_classes,
+    product_update,
     validate_action,
 )
-from attnplan.emulate import profiles_for, to_post
-from attnplan.errors import AttnPlanError, IllFormedResult
+from attnplan.emulate import profiles_for, resolve_actual, to_post
+from attnplan.errors import AttnPlanError, IllFormedResult, NotApplicable
 from attnplan.logic import And, Know, Not, PropAtom, Signature, TOP, entails
-from attnplan.models import AttentionState, _eval
+from attnplan.models import (
+    AttentionState,
+    EpistemicState,
+    _eval,
+    _Labelling,
+    kripke_rendition,
+)
 
 from generators import (
     SIG2,
     rand_applicable_pair,
     rand_attention_action,
+    rand_epistemic_state,
     rand_formula,
     rand_partition,
     rand_propositional,
@@ -262,16 +269,44 @@ def test_split_model_fails_only_when_attending():
 
 def test_extension_sets_match_per_world_eval():
     rng = random.Random(4501)
+    # A second stream keeps the attention states and formulas of the first.
+    rng_k = random.Random(4503)
     for _ in range(300):
         s = rand_state(rng, SIG2, max_worlds=5)
         f = rand_formula(rng, SIG2, max_modal_depth=2, max_size=9)
         # Share one node several times so the memo is exercised.
         g = And(Not(Know("a", f)), And(f, Know("b", Not(f))))
-        labels = _Labelling(s)
-        for formula in (f, g):
-            mask = labels.extension(formula)
-            for k, w in enumerate(s.worlds):
-                assert bool(mask >> k & 1) == _eval(s, formula, w)
+        for state in (s, kripke_rendition(s), rand_epistemic_state(rng_k, SIG2, 5)):
+            labels = _Labelling(state)
+            for formula in (f, g):
+                mask = labels.extension(formula)
+                for k, w in enumerate(state.worlds):
+                    truth = _eval(state, formula, w)
+                    assert bool(mask >> k & 1) == truth
+                    if isinstance(state, EpistemicState):
+                        assert truth == reference.eval_epistemic(state, formula, w)
+
+
+@pytest.mark.parametrize("sig", [SIG, SIG2], ids=["SIG", "SIG2"])
+def test_product_update_matches_per_world_reference(sig):
+    rng = random.Random(4601 if sig is SIG else 4602)
+    for _ in range(120):
+        s, x = rand_applicable_pair(rng, sig, rand_attention_action, max_worlds=5)
+        k = kripke_rendition(s)
+        compiled = to_post(x)
+        # Unresolved, the all-attending actual may not fire at s.
+        for y in (compiled, resolve_actual(compiled, s)):
+            try:
+                slow = reference.product_update(k, y)
+            except NotApplicable:
+                with pytest.raises(NotApplicable):
+                    product_update(k, y)
+                continue
+            fast = product_update(k, y)
+            assert fast.worlds == slow.worlds
+            assert fast.partitions == slow.partitions
+            assert fast.valuation == slow.valuation
+            assert fast.actual == slow.actual
 
 
 def test_survivors_match_per_world_eval():
