@@ -5,6 +5,11 @@ action that charges nothing and refines nothing extra.  ``to_post`` goes the
 other way: each event is split into one variant per attention profile (which
 agents can afford their question), preconditions gain budget guards, and
 postconditions write the discounted budgets back into the attention atoms.
+A charge c >= 1 leaves ``max(0, before - c)``, so every attention atom's
+postcondition is one atom or a constant: ``(att = 0)`` becomes
+``(att < c + 1)``, ``(att = n)`` becomes ``(att = n + c)`` and ``(att < n)``
+becomes ``(att < n + c)``, with out-of-range atoms read as constants (see
+``_attention_posts``).
 ``check_equivalent_on`` replays both presentations over given states and
 compares the results up to bisimilarity of their atom-level renditions.
 """
@@ -26,19 +31,7 @@ from .actions import (
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
 from .errors import AmbiguousActual, IllFormedResult, NotApplicable
-from .logic import (
-    And,
-    AttEq,
-    AttLess,
-    Formula,
-    Not,
-    and_all,
-    att_geq,
-    bot,
-    entails,
-    or_,
-    or_all,
-)
+from .logic import TOP, AttEq, AttLess, Formula, and_all, att_geq, bot, entails
 from .models import AttentionState, _Labelling, kripke_rendition
 
 
@@ -78,40 +71,41 @@ def from_nopost(y: EpistemicAction, name: str = "nopost") -> AttentionAction:
     return AttentionAction(name=name, model=model, questions={}, actual=y.actual)
 
 
-def _budget_after_zero(agent: str, cost: int, bound: int) -> Formula:
-    """Postcondition of ``(att_agent = 0)``: the budget was at most the cost."""
-    return or_all([AttEq(agent, m) for m in range(min(cost, bound) + 1)])
-
-
-def _budget_after_exact(agent: str, n: int, cost: int, bound: int) -> Formula:
-    """Postcondition of ``(att_agent = n)`` for n >= 1: either the budget was
-    n and the discount floors at n (only when n - cost clamps to n... it
-    cannot for positive cost, the disjunct is kept for shape), or it was
-    n + cost exactly; a target above the bound is unreachable (falsity)."""
-    was_n = And(AttEq(agent, n), AttEq(agent, max(0, n - cost)))
-    source = n + cost
-    came_down = And(
-        Not(AttEq(agent, n)),
-        AttEq(agent, source) if source <= bound else bot(),
-    )
-    return or_(was_n, came_down)
-
-
 def _attention_posts(
     agent: str, cost: int, bound: int
 ) -> dict[AttEq | AttLess, Formula]:
-    """Postconditions rewriting one agent's attention atoms after a charge."""
+    """Postconditions rewriting one agent's attention atoms after a charge.
+
+    A charge ``c >= 1`` leaves ``after = max(0, before - c)``, so each atom
+    about ``after`` is one atom (or a constant) about ``before``, with
+    ``below(m)`` standing for ``(att < m)`` when ``m <= bound`` and for truth
+    otherwise (no budget exceeds the bound):
+
+    - ``(att = 0)``: the budget was at most c, ``below(c + 1)``;
+    - ``(att = n)``, n >= 1: no floor was hit, so the budget was exactly
+      ``n + c``, which is falsity when ``n + c > bound``;
+    - ``(att < 0)``: never true, falsity;
+    - ``(att < n)``, n >= 1: ``after < n`` iff ``before < n + c``, that is
+      ``below(n + c)``.
+
+    These agree with the atom-by-atom disjunctions of the original encoding
+    (kept in the tests as the oracle) at every budget in ``0..bound``; a
+    world listing two ``(att = n)`` atoms for one agent is no rendition and
+    has no meaning under either.
+    """
     if cost <= 0:
         return {}
-    eq_posts: dict[int, Formula] = {0: _budget_after_zero(agent, cost, bound)}
+    never = bot()
+
+    def below(m: int) -> Formula:
+        return AttLess(agent, m) if m <= bound else TOP
+
+    out: dict[AttEq | AttLess, Formula] = {AttEq(agent, 0): below(cost + 1)}
     for n in range(1, bound + 1):
-        eq_posts[n] = _budget_after_exact(agent, n, cost, bound)
-    out: dict[AttEq | AttLess, Formula] = {}
-    for n in range(bound + 1):
-        out[AttEq(agent, n)] = eq_posts[n]
-    out[AttLess(agent, 0)] = bot()
+        out[AttEq(agent, n)] = AttEq(agent, n + cost) if n + cost <= bound else never
+    out[AttLess(agent, 0)] = never
     for n in range(1, bound + 1):
-        out[AttLess(agent, n)] = or_all([eq_posts[j] for j in range(n)])
+        out[AttLess(agent, n)] = below(n + cost)
     return out
 
 
@@ -172,22 +166,13 @@ def to_post(x: AttentionAction) -> EpistemicAction:
             name = variant(event, profile)
             events.append(name)
             conjuncts: list[Formula] = [model.pre[event]]
-            for k, agent in enumerate(agents):
-                if profile.bits[k] == 1:
-                    guard = _attending_guard(agent, costs[agent][event], bound)
-                else:
-                    guard = None
-                if guard is not None:
-                    conjuncts.append(guard)
-            for k, agent in enumerate(agents):
-                if profile.bits[k] == 0:
-                    guard = _nonattending_guard(agent, costs[agent][event], bound)
-                else:
-                    guard = None
+            for bit, agent in zip(profile.bits, agents):
+                guard_for = _attending_guard if bit else _nonattending_guard
+                guard = guard_for(agent, costs[agent][event], bound)
                 if guard is not None:
                     conjuncts.append(guard)
             pre[name] = and_all(conjuncts)
-            post[name] = dict(base_posts)
+            post[name] = base_posts  # EpistemicAction copies each event's map
 
     q: dict[str, tuple[frozenset[str], ...]] = {}
     for k, agent in enumerate(agents):
@@ -224,7 +209,7 @@ def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
     and several (a hand-built family) raise AmbiguousActual.
     """
     family = y.actual_family or (y.actual,)
-    labels = _Labelling(kripke_rendition(s))
+    labels = _Labelling(s)
     matches = [e for e in family if labels.holds(y.pre[e], s.actual)]
     if not matches:
         raise NotApplicable(

@@ -5,10 +5,12 @@ These are the original implementations: the all-pairs survivor loop and
 partition of ``attention_update``, the per-bit relation loop of
 ``to_post``, the transitivity test behind ``validate_action`` and relaxed
 ``is_nfl``, the evaluator for epistemic states that read attention atoms
-from the valuation, and ``product_update`` with its preconditions and
-postconditions evaluated world by world.  They test relatedness by
-scanning blocks.  The differential suite compares the library's grouped,
-extension-set versions against them; nothing in the package imports this
+from the valuation, ``product_update`` with its preconditions and
+postconditions evaluated world by world, and ``to_post``'s budget
+postconditions as atom-by-atom disjunctions (O(bound) nodes per atom,
+O(bound^2) per agent).  They test relatedness by scanning blocks.  The
+differential suite compares the library's grouped, extension-set and
+closed-form versions against them; nothing in the package imports this
 module.
 """
 
@@ -16,7 +18,20 @@ from __future__ import annotations
 
 from attnplan.actions import AttentionAction, AttentionActionModel, EpistemicAction
 from attnplan.errors import IllFormedResult, NotApplicable
-from attnplan.logic import And, AttEq, AttLess, Formula, Know, Not, PropAtom, Top, entails
+from attnplan.logic import (
+    And,
+    AttEq,
+    AttLess,
+    Formula,
+    Know,
+    Not,
+    PropAtom,
+    Top,
+    bot,
+    entails,
+    or_,
+    or_all,
+)
 from attnplan.models import Atom, AttentionState, EpistemicState, Partition, _eval
 
 
@@ -232,3 +247,40 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
         valuation=valuation,
         actual=names[(k.actual, y.actual)],
     )
+
+
+def _budget_after_zero(agent: str, cost: int, bound: int) -> Formula:
+    """Postcondition of ``(att_agent = 0)``: the budget was at most the cost."""
+    return or_all([AttEq(agent, m) for m in range(min(cost, bound) + 1)])
+
+
+def _budget_after_exact(agent: str, n: int, cost: int, bound: int) -> Formula:
+    """Postcondition of ``(att_agent = n)`` for n >= 1: either the budget was
+    n and the discount floors at n (never, for a positive cost; the disjunct
+    is kept for shape), or it was n + cost exactly; a target above the bound
+    is unreachable (falsity)."""
+    was_n = And(AttEq(agent, n), AttEq(agent, max(0, n - cost)))
+    source = n + cost
+    came_down = And(
+        Not(AttEq(agent, n)),
+        AttEq(agent, source) if source <= bound else bot(),
+    )
+    return or_(was_n, came_down)
+
+
+def attention_posts(agent: str, cost: int, bound: int) -> dict[Atom, Formula]:
+    """Postconditions rewriting one agent's attention atoms after a charge:
+    ``(att < n)`` is the disjunction of the ``(att = j)`` postconditions for
+    j < n."""
+    if cost <= 0:
+        return {}
+    eq_posts: dict[int, Formula] = {0: _budget_after_zero(agent, cost, bound)}
+    for n in range(1, bound + 1):
+        eq_posts[n] = _budget_after_exact(agent, n, cost, bound)
+    out: dict[Atom, Formula] = {}
+    for n in range(bound + 1):
+        out[AttEq(agent, n)] = eq_posts[n]
+    out[AttLess(agent, 0)] = bot()
+    for n in range(1, bound + 1):
+        out[AttLess(agent, n)] = or_all([eq_posts[j] for j in range(n)])
+    return out

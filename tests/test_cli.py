@@ -154,6 +154,9 @@ class TestCommands:
         assert len(payload["events"]) == 8
         assert payload["actual"] == "e_pq@1"
         assert payload["actual_family"] == ["e_pq@0", "e_pq@1"]
+        post = payload["events"]["e_pq@1"]["post"]
+        assert post["(att_i = 0)"] == "(att_i < 11)"
+        assert post["(att_i = 1)"] == "(att_i = 11)"
 
     def test_emulate_from_nopost_emits_a_loadable_action(self, capsys):
         assert run(["emulate", "--task", MUDDY, "--direction", "from-nopost",

@@ -33,7 +33,6 @@ from attnplan.logic import (
     TOP,
     att_geq,
     bot,
-    or_,
 )
 from attnplan.models import AttentionState, kripke_rendition
 
@@ -49,9 +48,9 @@ SIG = Signature(agents=("i",), attention_bound=2, prop_atoms=("p",))
 P = PropAtom("p")
 
 
-def paying_action(cost: int = 1) -> AttentionAction:
+def paying_action(cost: int = 1, sig: Signature = SIG) -> AttentionAction:
     model = AttentionActionModel(
-        sig=SIG,
+        sig=sig,
         events=("e", "f"),
         q={"i": (frozenset({"e"}), frozenset({"f"}))},
         qstar={"i": (frozenset({"e", "f"}),)},
@@ -94,12 +93,17 @@ class TestToPost:
     def test_budget_rewrite_formulas(self):
         y = to_post(paying_action(cost=1))
         post = y.post["e@1"]
-        assert post[AttEq("i", 0)] == or_(AttEq("i", 0), AttEq("i", 1))
-        assert post[AttEq("i", 2)] == or_(
-            And(AttEq("i", 2), AttEq("i", 1)),
-            And(Not(AttEq("i", 2)), bot()),
-        )
-        assert post[AttLess("i", 1)] == post[AttEq("i", 0)]
+        assert post == {
+            AttEq("i", 0): AttLess("i", 2),
+            AttEq("i", 1): AttEq("i", 2),
+            AttEq("i", 2): bot(),
+            AttLess("i", 0): bot(),
+            AttLess("i", 1): AttLess("i", 2),
+            AttLess("i", 2): TOP,
+        }
+        for posts in y.post.values():
+            for value in posts.values():
+                assert isinstance(value, (AttEq, AttLess)) or value in (TOP, bot())
 
     def test_free_questions_leave_budgets_alone(self):
         action = paying_action(cost=0)
@@ -230,6 +234,26 @@ class TestEquivalence:
         assert len(verdicts) == 1
         assert verdicts[0].equivalent
         assert "inapplicable" in verdicts[0].detail
+
+    def test_round_trip_at_bound_600(self):
+        """The compiled postconditions stay small at a large bound; the old
+        disjunction chains raised RecursionError here."""
+        sig = Signature(agents=("i",), attention_bound=600, prop_atoms=("p",))
+        action = paying_action(cost=1, sig=sig)
+        states = [
+            AttentionState(
+                sig=sig,
+                worlds=("w", "v"),
+                partitions={"i": (frozenset({"w", "v"}),)},
+                valuation={"w": frozenset({"p"}), "v": frozenset()},
+                attention={"i": {"w": budget, "v": budget}},
+                actual="w",
+            )
+            for budget in (0, 1, 300, 600)
+        ]
+        verdicts = check_equivalent_on(action, to_post(action), states)
+        assert len(verdicts) == 4
+        assert all(v.equivalent for v in verdicts), verdicts
 
     def test_randomized_round_trip_through_postconditions(self):
         rng = random.Random(41)

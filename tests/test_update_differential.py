@@ -1,5 +1,6 @@
-"""Differential tests: grouped updates, the branch kernel and the shared
-evaluators against the reference versions in ``reference_update``.
+"""Differential tests: grouped updates, the branch kernel, the shared
+evaluators and the closed-form budget postconditions of ``to_post`` against
+the reference versions in ``reference_update``.
 
 Random actions come in two kinds: the rejection-sampled ones of
 ``generators`` (every update defined) and unfiltered ones, whose branch
@@ -21,7 +22,7 @@ from attnplan.actions import (
     product_update,
     validate_action,
 )
-from attnplan.emulate import profiles_for, resolve_actual, to_post
+from attnplan.emulate import _attention_posts, profiles_for, resolve_actual, to_post
 from attnplan.errors import AttnPlanError, IllFormedResult, NotApplicable
 from attnplan.logic import And, Know, Not, PropAtom, Signature, TOP, entails
 from attnplan.models import (
@@ -315,3 +316,34 @@ def test_survivors_match_per_world_eval():
         s, x = rand_applicable_pair(rng, SIG2, rand_attention_action, max_worlds=5)
         expected = [f"{w}*{e}" for w, e in reference.survivors(s, x.model)]
         assert list(attention_update(s, x).worlds) == expected
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_closed_form_budget_posts_match_the_disjunctions(bound):
+    """At every budget a rendition can carry, each attention atom's closed-form
+    postcondition and its disjunction have the atom's truth after the charge,
+    on a one-world state and on its rendition."""
+    sig = Signature(agents=("i",), attention_bound=bound, prop_atoms=("p",))
+
+    def one_world(budget: int) -> AttentionState:
+        return AttentionState(
+            sig=sig,
+            worlds=("w",),
+            partitions={"i": (frozenset({"w"}),)},
+            valuation={"w": frozenset()},
+            attention={"i": {"w": budget}},
+            actual="w",
+        )
+
+    for cost in range(1, bound + 4):
+        closed = _attention_posts("i", cost, bound)
+        seed = reference.attention_posts("i", cost, bound)
+        assert closed.keys() == seed.keys()
+        for budget in range(bound + 1):
+            s = one_world(budget)
+            after = one_world(max(0, budget - cost))
+            for state in (s, kripke_rendition(s)):
+                for atom in seed:
+                    expected = _eval(after, atom, "w")
+                    assert _eval(state, closed[atom], "w") == expected
+                    assert _eval(state, seed[atom], "w") == expected
