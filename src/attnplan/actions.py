@@ -186,6 +186,24 @@ class AttentionAction:
     def sig(self) -> Signature:
         return self.model.sig
 
+    @cached_property
+    def _costs(self) -> dict[str, dict[str, int]]:
+        """What each agent's question costs it at each event."""
+        model = self.model
+        return {
+            agent: {e: model.cost_of(agent, self.questions[agent], e) for e in model.events}
+            for agent in self.sig.agents
+        }
+
+    @cached_property
+    def _answers(self) -> dict[str, dict[str, bool]]:
+        """Whether each event's precondition entails each agent's question."""
+        model, sig = self.model, self.sig
+        return {
+            agent: {e: entails(sig, model.pre[e], self.questions[agent]) for e in model.events}
+            for agent in sig.agents
+        }
+
 
 @dataclass(frozen=True)
 class EpistemicAction:
@@ -486,16 +504,9 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     ]
     names = _pair_names(survivors)
 
-    costs = {
-        agent: {e: model.cost_of(agent, x.questions[agent], e) for e in model.events}
-        for agent in sig.agents
-    }
-    answers = {
-        agent: {
-            e: entails(sig, model.pre[e], x.questions[agent]) for e in model.events
-        }
-        for agent in sig.agents
-    }
+    # Costs before answers: a missing price is reported before a bad question.
+    costs = x._costs
+    answers = x._answers
 
     partitions: dict[str, Partition] = {}
     for agent in sig.agents:

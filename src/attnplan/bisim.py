@@ -1,15 +1,17 @@
 """Bisimulation checks, quotienting, and distinguishing formulas.
 
-All three entry points run the same partition-refinement loop from the
-colouring each state gives its worlds (``colour``): an attention state
-colours by propositional valuation plus the attention vector, an epistemic
-state by the full (propositional and attention-atom) valuation.
+All of them run one colour-refinement loop, ``_refine``, over the disjoint
+union of the states they are given, starting from the colouring each state
+gives its worlds (``colour``): an attention state colours by propositional
+valuation plus the attention vector, an epistemic state by the full
+(propositional and attention-atom) valuation.  Each round reads every block
+once and adds the set of class ids in it to the key of each member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Hashable
 
 from .errors import SignatureMismatch
 from .logic import (
@@ -28,7 +30,7 @@ from .models import (
     close_into_partition,
 )
 
-Node = tuple[int, str]  # (side, world) — side 0/1 tags the disjoint union
+Node = tuple[int, str]  # (k, world): world of the k-th state in the disjoint union
 
 
 @dataclass(frozen=True)
@@ -45,77 +47,58 @@ class NotBisimilar:
     round: int
 
 
-def _refine(
-    nodes: Sequence[Node],
-    agents: Sequence[str],
-    colour: Callable[[Node], Hashable],
-    block_of: Callable[[str, Node], Sequence[Node]],
-) -> list[dict[Node, int]]:
-    """Refine to the coarsest stable partition; returns ids per round."""
+def _refine(*states) -> tuple[list[Node], list[list[int]]]:
+    """Colour refinement over the disjoint union of ``states``.
 
-    def densify(key_of: Callable[[Node], Hashable]) -> dict[Node, int]:
-        ids: dict[Node, int] = {}
-        by_key: dict[Hashable, int] = {}
-        for node in nodes:
-            key = key_of(node)
-            if key not in by_key:
-                by_key[key] = len(by_key)
-            ids[node] = by_key[key]
-        return ids
-
-    rounds = [densify(colour)]
-    while True:
-        current = rounds[-1]
-
-        def signature(node: Node) -> Hashable:
-            return (
-                current[node],
-                tuple(
-                    frozenset(current[m] for m in block_of(agent, node))
-                    for agent in agents
-                ),
-            )
-
-        refined = densify(signature)
-        if len(set(refined.values())) == len(set(current.values())):
-            return rounds
-        rounds.append(refined)
-
-
-def _union_nodes(s1, s2) -> list[Node]:
-    return [(0, w) for w in s1.worlds] + [(1, w) for w in s2.worlds]
-
-
-def _union_block(s1, s2) -> Callable[[str, Node], list[Node]]:
-    def block_of(agent: str, node: Node) -> list[Node]:
-        side, world = node
-        state = s1 if side == 0 else s2
-        return [(side, v) for v in state.block_of(agent, world)]
-
-    return block_of
-
-
-def _union_rounds(s1, s2) -> list[dict[Node, int]]:
-    """Refinement rounds over the disjoint union of two states."""
-    if s1.sig != s2.sig:
+    Node ``(k, w)`` is world ``w`` of ``states[k]``.  Round 0 numbers the
+    nodes by their state's ``colour``; each later round keys a node by its
+    id and, per agent, the set of ids in its block, read once per block.
+    Ids are numbered in node order.  Stops at the first round that splits no
+    class; returns the nodes and each round's ids, aligned with the nodes.
+    """
+    sig = states[0].sig
+    if any(s.sig != sig for s in states):
         raise SignatureMismatch("states are over different signatures")
-
-    def colour(node: Node) -> Hashable:
-        side, world = node
-        return (s1 if side == 0 else s2).colour(world)
-
-    return _refine(_union_nodes(s1, s2), s1.sig.agents, colour, _union_block(s1, s2))
+    nodes = [(k, w) for k, s in enumerate(states) for w in s.worlds]
+    index = {node: n for n, node in enumerate(nodes)}
+    blocks = [
+        [index[(k, w)] for w in block]
+        for agent in sig.agents
+        for k, s in enumerate(states)
+        for block in s.partitions[agent]
+    ]
+    keys: list[Hashable] = [s.colour(w) for s in states for w in s.worlds]
+    rounds: list[list[int]] = []
+    count = 0
+    while True:
+        numbering: dict[Hashable, int] = {}
+        ids = [numbering.setdefault(key, len(numbering)) for key in keys]
+        if len(numbering) == count:
+            return nodes, rounds
+        rounds.append(ids)
+        count = len(numbering)
+        signatures = [[i] for i in ids]
+        for block in blocks:
+            classes = frozenset([ids[n] for n in block])
+            for n in block:
+                signatures[n].append(classes)
+        keys = [tuple(key) for key in signatures]
 
 
 def _compare(s1, s2) -> BisimWitness | NotBisimilar:
-    rounds = _union_rounds(s1, s2)
-    final = rounds[-1]
-    actual1, actual2 = (0, s1.actual), (1, s2.actual)
-    if final[actual1] != final[actual2]:
-        separated = next(r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2])
+    nodes, rounds = _refine(s1, s2)
+    actual1, actual2 = nodes.index((0, s1.actual)), nodes.index((1, s2.actual))
+    separated = next(
+        (r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None
+    )
+    if separated is not None:
         return NotBisimilar(round=separated)
+    final, n1 = rounds[-1], len(s1.worlds)
     pairs = frozenset(
-        (w1, w2) for w1 in s1.worlds for w2 in s2.worlds if final[(0, w1)] == final[(1, w2)]
+        (w1, w2)
+        for w1, c1 in zip(s1.worlds, final)
+        for w2, c2 in zip(s2.worlds, final[n1:])
+        if c1 == c2
     )
     return BisimWitness(pairs=pairs)
 
@@ -140,18 +123,11 @@ def contract(s: AttentionState) -> AttentionState:
     bisimilar to the input (smallest such state up to isomorphism).
     """
     sig = s.sig
-
-    def colour(node: Node) -> Hashable:
-        return s.colour(node[1])
-
-    def block_of(agent: str, node: Node) -> list[Node]:
-        return [(0, v) for v in s.block_of(agent, node[1])]
-
-    ids = _refine([(0, w) for w in s.worlds], sig.agents, colour, block_of)[-1]
+    ids = dict(zip(s.worlds, _refine(s)[1][-1]))
     members: dict[int, list[str]] = {}
     class_order: list[int] = []
     for world in s.worlds:
-        cid = ids[(0, world)]
+        cid = ids[world]
         if cid not in members:
             members[cid] = []
             class_order.append(cid)
@@ -164,7 +140,7 @@ def contract(s: AttentionState) -> AttentionState:
     partitions = {
         agent: close_into_partition(
             new_worlds,
-            [[name_of[ids[(0, w)]] for w in block] for block in s.partitions[agent]],
+            [[name_of[ids[w]] for w in block] for block in s.partitions[agent]],
         )
         for agent in sig.agents
     }
@@ -180,7 +156,7 @@ def contract(s: AttentionState) -> AttentionState:
         partitions=partitions,
         valuation=valuation,
         attention=attention,
-        actual=name_of[ids[(0, s.actual)]],
+        actual=name_of[ids[s.actual]],
     )
 
 
@@ -188,28 +164,39 @@ def distinguishing_formula(
     k1: EpistemicState, k2: EpistemicState, max_rounds: int = 2
 ) -> Formula | None:
     """A formula true at ``k1``'s actual and false at ``k2``'s, if one exists
-    within ``max_rounds`` knowledge alternations; None otherwise."""
-    rounds = _union_rounds(k1, k2)
+    within ``max_rounds`` knowledge alternations; None otherwise.
+
+    The formula describes the actual world's class at the separating round.
+    Its round-0 conjuncts use only the atoms whose truth varies over the two
+    states' worlds: a constant atom's conjunct holds at every world either
+    formula can reach, so dropping it changes the truth of none.
+    """
+    states = (k1, k2)
+    nodes, rounds = _refine(k1, k2)
     sig = k1.sig
-    block_of = _union_block(k1, k2)
-    actual1, actual2 = (0, k1.actual), (1, k2.actual)
+    actual1, actual2 = nodes.index((0, k1.actual)), nodes.index((1, k2.actual))
     separated = next(
         (r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None
     )
     if separated is None or separated > max_rounds:
         return None
 
-    universe: list[Formula] = [PropAtom(a) for a in sig.prop_atoms]
-    universe.extend(sig.attention_atoms())
+    def holds(n: int, atom: Formula) -> bool:
+        side, world = nodes[n]
+        return _eval(states[side], atom, world)
 
-    def holds(node: Node, atom: Formula) -> bool:
-        side, world = node
-        return _eval(k1 if side == 0 else k2, atom, world)
-
-    reps: dict[tuple[int, int], Node] = {}
+    candidates: list[Formula] = [PropAtom(a) for a in sig.prop_atoms]
+    candidates.extend(sig.attention_atoms())
+    universe = [
+        atom
+        for atom in candidates
+        if len({holds(n, atom) for n in range(len(nodes))}) == 2
+    ]
+    index = {node: n for n, node in enumerate(nodes)}
+    reps: dict[tuple[int, int], int] = {}
     for r, ids in enumerate(rounds):
-        for node in _union_nodes(k1, k2):
-            reps.setdefault((r, ids[node]), node)
+        for n, cid in enumerate(ids):
+            reps.setdefault((r, cid), n)
 
     memo: dict[tuple[int, int], Formula] = {}
 
@@ -217,17 +204,17 @@ def distinguishing_formula(
         key = (r, cid)
         if key in memo:
             return memo[key]
-        node = reps[key]
+        n = reps[key]
         if r == 0:
-            parts = [
-                atom if holds(node, atom) else Not(atom) for atom in universe
-            ]
+            parts = [atom if holds(n, atom) else Not(atom) for atom in universe]
             memo[key] = and_all(parts)
             return memo[key]
         prev = rounds[r - 1]
-        parts = [chi(r - 1, prev[node])]
+        side, world = nodes[n]
+        parts = [chi(r - 1, prev[n])]
         for agent in sig.agents:
-            touched = sorted({prev[m] for m in block_of(agent, node)})
+            block = states[side].block_of(agent, world)
+            touched = sorted({prev[index[(side, v)]] for v in block})
             touched_chis = [chi(r - 1, c) for c in touched]
             parts.append(Know(agent, or_all(touched_chis)))
             for sub in touched_chis:

@@ -31,7 +31,7 @@ from .actions import (
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
 from .errors import AmbiguousActual, IllFormedResult, NotApplicable
-from .logic import TOP, AttEq, AttLess, Formula, and_all, att_geq, bot, entails
+from .logic import TOP, AttEq, AttLess, Formula, and_all, att_geq, bot
 from .models import AttentionState, _Labelling, kripke_rendition
 
 
@@ -143,14 +143,9 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     agents = sig.agents
     profiles = profiles_for(len(agents))
 
-    costs = {
-        agent: {e: model.cost_of(agent, x.questions[agent], e) for e in model.events}
-        for agent in agents
-    }
-    answers = {
-        agent: {e: entails(sig, model.pre[e], x.questions[agent]) for e in model.events}
-        for agent in agents
-    }
+    # Costs before answers: a missing price is reported before a bad question.
+    costs = x._costs
+    answers = x._answers
 
     def variant(event: str, profile: AttentionProfile) -> str:
         return f"{event}@{profile.tag()}"

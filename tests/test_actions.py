@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from attnplan import actions
 from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
@@ -19,7 +20,14 @@ from attnplan.actions import (
     validate_action,
 )
 from attnplan.bisim import BisimWitness, bisimilar
-from attnplan.errors import CostLookupError, IllFormedResult, NameCollision, NotApplicable
+from attnplan.emulate import to_post
+from attnplan.errors import (
+    CostLookupError,
+    FormulaValidationError,
+    IllFormedResult,
+    NameCollision,
+    NotApplicable,
+)
 from attnplan.logic import (
     And,
     AttEq,
@@ -315,6 +323,46 @@ class TestAttentionUpdate:
             for name in out.worlds:
                 source = name.rsplit("*", 1)[0]
                 assert out.valuation[name] == state.valuation[source]
+
+
+    def test_costs_and_answers_are_derived_once_per_action(self, monkeypatch):
+        calls = []
+        real_entails = actions.entails
+
+        def counting_entails(sig, f, g):
+            calls.append((f, g))
+            return real_entails(sig, f, g)
+
+        monkeypatch.setattr(actions, "entails", counting_entails)
+        action = AttentionAction(
+            name="x", model=two_event_model(), questions={"i": P}, actual="e"
+        )
+        first = attention_update(one_block_state(), action)
+        assert attention_update(one_block_state(), action) == first
+        to_post(action)
+        assert len(calls) == len(SIG.agents) * len(action.model.events)
+
+    def test_errors_keep_their_order(self):
+        def action(actual: str, cost: CostTable) -> AttentionAction:
+            return AttentionAction(
+                name="x",
+                model=two_event_model(cost),
+                questions={"i": PropAtom("zz")},  # not in the signature
+                actual=actual,
+            )
+
+        state = one_block_state()
+        for _ in range(2):  # a failed derivation is not cached
+            with pytest.raises(NotApplicable):
+                attention_update(state, action("f", CostTable()))
+            with pytest.raises(CostLookupError):
+                attention_update(state, action("e", CostTable()))
+            with pytest.raises(FormulaValidationError):
+                attention_update(state, action("e", CostTable(default=1)))
+            with pytest.raises(CostLookupError):
+                to_post(action("e", CostTable()))
+            with pytest.raises(FormulaValidationError):
+                to_post(action("e", CostTable(default=1)))
 
 
 class TestBackgroundAnnouncement:

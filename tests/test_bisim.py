@@ -13,7 +13,7 @@ from attnplan.bisim import (
     kripke_bisimilar,
 )
 from attnplan.errors import SignatureMismatch
-from attnplan.logic import Signature
+from attnplan.logic import Signature, format_formula
 from attnplan.models import (
     AttentionState,
     check,
@@ -206,3 +206,28 @@ class TestDistinguishingFormula:
         f = distinguishing_formula(k1, kripke_rendition(drained))
         assert f is not None
         assert check_epistemic(k1, f)
+
+    def test_formula_omits_constant_atoms_at_bound_1000(self):
+        sig = Signature(agents=("i",), attention_bound=1000, prop_atoms=("p",))
+        both = AttentionState(
+            sig=sig,
+            worlds=("x", "y"),
+            partitions={"i": (frozenset({"x", "y"}),)},
+            valuation={"x": frozenset({"p"}), "y": frozenset()},
+            attention={"i": {"x": 7, "y": 7}},
+            actual="x",
+        )
+        only_x = AttentionState(
+            sig=sig,
+            worlds=("x",),
+            partitions={"i": (frozenset({"x"}),)},
+            valuation={"x": frozenset({"p"})},
+            attention={"i": {"x": 7}},
+            actual="x",
+        )
+        k1, k2 = kripke_rendition(both), kripke_rendition(only_x)
+        assert kripke_bisimilar(k1, k2) == NotBisimilar(round=1)
+        f = distinguishing_formula(k1, k2)
+        assert f is not None
+        assert check_epistemic(k1, f) and not check_epistemic(k2, f)
+        assert len(format_formula(f)) < 100

@@ -1,0 +1,125 @@
+"""Differential suite: the per-block refinement in ``attnplan.bisim`` against
+the callback-driven reference in ``reference_bisim``.
+
+Every case compares the refinement rounds themselves, the comparison's
+witness pairs or separating round, ``contract`` on both states, and the
+modal depth of the distinguishing formula of the two renditions, which is
+the round that separates them.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import reference_bisim as ref
+from attnplan.bisim import (
+    BisimWitness,
+    _refine,
+    bisimilar,
+    contract,
+    distinguishing_formula,
+    kripke_bisimilar,
+)
+from attnplan.logic import Signature, modal_depth
+from attnplan.models import AttentionState, EpistemicState, check, kripke_rendition
+
+from generators import SIG2, rand_epistemic_state, rand_partition, rand_state
+
+SIG3 = Signature(agents=("a", "b", "c"), attention_bound=1, prop_atoms=("p",))
+EPISTEMIC_SIGS = (
+    SIG2,
+    Signature(agents=("a",), attention_bound=0, prop_atoms=()),
+    Signature(agents=("a", "b"), attention_bound=0, prop_atoms=()),
+)
+
+
+def with_duplicate(rng: random.Random, s: AttentionState) -> AttentionState:
+    """``s`` plus a copy of one world, placed in that world's blocks."""
+    world = rng.choice(s.worlds)
+    twin = rng.choice(["a", "z"]) + world  # sorts before or after its original
+    worlds = list(s.worlds)
+    worlds.insert(rng.randrange(len(worlds) + 1), twin)
+    return AttentionState(
+        sig=s.sig,
+        worlds=tuple(worlds),
+        partitions={
+            agent: tuple(block | {twin} if world in block else block for block in blocks)
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={**s.valuation, twin: s.valuation[world]},
+        attention={
+            agent: {**per_world, twin: per_world[world]}
+            for agent, per_world in s.attention.items()
+        },
+        actual=rng.choice([s.actual, twin]) if s.actual == world else s.actual,
+    )
+
+
+def assert_refinement_agrees(s1, s2) -> None:
+    nodes, rounds = _refine(s1, s2)
+    expected = ref.union_rounds(s1, s2)
+    assert nodes == list(expected[0])
+    assert rounds == [[ids[node] for node in nodes] for ids in expected]
+    compare = bisimilar if isinstance(s1, AttentionState) else kripke_bisimilar
+    assert compare(s1, s2) == ref.compare(s1, s2)
+
+
+def assert_distinguishing_round_agrees(k1: EpistemicState, k2: EpistemicState) -> None:
+    separated = ref.separation_round(k1, k2)
+    if separated is None:
+        assert distinguishing_formula(k1, k2, max_rounds=10) is None
+        return
+    f = distinguishing_formula(k1, k2, max_rounds=separated)
+    assert f is not None
+    assert modal_depth(f) == separated
+    assert check(k1, f) and not check(k2, f)
+    if separated > 0:
+        assert distinguishing_formula(k1, k2, max_rounds=separated - 1) is None
+
+
+def assert_attention_pair_agrees(s1: AttentionState, s2: AttentionState) -> None:
+    assert_refinement_agrees(s1, s2)
+    for s in (s1, s2):
+        assert contract(s) == ref.contract(s)
+    k1, k2 = kripke_rendition(s1), kripke_rendition(s2)
+    assert_refinement_agrees(k1, k2)
+    assert_distinguishing_round_agrees(k1, k2)
+
+
+def test_random_attention_pairs_match_reference():
+    rng = random.Random(501)
+    outcomes = set()
+    for case in range(160):
+        sig = SIG2 if case % 4 else SIG3
+        s1, s2 = rand_state(rng, sig), rand_state(rng, sig)
+        assert_attention_pair_agrees(s1, s2)
+        outcomes.add(type(ref.compare(s1, s2)).__name__)
+    assert outcomes == {"BisimWitness", "NotBisimilar"}
+
+
+def test_random_epistemic_pairs_match_reference():
+    rng = random.Random(502)
+    rounds_seen = set()
+    for case in range(120):
+        k1 = rand_epistemic_state(rng, EPISTEMIC_SIGS[case % 3])
+        if case % 2:
+            k2 = rand_epistemic_state(rng, k1.sig)
+        else:  # same valuations, so only the relations can separate
+            partitions = {agent: rand_partition(rng, k1.worlds) for agent in k1.sig.agents}
+            k2 = replace(k1, partitions=partitions, actual=rng.choice(k1.worlds))
+        assert_refinement_agrees(k1, k2)
+        assert_distinguishing_round_agrees(k1, k2)
+        rounds_seen.add(ref.separation_round(k1, k2))
+    assert {None, 0, 1} <= rounds_seen
+
+
+def test_known_bisimilar_pairs_match_reference():
+    rng = random.Random(503)
+    for case in range(100):
+        s = rand_state(rng, SIG2 if case % 4 else SIG3)
+        other = contract(s) if case % 2 else with_duplicate(rng, s)
+        assert_attention_pair_agrees(s, other)
+        assert_attention_pair_agrees(other, s)
+        assert isinstance(bisimilar(s, other), BisimWitness)
+        assert ref.separation_round(s, other) is None
