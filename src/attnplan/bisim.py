@@ -11,6 +11,7 @@ once and adds the set of class ids in it to the key of each member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Hashable
 
 from .errors import SignatureMismatch
@@ -19,16 +20,11 @@ from .logic import (
     Know,
     Not,
     PropAtom,
+    Signature,
     and_all,
     or_all,
 )
-from .models import (
-    AttentionState,
-    EpistemicState,
-    _eval,
-    check_epistemic,
-    close_into_partition,
-)
+from .models import Atom, AttentionState, EpistemicState, check_epistemic
 
 Node = tuple[int, str]  # (k, world): world of the k-th state in the disjoint union
 
@@ -85,12 +81,19 @@ def _refine(*states) -> tuple[list[Node], list[list[int]]]:
         keys = [tuple(key) for key in signatures]
 
 
-def _compare(s1, s2) -> BisimWitness | NotBisimilar:
+def _separation(s1, s2) -> tuple[list[Node], list[list[int]], int, int | None]:
+    """``_refine(s1, s2)``, the index of ``s1``'s actual node and the first
+    round that separates the actual worlds (None if none does)."""
     nodes, rounds = _refine(s1, s2)
     actual1, actual2 = nodes.index((0, s1.actual)), nodes.index((1, s2.actual))
     separated = next(
         (r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None
     )
+    return nodes, rounds, actual1, separated
+
+
+def _compare(s1, s2) -> BisimWitness | NotBisimilar:
+    _, rounds, _, separated = _separation(s1, s2)
     if separated is not None:
         return NotBisimilar(round=separated)
     final, n1 = rounds[-1], len(s1.worlds)
@@ -118,46 +121,51 @@ def kripke_bisimilar(
 def contract(s: AttentionState) -> AttentionState:
     """Quotient by the largest auto-bisimulation.
 
-    Each class is named after its lexicographically least member, classes
-    keep the first-occurrence order of the input worlds, and the result is
+    Reads the classes of the stable colouring: each class is named after its
+    lexicographically least member and read off its first member, classes
+    keep the first-occurrence order of the input worlds, and each quotient
+    block is the set of classes met in one input block.  The result is
     bisimilar to the input (smallest such state up to isomorphism).
     """
     sig = s.sig
-    ids = dict(zip(s.worlds, _refine(s)[1][-1]))
     members: dict[int, list[str]] = {}
-    class_order: list[int] = []
-    for world in s.worlds:
-        cid = ids[world]
-        if cid not in members:
-            members[cid] = []
-            class_order.append(cid)
-        members[cid].append(world)
-    name_of = {cid: min(worlds) for cid, worlds in members.items()}
-    new_worlds = tuple(name_of[cid] for cid in class_order)
-    rep_of = {cid: worlds[0] for cid, worlds in members.items()}
+    for world, cid in zip(s.worlds, _refine(s)[1][-1]):
+        members.setdefault(cid, []).append(world)
+    rep: dict[str, str] = {}  # class name -> first member
+    name_of: dict[str, str] = {}
+    for group in members.values():
+        name = min(group)
+        rep[name] = group[0]
+        name_of.update(dict.fromkeys(group, name))
 
-    # Blocks that share a class merge in the quotient.
+    # At the stable round, worlds of one class see the same set of classes
+    # in their blocks, so two blocks whose images share a class have equal
+    # images: each image is a whole quotient block, and only duplicates go.
     partitions = {
-        agent: close_into_partition(
-            new_worlds,
-            [[name_of[ids[w]] for w in block] for block in s.partitions[agent]],
+        agent: tuple(
+            dict.fromkeys(
+                frozenset(name_of[w] for w in block) for block in s.partitions[agent]
+            )
         )
-        for agent in sig.agents
-    }
-
-    valuation = {name_of[cid]: s.valuation[rep_of[cid]] for cid in class_order}
-    attention = {
-        agent: {name_of[cid]: s.attention[agent][rep_of[cid]] for cid in class_order}
         for agent in sig.agents
     }
     return AttentionState(
         sig=sig,
-        worlds=new_worlds,
+        worlds=tuple(rep),
         partitions=partitions,
-        valuation=valuation,
-        attention=attention,
-        actual=name_of[ids[s.actual]],
+        valuation={name: s.valuation[w] for name, w in rep.items()},
+        attention={
+            agent: {name: s.attention[agent][w] for name, w in rep.items()}
+            for agent in sig.agents
+        },
+        actual=name_of[s.actual],
     )
+
+
+def _known(sig: Signature, atom: Atom) -> bool:
+    if isinstance(atom, str):
+        return atom in sig.prop_atoms
+    return atom.agent in sig.agents and 0 <= atom.bound <= sig.attention_bound
 
 
 def distinguishing_formula(
@@ -167,51 +175,42 @@ def distinguishing_formula(
     within ``max_rounds`` knowledge alternations; None otherwise.
 
     The formula describes the actual world's class at the separating round.
-    Its round-0 conjuncts use only the atoms whose truth varies over the two
-    states' worlds: a constant atom's conjunct holds at every world either
-    formula can reach, so dropping it changes the truth of none.
+    A round-0 class is a valuation; it is described by one literal per other
+    round-0 class, on the least (by ``repr``) atom of the signature that the
+    two valuations disagree on, so its size depends on the number of
+    classes, not on the attention bound.  Two classes that differ only in
+    atoms the signature does not know get no literal; if that leaves the
+    formula true at ``k2``'s actual world, the result is None.
     """
     states = (k1, k2)
-    nodes, rounds = _refine(k1, k2)
-    sig = k1.sig
-    actual1, actual2 = nodes.index((0, k1.actual)), nodes.index((1, k2.actual))
-    separated = next(
-        (r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None
-    )
+    nodes, rounds, actual1, separated = _separation(k1, k2)
     if separated is None or separated > max_rounds:
         return None
-
-    def holds(n: int, atom: Formula) -> bool:
-        side, world = nodes[n]
-        return _eval(states[side], atom, world)
-
-    candidates: list[Formula] = [PropAtom(a) for a in sig.prop_atoms]
-    candidates.extend(sig.attention_atoms())
-    universe = [
-        atom
-        for atom in candidates
-        if len({holds(n, atom) for n in range(len(nodes))}) == 2
-    ]
+    sig = k1.sig
     index = {node: n for n, node in enumerate(nodes)}
     reps: dict[tuple[int, int], int] = {}
     for r, ids in enumerate(rounds):
         for n, cid in enumerate(ids):
             reps.setdefault((r, cid), n)
+    valuations: dict[int, frozenset[Atom]] = {}
+    for (side, world), cid in zip(nodes, rounds[0]):
+        valuations.setdefault(cid, states[side].valuation[world])
 
-    memo: dict[tuple[int, int], Formula] = {}
-
+    @cache
     def chi(r: int, cid: int) -> Formula:
-        key = (r, cid)
-        if key in memo:
-            return memo[key]
-        n = reps[key]
+        parts: list[Formula] = []
         if r == 0:
-            parts = [atom if holds(n, atom) else Not(atom) for atom in universe]
-            memo[key] = and_all(parts)
-            return memo[key]
-        prev = rounds[r - 1]
+            own = valuations[cid]
+            for other in valuations.values():
+                differ = [atom for atom in own ^ other if _known(sig, atom)]
+                if differ:
+                    atom = min(differ, key=repr)
+                    f = PropAtom(atom) if isinstance(atom, str) else atom
+                    parts.append(f if atom in own else Not(f))
+            return and_all(dict.fromkeys(parts))
+        n, prev = reps[(r, cid)], rounds[r - 1]
         side, world = nodes[n]
-        parts = [chi(r - 1, prev[n])]
+        parts.append(chi(r - 1, prev[n]))
         for agent in sig.agents:
             block = states[side].block_of(agent, world)
             touched = sorted({prev[index[(side, v)]] for v in block})
@@ -219,8 +218,7 @@ def distinguishing_formula(
             parts.append(Know(agent, or_all(touched_chis)))
             for sub in touched_chis:
                 parts.append(Not(Know(agent, Not(sub))))
-        memo[key] = and_all(parts)
-        return memo[key]
+        return and_all(parts)
 
     formula = chi(separated, rounds[separated][actual1])
     if check_epistemic(k1, formula, k1.actual) and not check_epistemic(

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .actions import apply_sequence, attention_update
+from .actions import apply_sequence
 from .bisim import BisimWitness, bisimilar, contract
 from .emulate import from_nopost, to_post
 from .errors import AttnPlanError

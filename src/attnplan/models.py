@@ -48,16 +48,16 @@ def close_into_partition(items: tuple[str, ...], groups: Iterable[Iterable[str]]
     """Close possibly-partial, possibly-overlapping groups into a partition.
 
     Groups are merged when they share a member (union-find); items not
-    mentioned become singletons.  Blocks come out sorted by the least
-    declaration index of a member, which makes the result deterministic.
+    mentioned become singletons.  Blocks are collected in one pass over
+    ``items``, so each block first appears at its member of least
+    declaration index, and blocks come out in that order.
     """
-    index = {item: k for k, item in enumerate(items)}
     groups = [list(group) for group in groups]
+    parent = {item: item for item in items}
     for group in groups:
         for member in group:
-            if member not in index:
+            if member not in parent:
                 raise ValueError(f"unknown member {member!r} in relation group")
-    parent = {item: item for item in items}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -73,8 +73,7 @@ def close_into_partition(items: tuple[str, ...], groups: Iterable[Iterable[str]]
     blocks: dict[str, set[str]] = {}
     for item in items:
         blocks.setdefault(find(item), set()).add(item)
-    ordered = sorted(blocks.values(), key=lambda b: min(index[m] for m in b))
-    return tuple(frozenset(b) for b in ordered)
+    return tuple(frozenset(b) for b in blocks.values())
 
 
 def _normalize_partition(items: tuple[str, ...], blocks: Iterable[Iterable[str]]) -> Partition:

@@ -1,9 +1,14 @@
 """Bisimulation: comparison, contraction, and distinguishing formulas."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import attnplan
 from attnplan.bisim import (
     BisimWitness,
     NotBisimilar,
@@ -13,7 +18,7 @@ from attnplan.bisim import (
     kripke_bisimilar,
 )
 from attnplan.errors import SignatureMismatch
-from attnplan.logic import Signature, format_formula
+from attnplan.logic import Signature, format_formula, modal_depth
 from attnplan.models import (
     AttentionState,
     check,
@@ -231,3 +236,61 @@ class TestDistinguishingFormula:
         assert f is not None
         assert check_epistemic(k1, f) and not check_epistemic(k2, f)
         assert len(format_formula(f)) < 100
+
+    def test_formula_size_does_not_grow_with_budget_spread(self):
+        lengths = set()
+        for bound in (200, 1000):
+            sig = Signature(agents=("i", "j"), attention_bound=bound, prop_atoms=("p",))
+            spread = AttentionState(
+                sig=sig,
+                worlds=("x", "y"),
+                partitions={
+                    "i": (frozenset({"x"}), frozenset({"y"})),
+                    "j": (frozenset({"x", "y"}),),
+                },
+                valuation={},
+                attention={"i": {"x": 0, "y": bound}, "j": {"x": 0, "y": 0}},
+                actual="x",
+            )
+            only_x = AttentionState(
+                sig=sig,
+                worlds=("x",),
+                partitions={"i": (frozenset({"x"}),), "j": (frozenset({"x"}),)},
+                valuation={},
+                attention={"i": {"x": 0}, "j": {"x": 0}},
+                actual="x",
+            )
+            k1, k2 = kripke_rendition(spread), kripke_rendition(only_x)
+            f = distinguishing_formula(k1, k2)
+            assert f is not None
+            assert check_epistemic(k1, f) and not check_epistemic(k2, f)
+            assert modal_depth(f) == 1
+            lengths.add(len(format_formula(f)))
+        assert len(lengths) == 1
+
+    def test_formula_text_does_not_depend_on_hashing(self):
+        script = (
+            "from attnplan.bisim import distinguishing_formula\n"
+            "from attnplan.logic import Signature, format_formula\n"
+            "from attnplan.models import EpistemicState\n"
+            "sig = Signature(agents=('i',), attention_bound=1, prop_atoms=('p', 'q', 'r', 's'))\n"
+            "val = {'u': {'p', 'q'}, 'v': {'p', 'r'}, 'w': {'p', 'q', 's'}}\n"
+            "k1 = EpistemicState(sig=sig, worlds=tuple(val), valuation=val,\n"
+            "    partitions={'i': (frozenset(val),)}, actual='u')\n"
+            "k2 = EpistemicState(sig=sig, worlds=('u',), valuation={'u': val['u']},\n"
+            "    partitions={'i': (frozenset({'u'}),)}, actual='u')\n"
+            "print(format_formula(distinguishing_formula(k1, k2)))\n"
+        )
+        src = str(Path(attnplan.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        (text,) = outputs
+        assert "q" in text and "s" in text

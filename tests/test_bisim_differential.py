@@ -56,6 +56,30 @@ def with_duplicate(rng: random.Random, s: AttentionState) -> AttentionState:
     )
 
 
+def with_disjoint_copy(rng: random.Random, s: AttentionState) -> AttentionState:
+    """``s`` beside a renamed copy of itself that shares no block with it,
+    worlds shuffled, the actual world in either copy.  Distinct blocks of
+    the result then meet the same set of classes."""
+    prefix = rng.choice(["a", "z"])  # copies sort before or after their originals
+    copy = {w: prefix + w for w in s.worlds}
+    worlds = list(s.worlds) + list(copy.values())
+    rng.shuffle(worlds)
+    return AttentionState(
+        sig=s.sig,
+        worlds=tuple(worlds),
+        partitions={
+            agent: blocks + tuple(frozenset(copy[w] for w in block) for block in blocks)
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={**s.valuation, **{copy[w]: v for w, v in s.valuation.items()}},
+        attention={
+            agent: {**per_world, **{copy[w]: n for w, n in per_world.items()}}
+            for agent, per_world in s.attention.items()
+        },
+        actual=rng.choice([s.actual, copy[s.actual]]),
+    )
+
+
 def assert_refinement_agrees(s1, s2) -> None:
     nodes, rounds = _refine(s1, s2)
     expected = ref.union_rounds(s1, s2)
@@ -123,3 +147,13 @@ def test_known_bisimilar_pairs_match_reference():
         assert_attention_pair_agrees(other, s)
         assert isinstance(bisimilar(s, other), BisimWitness)
         assert ref.separation_round(s, other) is None
+
+
+def test_disjoint_copies_match_reference():
+    rng = random.Random(504)
+    for case in range(100):
+        s = rand_state(rng, SIG2 if case % 4 else SIG3)
+        doubled = with_disjoint_copy(rng, s)
+        assert contract(doubled) == ref.contract(doubled)
+        assert_attention_pair_agrees(s, doubled)
+        assert isinstance(bisimilar(s, doubled), BisimWitness)

@@ -73,6 +73,15 @@ class TestConstruction:
         assert blocks == (frozenset({"a", "b", "c"}), frozenset({"d"}))
         once = (group for group in [["a", "b"], ["b", "c"]])
         assert close_into_partition(("a", "b", "c", "d"), once) == blocks
+        # Groups out of order, each rooted at a later item: blocks still come
+        # out least-member first.
+        items = ("a", "b", "c", "d", "e")
+        assert close_into_partition(items, [["d", "e"], ["c", "a"]]) == (
+            frozenset({"a", "c"}), frozenset({"b"}), frozenset({"d", "e"}),
+        )
+        assert close_into_partition(items, [["e", "b"], ["d", "a"], ["b", "d"]]) == (
+            frozenset({"a", "b", "d", "e"}), frozenset({"c"}),
+        )
 
     def test_close_into_partition_rejects_strangers(self):
         with pytest.raises(ValueError):
