@@ -22,9 +22,14 @@ from .logic import (
     PropAtom,
     Signature,
     and_all,
-    or_all,
 )
-from .models import Atom, AttentionState, EpistemicState, check_epistemic
+from .models import (
+    Atom,
+    AttentionState,
+    EpistemicState,
+    check_epistemic,
+    close_into_partition,
+)
 
 Node = tuple[int, str]  # (k, world): world of the k-th state in the disjoint union
 
@@ -43,13 +48,18 @@ class NotBisimilar:
     round: int
 
 
-def _refine(*states) -> tuple[list[Node], list[list[int]]]:
+def _refine(
+    *states, interned: dict[Hashable, int] | None = None
+) -> tuple[list[Node], list[list[int]]]:
     """Colour refinement over the disjoint union of ``states``.
 
     Node ``(k, w)`` is world ``w`` of ``states[k]``.  Round 0 numbers the
     nodes by their state's ``colour``; each later round keys a node by its
     id and, per agent, the set of ids in its block, read once per block.
-    Ids are numbered in node order.  Stops at the first round that splits no
+    Ids are numbered in node order, afresh each round; with ``interned``
+    they come from that table instead, shared by every round and every call
+    given it, so an id names one key (one round's view of a world's
+    unfolding) wherever it occurs.  Stops at the first round that splits no
     class; returns the nodes and each round's ids, aligned with the nodes.
     """
     sig = states[0].sig
@@ -67,18 +77,53 @@ def _refine(*states) -> tuple[list[Node], list[list[int]]]:
     rounds: list[list[int]] = []
     count = 0
     while True:
-        numbering: dict[Hashable, int] = {}
+        numbering: dict[Hashable, int] = {} if interned is None else interned
         ids = [numbering.setdefault(key, len(numbering)) for key in keys]
-        if len(numbering) == count:
+        distinct = len(set(ids))
+        if distinct == count:
             return nodes, rounds
         rounds.append(ids)
-        count = len(numbering)
+        count = distinct
         signatures = [[i] for i in ids]
         for block in blocks:
             classes = frozenset([ids[n] for n in block])
             for n in block:
                 signatures[n].append(classes)
         keys = [tuple(key) for key in signatures]
+
+
+def _canonical_key(s: AttentionState, interned: dict[Hashable, int]) -> Hashable:
+    """The stable colours of the actual world's generated component: the
+    set of its worlds' final ids and the actual world's id, from
+    ``_refine`` of that component alone with the interning table
+    ``interned``.
+
+    Bisimilar pointed states get equal keys from one table: their
+    components have isomorphic quotients, so they number the same keys at
+    every round and stop at the same round.  Worlds the actual world cannot
+    reach are left out: ``contract`` keeps them, and they would add ids of
+    their own and can keep the refinement going after the component is
+    stable.  Unequal keys mean not bisimilar; equal keys decide nothing.
+    """
+    groups = (block for partition in s.partitions.values() for block in partition)
+    component = next(c for c in close_into_partition(s.worlds, groups) if s.actual in c)
+    worlds = tuple(w for w in s.worlds if w in component)
+    generated = AttentionState(
+        sig=s.sig,
+        worlds=worlds,
+        partitions={
+            agent: tuple(block for block in blocks if block & component)
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={w: s.valuation[w] for w in worlds},
+        attention={
+            agent: {w: per_world[w] for w in worlds}
+            for agent, per_world in s.attention.items()
+        },
+        actual=s.actual,
+    )
+    final = _refine(generated, interned=interned)[1][-1]
+    return frozenset(final), final[worlds.index(s.actual)]
 
 
 def _separation(s1, s2) -> tuple[list[Node], list[list[int]], int, int | None]:
@@ -180,7 +225,9 @@ def distinguishing_formula(
     two valuations disagree on, so its size depends on the number of
     classes, not on the attention bound.  Two classes that differ only in
     atoms the signature does not know get no literal; if that leaves the
-    formula true at ``k2``'s actual world, the result is None.
+    formula true at ``k2``'s actual world, the result is None.  Negations
+    strip a leading ``~`` instead of adding a second one, and so does the
+    disjunction of the classes met in a block, written ``~(~a & ~b)``.
     """
     states = (k1, k2)
     nodes, rounds, actual1, separated = _separation(k1, k2)
@@ -195,6 +242,9 @@ def distinguishing_formula(
     valuations: dict[int, frozenset[Atom]] = {}
     for (side, world), cid in zip(nodes, rounds[0]):
         valuations.setdefault(cid, states[side].valuation[world])
+
+    def neg(f: Formula) -> Formula:
+        return f.sub if isinstance(f, Not) else Not(f)
 
     @cache
     def chi(r: int, cid: int) -> Formula:
@@ -215,9 +265,9 @@ def distinguishing_formula(
             block = states[side].block_of(agent, world)
             touched = sorted({prev[index[(side, v)]] for v in block})
             touched_chis = [chi(r - 1, c) for c in touched]
-            parts.append(Know(agent, or_all(touched_chis)))
+            parts.append(Know(agent, neg(and_all(map(neg, touched_chis)))))
             for sub in touched_chis:
-                parts.append(Not(Know(agent, Not(sub))))
+                parts.append(Not(Know(agent, neg(sub))))
         return and_all(parts)
 
     formula = chi(separated, rounds[separated][actual1])

@@ -13,11 +13,11 @@ import os
 import sys
 
 from .actions import apply_sequence
-from .bisim import BisimWitness, bisimilar, contract
+from .bisim import BisimWitness, bisimilar, contract, distinguishing_formula
 from .emulate import from_nopost, to_post
 from .errors import AttnPlanError
-from .logic import parse_formula
-from .models import check
+from .logic import format_formula, parse_formula
+from .models import check, kripke_rendition
 from .planner import NoneWithinBound, NoSolution, Solution, solve_bounded, solve_nfl
 from .taskfile import (
     action_document,
@@ -181,6 +181,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"bisimilar ({len(outcome.pairs)} matched pair(s))")
             return 0
         print(f"not bisimilar (separated at refinement round {outcome.round})")
+        evidence = distinguishing_formula(
+            kripke_rendition(left), kripke_rendition(right), max_rounds=outcome.round
+        )
+        if evidence is not None:
+            print(f"distinguishing formula: {format_formula(evidence)}")
         return 1
 
     if args.command == "emulate":

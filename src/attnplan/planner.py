@@ -1,10 +1,17 @@
 """Breadth-first plan search over bisimulation-contracted states.
 
-States are contracted after every step and pruned against the visited list
-up to bisimilarity (with a cheap structural pre-key), which keeps the
-search space finite for the planning-friendly action class: questions keep
-draining budgets only finitely often, after which updates behave like
-announcements and the reachable quotients stop growing.
+States are contracted after every step and pruned against the states
+already visited up to bisimilarity, which keeps the search space finite for
+the planning-friendly action class: questions keep draining budgets only
+finitely often, after which updates behave like announcements and the
+reachable quotients stop growing.
+
+The visited states sit in a hashed frontier.  A new state is pruned only
+against earlier states with its cheap structural key (``_prefilter_key``).
+Once two states share that key, both are keyed again by the stable colours
+of the actual world's generated component (``bisim._canonical_key``).
+Bisimilar states always get equal colours, so only states with equal keys
+are compared with ``bisimilar``, which alone decides.
 
 Plans come back shortest first, ties broken by the order actions were
 declared in the task (a consequence of in-order expansion).
@@ -23,7 +30,7 @@ from .actions import (
     attention_update,
     is_nfl,
 )
-from .bisim import BisimWitness, bisimilar, contract
+from .bisim import BisimWitness, _canonical_key, bisimilar, contract
 from .errors import NotNfl
 from .logic import Formula
 from .models import AttentionState, check
@@ -68,13 +75,36 @@ def _prefilter_key(s: AttentionState) -> Hashable:
     return (len(s.worlds), attention, valuation)
 
 
-def _already_visited(
-    visited: list[tuple[Hashable, AttentionState]], key: Hashable, s: AttentionState
-) -> bool:
-    return any(
-        key == seen_key and isinstance(bisimilar(s, seen), BisimWitness)
-        for seen_key, seen in visited
-    )
+class _Visited:
+    """States visited by one search, bucketed by ``_prefilter_key``.
+
+    A bucket holds its first state alone; when a second state arrives, both
+    are keyed by ``_canonical_key`` and the bucket becomes a dict from that
+    key to its states.  One interning table serves every key of the search,
+    so equal colours mean the same thing in every state.
+    """
+
+    def __init__(self) -> None:
+        self._interned: dict[Hashable, int] = {}
+        self._buckets: dict[
+            Hashable, AttentionState | dict[Hashable, list[AttentionState]]
+        ] = {}
+
+    def add(self, s: AttentionState) -> bool:
+        """Record ``s`` unless a bisimilar state is recorded; whether it was new."""
+        key = _prefilter_key(s)
+        bucket = self._buckets.setdefault(key, s)
+        if bucket is s:
+            return True
+        if isinstance(bucket, AttentionState):
+            bucket = self._buckets[key] = {
+                _canonical_key(bucket, self._interned): [bucket]
+            }
+        same = bucket.setdefault(_canonical_key(s, self._interned), [])
+        if any(isinstance(bisimilar(s, seen), BisimWitness) for seen in same):
+            return False
+        same.append(s)
+        return True
 
 
 @dataclass
@@ -111,7 +141,8 @@ def _search(
     nodes = [_Node(state=start, parent=None, action=None, depth=0)]
     if check(start, task.goal):
         return _verified_solution(task, nodes, 0)
-    visited = [(_prefilter_key(start), start)]
+    visited = _Visited()
+    visited.add(start)
     queue: deque[int] = deque([0])
     explored = 0
     while queue:
@@ -134,11 +165,9 @@ def _search(
             )
             if check(successor, task.goal):
                 return _verified_solution(task, nodes, len(nodes) - 1)
-            key = _prefilter_key(successor)
-            if _already_visited(visited, key, successor):
+            if not visited.add(successor):
                 nodes.pop()
                 continue
-            visited.append((key, successor))
             queue.append(len(nodes) - 1)
     if max_depth is None:
         return NoSolution(explored=explored)

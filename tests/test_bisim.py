@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import attnplan
 from attnplan.bisim import (
     BisimWitness,
     NotBisimilar,
+    _canonical_key,
     bisimilar,
     contract,
     distinguishing_formula,
@@ -21,6 +23,7 @@ from attnplan.errors import SignatureMismatch
 from attnplan.logic import Signature, format_formula, modal_depth
 from attnplan.models import (
     AttentionState,
+    EpistemicState,
     check,
     check_epistemic,
     kripke_rendition,
@@ -30,6 +33,7 @@ from attnplan.models import (
 from generators import SIG2, rand_formula, rand_state
 
 SIG = Signature(agents=("i",), attention_bound=2, prop_atoms=("p",))
+SIG3 = Signature(agents=("a", "b", "c"), attention_bound=1, prop_atoms=("p",))
 
 
 def triple_state() -> AttentionState:
@@ -56,6 +60,75 @@ def pair_state() -> AttentionState:
         valuation={"x": frozenset({"p"}), "y": frozenset()},
         attention={"i": {"x": 1, "y": 1}},
         actual="x",
+    )
+
+
+def budget_spread_pair(bound: int) -> tuple[EpistemicState, EpistemicState]:
+    """Renditions of two states told apart at round 1 only by agent ``i``'s
+    budgets 0 and ``bound`` in separate blocks that agent ``j`` merges."""
+    sig = Signature(agents=("i", "j"), attention_bound=bound, prop_atoms=("p",))
+    spread = AttentionState(
+        sig=sig,
+        worlds=("x", "y"),
+        partitions={
+            "i": (frozenset({"x"}), frozenset({"y"})),
+            "j": (frozenset({"x", "y"}),),
+        },
+        valuation={},
+        attention={"i": {"x": 0, "y": bound}, "j": {"x": 0, "y": 0}},
+        actual="x",
+    )
+    only_x = AttentionState(
+        sig=sig,
+        worlds=("x",),
+        partitions={"i": (frozenset({"x"}),), "j": (frozenset({"x"}),)},
+        valuation={},
+        attention={"i": {"x": 0}, "j": {"x": 0}},
+        actual="x",
+    )
+    return kripke_rendition(spread), kripke_rendition(only_x)
+
+
+def renamed(rng: random.Random, s: AttentionState) -> AttentionState:
+    """``s`` with its worlds renamed and declared in a shuffled order."""
+    names = [f"x{k}" for k in range(len(s.worlds))]
+    rng.shuffle(names)
+    name = dict(zip(s.worlds, names))
+    rng.shuffle(names)
+    return AttentionState(
+        sig=s.sig,
+        worlds=tuple(names),
+        partitions={
+            agent: tuple(frozenset(name[w] for w in block) for block in blocks)
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={name[w]: v for w, v in s.valuation.items()},
+        attention={
+            agent: {name[w]: n for w, n in per_world.items()}
+            for agent, per_world in s.attention.items()
+        },
+        actual=name[s.actual],
+    )
+
+
+def with_unreachable(s: AttentionState, extra: AttentionState, prefix: str) -> AttentionState:
+    """``s`` beside a renamed copy of ``extra`` that shares no block with it,
+    so no world of the copy is reachable from the actual world."""
+    name = {w: prefix + w for w in extra.worlds}
+    return AttentionState(
+        sig=s.sig,
+        worlds=s.worlds + tuple(name.values()),
+        partitions={
+            agent: blocks
+            + tuple(frozenset(name[w] for w in block) for block in extra.partitions[agent])
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={**s.valuation, **{name[w]: v for w, v in extra.valuation.items()}},
+        attention={
+            agent: {**per_world, **{name[w]: n for w, n in extra.attention[agent].items()}}
+            for agent, per_world in s.attention.items()
+        },
+        actual=s.actual,
     )
 
 
@@ -150,6 +223,39 @@ class TestContraction:
         assert c.actual == "w1"
 
 
+class TestCanonicalKey:
+    """Bisimilar pointed states get equal keys from one interning table,
+    whatever their names, world order and unreachable worlds."""
+
+    @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
+    def test_renamed_copies_get_equal_keys(self, sig):
+        rng = random.Random(61)
+        interned: dict = {}
+        for _ in range(150):
+            s = contract(rand_state(rng, sig, max_worlds=5))
+            copy = renamed(rng, s)
+            assert isinstance(bisimilar(s, copy), BisimWitness)
+            assert _canonical_key(s, interned) == _canonical_key(copy, interned)
+
+    @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
+    def test_unreachable_worlds_do_not_change_the_key(self, sig):
+        rng = random.Random(62)
+        interned: dict = {}
+        for _ in range(150):
+            s = rand_state(rng, sig)
+            left = contract(with_unreachable(s, rand_state(rng, sig, max_worlds=5), "u"))
+            right = contract(with_unreachable(s, rand_state(rng, sig, max_worlds=5), "v"))
+            assert isinstance(bisimilar(left, right), BisimWitness)
+            keys = {_canonical_key(t, interned) for t in (s, contract(s), left, right)}
+            assert len(keys) == 1
+
+    def test_keys_from_one_table_tell_states_apart(self):
+        interned: dict = {}
+        key = _canonical_key(pair_state(), interned)
+        assert _canonical_key(triple_state(), interned) == key
+        assert _canonical_key(replace(pair_state(), actual="y"), interned) != key
+
+
 class TestKripkeLevel:
     def test_rendition_of_bisimilar_states_is_bisimilar(self):
         rng = random.Random(25)
@@ -240,33 +346,23 @@ class TestDistinguishingFormula:
     def test_formula_size_does_not_grow_with_budget_spread(self):
         lengths = set()
         for bound in (200, 1000):
-            sig = Signature(agents=("i", "j"), attention_bound=bound, prop_atoms=("p",))
-            spread = AttentionState(
-                sig=sig,
-                worlds=("x", "y"),
-                partitions={
-                    "i": (frozenset({"x"}), frozenset({"y"})),
-                    "j": (frozenset({"x", "y"}),),
-                },
-                valuation={},
-                attention={"i": {"x": 0, "y": bound}, "j": {"x": 0, "y": 0}},
-                actual="x",
-            )
-            only_x = AttentionState(
-                sig=sig,
-                worlds=("x",),
-                partitions={"i": (frozenset({"x"}),), "j": (frozenset({"x"}),)},
-                valuation={},
-                attention={"i": {"x": 0}, "j": {"x": 0}},
-                actual="x",
-            )
-            k1, k2 = kripke_rendition(spread), kripke_rendition(only_x)
+            k1, k2 = budget_spread_pair(bound)
             f = distinguishing_formula(k1, k2)
             assert f is not None
             assert check_epistemic(k1, f) and not check_epistemic(k2, f)
             assert modal_depth(f) == 1
             lengths.add(len(format_formula(f)))
         assert len(lengths) == 1
+
+    def test_formula_has_no_double_negations(self):
+        k1, k2 = budget_spread_pair(1000)
+        f = distinguishing_formula(k1, k2)
+        assert f is not None
+        text = format_formula(f)
+        assert "~~" not in text
+        assert check_epistemic(k1, f) and not check_epistemic(k2, f)
+        assert modal_depth(f) == 1
+        assert len(text) <= 138
 
     def test_formula_text_does_not_depend_on_hashing(self):
         script = (

@@ -11,6 +11,8 @@ import pytest
 import attnplan
 from attnplan.cli import run
 from attnplan.errors import TaskFileError
+from attnplan.logic import parse_formula
+from attnplan.models import check
 from attnplan.taskfile import (
     bundled_path,
     export_dot,
@@ -123,13 +125,21 @@ class TestCommands:
         doc = loads(capsys.readouterr().out)
         assert len(doc.states["result"].worlds) == 7
 
-    def test_bisim_exit_codes(self, capsys):
+    def test_bisim_exit_codes(self, capsys, muddy_doc):
         assert run(["bisim", "--task", MUDDY, "--left", "start",
                     "--right", "start"]) == 0
-        assert "bisimilar" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "bisimilar" in out
+        assert "distinguishing formula" not in out
         assert run(["bisim", "--task", MUDDY, "--left", "start",
                     "--right", "start_drained"]) == 1
-        assert "not bisimilar" in capsys.readouterr().out
+        verdict, evidence = capsys.readouterr().out.splitlines()
+        assert "not bisimilar" in verdict
+        prefix = "distinguishing formula: "
+        assert evidence.startswith(prefix)
+        formula = parse_formula(muddy_doc.sig, evidence[len(prefix):])
+        assert check(muddy_doc.states["start"], formula)
+        assert not check(muddy_doc.states["start_drained"], formula)
 
     def test_plan_prints_steps_in_order(self, capsys):
         assert run(["plan", "--task", TWO_FACTS, "--name", "main"]) == 0

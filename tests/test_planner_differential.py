@@ -1,0 +1,124 @@
+"""Differential suite: the hashed frontier of ``attnplan.planner._search``
+against the list scan in ``reference_planner``.
+
+Every case compares the whole outcome by ``repr``: the plan, the trace of
+contracted states and the number of explored nodes.  A survey task, where
+many orders of the same questions lead to bisimilar states, also checks
+that the frontier only calls ``bisimilar`` on states that turn out to be
+bisimilar, and never more often than the list scan.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+import reference_planner as ref
+from attnplan import planner
+from attnplan.actions import AttentionAction, AttentionActionModel, CostTable
+from attnplan.bisim import BisimWitness, bisimilar
+from attnplan.logic import Know, Not, PropAtom, Signature, and_all, or_
+from attnplan.models import AttentionState
+from attnplan.planner import NoSolution, PlanningTask, _search
+
+from generators import SIG2, rand_task
+
+SIG3 = Signature(agents=("a", "b", "c"), attention_bound=2, prop_atoms=("p", "q"))
+
+
+def survey_task(facts: int, budget: int, rng: random.Random) -> PlanningTask:
+    """One agent, ``facts`` unknown facts and one paid yes/no question per
+    fact, declared in a seeded order.  The budget covers fewer questions
+    than there are facts, so knowing every fact is unreachable."""
+    sig = Signature(
+        agents=("i",),
+        attention_bound=budget,
+        prop_atoms=tuple(f"p{k}" for k in range(facts)),
+    )
+    bits = list(product((0, 1), repeat=facts))
+    worlds = tuple("w" + "".join(map(str, b)) for b in bits)
+    truth = dict(zip(worlds, bits))
+    actual = rng.choice(worlds)
+    initial = AttentionState(
+        sig=sig,
+        worlds=worlds,
+        partitions={"i": (frozenset(worlds),)},
+        valuation={
+            w: frozenset(a for a, bit in zip(sig.prop_atoms, b) if bit)
+            for w, b in truth.items()
+        },
+        attention={"i": dict.fromkeys(worlds, budget)},
+        actual=actual,
+    )
+    actions = []
+    for k in rng.sample(range(facts), facts):
+        fact = PropAtom(sig.prop_atoms[k])
+        model = AttentionActionModel(
+            sig=sig,
+            events=("yes", "no"),
+            q={"i": (frozenset({"yes"}), frozenset({"no"}))},
+            qstar={"i": (frozenset({"yes", "no"}),)},
+            pre={"yes": fact, "no": Not(fact)},
+            cost=CostTable(default=1),
+        )
+        actions.append(
+            AttentionAction(
+                name=f"ask_{fact.name}",
+                model=model,
+                questions={"i": fact},
+                actual="yes" if truth[actual][k] else "no",
+            )
+        )
+    goal = and_all(
+        or_(Know("i", PropAtom(a)), Know("i", Not(PropAtom(a)))) for a in sig.prop_atoms
+    )
+    return PlanningTask(name="survey", initial=initial, actions=tuple(actions), goal=goal)
+
+
+class CountingBisimilar:
+    """Wraps ``bisimilar``, counting calls and hits."""
+
+    def __init__(self, bisimilar) -> None:
+        self.bisimilar = bisimilar
+        self.calls = self.hits = 0
+
+    def __call__(self, s1, s2):
+        outcome = self.bisimilar(s1, s2)
+        self.calls += 1
+        self.hits += isinstance(outcome, BisimWitness)
+        return outcome
+
+
+@pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["two_agents", "three_agents"])
+def test_random_tasks_match_the_list_scan(monkeypatch, sig):
+    counted = CountingBisimilar(bisimilar)
+    monkeypatch.setattr(planner, "bisimilar", counted)
+    rng = random.Random(801 if sig is SIG2 else 802)
+    outcomes = set()
+    for _ in range(60):
+        task = rand_task(rng, sig)
+        for max_depth in (None, 1, 2, 3):
+            outcome = _search(task, max_depth)
+            assert repr(outcome) == repr(ref.search(task, max_depth))
+            outcomes.add(type(outcome).__name__)
+    assert outcomes == {"Solution", "NoSolution", "NoneWithinBound"}
+    assert counted.hits > 0  # the cases do prune bisimilar states
+
+
+@pytest.mark.parametrize("facts,budget", [(3, 1), (3, 2), (4, 2), (4, 3)])
+def test_survey_dedups_with_hits_only(monkeypatch, facts, budget):
+    rng = random.Random(803 + facts * 10 + budget)
+    for _ in range(2):
+        task = survey_task(facts, budget, rng)
+        counted, oracle = CountingBisimilar(bisimilar), CountingBisimilar(bisimilar)
+        monkeypatch.setattr(planner, "bisimilar", counted)
+        monkeypatch.setattr(ref, "bisimilar", oracle)
+        outcome = _search(task, None)
+        assert isinstance(outcome, NoSolution)
+        assert repr(outcome) == repr(ref.search(task, None))
+        assert counted.hits > 0
+        assert counted.calls == counted.hits
+        assert counted.hits == oracle.hits
+        assert counted.calls <= oracle.calls
