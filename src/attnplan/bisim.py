@@ -23,13 +23,7 @@ from .logic import (
     Signature,
     and_all,
 )
-from .models import (
-    Atom,
-    AttentionState,
-    EpistemicState,
-    check_epistemic,
-    close_into_partition,
-)
+from .models import Atom, AttentionState, EpistemicState, check_epistemic
 
 Node = tuple[int, str]  # (k, world): world of the k-th state in the disjoint union
 
@@ -48,18 +42,13 @@ class NotBisimilar:
     round: int
 
 
-def _refine(
-    *states, interned: dict[Hashable, int] | None = None
-) -> tuple[list[Node], list[list[int]]]:
+def _refine(*states) -> tuple[list[Node], list[list[int]]]:
     """Colour refinement over the disjoint union of ``states``.
 
     Node ``(k, w)`` is world ``w`` of ``states[k]``.  Round 0 numbers the
     nodes by their state's ``colour``; each later round keys a node by its
     id and, per agent, the set of ids in its block, read once per block.
-    Ids are numbered in node order, afresh each round; with ``interned``
-    they come from that table instead, shared by every round and every call
-    given it, so an id names one key (one round's view of a world's
-    unfolding) wherever it occurs.  Stops at the first round that splits no
+    Ids are numbered in node order.  Stops at the first round that splits no
     class; returns the nodes and each round's ids, aligned with the nodes.
     """
     sig = states[0].sig
@@ -77,53 +66,18 @@ def _refine(
     rounds: list[list[int]] = []
     count = 0
     while True:
-        numbering: dict[Hashable, int] = {} if interned is None else interned
+        numbering: dict[Hashable, int] = {}
         ids = [numbering.setdefault(key, len(numbering)) for key in keys]
-        distinct = len(set(ids))
-        if distinct == count:
+        if len(numbering) == count:
             return nodes, rounds
         rounds.append(ids)
-        count = distinct
+        count = len(numbering)
         signatures = [[i] for i in ids]
         for block in blocks:
             classes = frozenset([ids[n] for n in block])
             for n in block:
                 signatures[n].append(classes)
         keys = [tuple(key) for key in signatures]
-
-
-def _canonical_key(s: AttentionState, interned: dict[Hashable, int]) -> Hashable:
-    """The stable colours of the actual world's generated component: the
-    set of its worlds' final ids and the actual world's id, from
-    ``_refine`` of that component alone with the interning table
-    ``interned``.
-
-    Bisimilar pointed states get equal keys from one table: their
-    components have isomorphic quotients, so they number the same keys at
-    every round and stop at the same round.  Worlds the actual world cannot
-    reach are left out: ``contract`` keeps them, and they would add ids of
-    their own and can keep the refinement going after the component is
-    stable.  Unequal keys mean not bisimilar; equal keys decide nothing.
-    """
-    groups = (block for partition in s.partitions.values() for block in partition)
-    component = next(c for c in close_into_partition(s.worlds, groups) if s.actual in c)
-    worlds = tuple(w for w in s.worlds if w in component)
-    generated = AttentionState(
-        sig=s.sig,
-        worlds=worlds,
-        partitions={
-            agent: tuple(block for block in blocks if block & component)
-            for agent, blocks in s.partitions.items()
-        },
-        valuation={w: s.valuation[w] for w in worlds},
-        attention={
-            agent: {w: per_world[w] for w in worlds}
-            for agent, per_world in s.attention.items()
-        },
-        actual=s.actual,
-    )
-    final = _refine(generated, interned=interned)[1][-1]
-    return frozenset(final), final[worlds.index(s.actual)]
 
 
 def _separation(s1, s2) -> tuple[list[Node], list[list[int]], int, int | None]:

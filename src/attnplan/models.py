@@ -77,12 +77,16 @@ def close_into_partition(items: tuple[str, ...], groups: Iterable[Iterable[str]]
 
 
 def _normalize_partition(items: tuple[str, ...], blocks: Iterable[Iterable[str]]) -> Partition:
-    index = {item: k for k, item in enumerate(items)}
-    ordered = sorted(
-        (frozenset(b) for b in blocks),
-        key=lambda b: min((index.get(m, len(items)) for m in b), default=len(items)),
-    )
-    return tuple(ordered)
+    """Blocks in order of their first member in ``items``; ties, and blocks
+    with no member there (which go last), keep their input order."""
+    blocks = [frozenset(b) for b in blocks]
+    of: dict[str, list[int]] = {}
+    for k, block in enumerate(blocks):
+        for member in block:
+            of.setdefault(member, []).append(k)
+    order = dict.fromkeys(k for item in items for k in of.get(item, ()))
+    order.update(dict.fromkeys(range(len(blocks))))
+    return tuple(blocks[k] for k in order)
 
 
 class _PartitionModel:

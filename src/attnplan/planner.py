@@ -6,12 +6,11 @@ the planning-friendly action class: questions keep draining budgets only
 finitely often, after which updates behave like announcements and the
 reachable quotients stop growing.
 
-The visited states sit in a hashed frontier.  A new state is pruned only
-against earlier states with its cheap structural key (``_prefilter_key``).
-Once two states share that key, both are keyed again by the stable colours
-of the actual world's generated component (``bisim._canonical_key``).
-Bisimilar states always get equal colours, so only states with equal keys
-are compared with ``bisimilar``, which alone decides.
+The visited states sit in a hashed frontier.  Each state is keyed on
+arrival by its cheap structural key (``_prefilter_key``) and by the actual
+world's one-step view (``_one_step_key``); bisimilar states always get
+equal one-step views, so a new state is compared with ``bisimilar``, which
+alone decides, only against earlier states with the same key.
 
 Plans come back shortest first, ties broken by the order actions were
 declared in the task (a consequence of in-order expansion).
@@ -30,7 +29,7 @@ from .actions import (
     attention_update,
     is_nfl,
 )
-from .bisim import BisimWitness, _canonical_key, bisimilar, contract
+from .bisim import BisimWitness, bisimilar, contract
 from .errors import NotNfl
 from .logic import Formula
 from .models import AttentionState, check
@@ -75,32 +74,30 @@ def _prefilter_key(s: AttentionState) -> Hashable:
     return (len(s.worlds), attention, valuation)
 
 
-class _Visited:
-    """States visited by one search, bucketed by ``_prefilter_key``.
+def _one_step_key(s: AttentionState) -> Hashable:
+    """The actual world's colour and, per agent, the colours in its block.
 
-    A bucket holds its first state alone; when a second state arrives, both
-    are keyed by ``_canonical_key`` and the bucket becomes a dict from that
-    key to its states.  One interning table serves every key of the search,
-    so equal colours mean the same thing in every state.
+    Bisimilar pointed states get equal keys: their actual worlds have equal
+    colours, and by forth and back each agent's block there holds the same
+    colours in both.  With one agent, equal keys also mean bisimilar: the
+    actual world's block is then its whole generated submodel.
     """
+    blocks = tuple(
+        frozenset(map(s.colour, s.block_of(agent, s.actual))) for agent in s.sig.agents
+    )
+    return s.colour(s.actual), blocks
+
+
+class _Visited:
+    """States visited by one search, keyed by ``_prefilter_key`` and
+    ``_one_step_key``."""
 
     def __init__(self) -> None:
-        self._interned: dict[Hashable, int] = {}
-        self._buckets: dict[
-            Hashable, AttentionState | dict[Hashable, list[AttentionState]]
-        ] = {}
+        self._states: dict[Hashable, list[AttentionState]] = {}
 
     def add(self, s: AttentionState) -> bool:
         """Record ``s`` unless a bisimilar state is recorded; whether it was new."""
-        key = _prefilter_key(s)
-        bucket = self._buckets.setdefault(key, s)
-        if bucket is s:
-            return True
-        if isinstance(bucket, AttentionState):
-            bucket = self._buckets[key] = {
-                _canonical_key(bucket, self._interned): [bucket]
-            }
-        same = bucket.setdefault(_canonical_key(s, self._interned), [])
+        same = self._states.setdefault((_prefilter_key(s), _one_step_key(s)), [])
         if any(isinstance(bisimilar(s, seen), BisimWitness) for seen in same):
             return False
         same.append(s)

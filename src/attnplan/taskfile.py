@@ -49,9 +49,13 @@ class TaskDocument:
 
 
 def _expect(node: Any, kind: type, where: str) -> Any:
-    if not isinstance(node, kind):
+    if not isinstance(node, kind) or (kind is int and isinstance(node, bool)):
         raise TaskFileError(f"{where}: expected {kind.__name__}, got {type(node).__name__}")
     return node
+
+
+def _strings(node: Any, where: str) -> list[str]:
+    return [_expect(x, str, where) for x in _expect(node, list, where)]
 
 
 def _formula(sig: Signature, text: Any, where: str) -> Formula:
@@ -66,11 +70,11 @@ def _signature(raw: Mapping[str, Any]) -> Signature:
     node = _expect(raw.get("signature"), dict, "signature")
     try:
         return Signature(
-            agents=tuple(_expect(node.get("agents"), list, "signature.agents")),
+            agents=tuple(_strings(node.get("agents"), "signature.agents")),
             attention_bound=_expect(
                 node.get("attention_bound"), int, "signature.attention_bound"
             ),
-            prop_atoms=tuple(_expect(node.get("atoms"), list, "signature.atoms")),
+            prop_atoms=tuple(_strings(node.get("atoms"), "signature.atoms")),
         )
     except ValueError as exc:
         raise TaskFileError(f"signature: {exc}")
@@ -87,7 +91,7 @@ def _relation_groups(
         groups = _expect(groups, list, f"{where}.{agent}")
         try:
             out[agent] = close_into_partition(
-                items, [_expect(g, list, f"{where}.{agent}") for g in groups]
+                items, [_strings(g, f"{where}.{agent}") for g in groups]
             )
         except ValueError as exc:
             raise TaskFileError(f"{where}.{agent}: {exc}")
@@ -241,7 +245,7 @@ def _task(
     initial_name = _expect(node.get("initial"), str, f"{where}.initial")
     if initial_name not in states:
         raise TaskFileError(f"{where}.initial: unknown state {initial_name!r}")
-    action_names = _expect(node.get("actions"), list, f"{where}.actions")
+    action_names = _strings(node.get("actions"), f"{where}.actions")
     chosen: list[AttentionAction] = []
     for action_name in action_names:
         if action_name not in actions:

@@ -13,7 +13,6 @@ import attnplan
 from attnplan.bisim import (
     BisimWitness,
     NotBisimilar,
-    _canonical_key,
     bisimilar,
     contract,
     distinguishing_formula,
@@ -29,6 +28,7 @@ from attnplan.models import (
     kripke_rendition,
     validate_state,
 )
+from attnplan.planner import _one_step_key, _prefilter_key
 
 from generators import SIG2, rand_formula, rand_state
 
@@ -224,36 +224,48 @@ class TestContraction:
 
 
 class TestCanonicalKey:
-    """Bisimilar pointed states get equal keys from one interning table,
-    whatever their names, world order and unreachable worlds."""
+    """The planner's ``_one_step_key``: bisimilar pointed states get equal
+    keys, whatever their names, world order and unreachable worlds; with one
+    agent, equal keys also mean bisimilar."""
 
     @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
     def test_renamed_copies_get_equal_keys(self, sig):
         rng = random.Random(61)
-        interned: dict = {}
         for _ in range(150):
             s = contract(rand_state(rng, sig, max_worlds=5))
             copy = renamed(rng, s)
             assert isinstance(bisimilar(s, copy), BisimWitness)
-            assert _canonical_key(s, interned) == _canonical_key(copy, interned)
+            assert _one_step_key(s) == _one_step_key(copy)
 
     @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
     def test_unreachable_worlds_do_not_change_the_key(self, sig):
         rng = random.Random(62)
-        interned: dict = {}
         for _ in range(150):
             s = rand_state(rng, sig)
             left = contract(with_unreachable(s, rand_state(rng, sig, max_worlds=5), "u"))
             right = contract(with_unreachable(s, rand_state(rng, sig, max_worlds=5), "v"))
             assert isinstance(bisimilar(left, right), BisimWitness)
-            keys = {_canonical_key(t, interned) for t in (s, contract(s), left, right)}
+            keys = {_one_step_key(t) for t in (s, contract(s), left, right)}
             assert len(keys) == 1
 
-    def test_keys_from_one_table_tell_states_apart(self):
-        interned: dict = {}
-        key = _canonical_key(pair_state(), interned)
-        assert _canonical_key(triple_state(), interned) == key
-        assert _canonical_key(replace(pair_state(), actual="y"), interned) != key
+    def test_keys_tell_states_apart(self):
+        key = _one_step_key(pair_state())
+        assert _one_step_key(triple_state()) == key
+        assert _one_step_key(replace(pair_state(), actual="y")) != key
+
+    def test_one_agent_keys_are_exact(self):
+        """With one agent, equal keys hold exactly when the states are
+        bisimilar, also among states that share a ``_prefilter_key``."""
+        rng = random.Random(63)
+        states = [contract(rand_state(rng, SIG, max_worlds=5)) for _ in range(120)]
+        outcomes = set()
+        for k, s in enumerate(states):
+            for t in states[:k]:
+                same = isinstance(bisimilar(s, t), BisimWitness)
+                assert (_one_step_key(s) == _one_step_key(t)) == same
+                if _prefilter_key(s) == _prefilter_key(t):
+                    outcomes.add(same)
+        assert outcomes == {True, False}
 
 
 class TestKripkeLevel:

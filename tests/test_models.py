@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference_models as ref
 from attnplan.errors import SignatureMismatch, StateValidationError
 from attnplan.logic import (
     And,
@@ -18,6 +19,7 @@ from attnplan.logic import (
 from attnplan.models import (
     AttentionState,
     EpistemicState,
+    _normalize_partition,
     attention_state_from_epistemic,
     check,
     check_epistemic,
@@ -56,6 +58,27 @@ class TestConstruction:
             actual="w",
         )
         assert s.partitions["i"] == (frozenset({"w", "v"}), frozenset({"u"}))
+
+    def test_block_order_matches_sorted_reference(self):
+        """Blocks may overlap, repeat, be empty or name unknown members."""
+        rng = random.Random(64)
+        seen = {"overlap": 0, "empty": 0, "unknown only": 0, "mixed": 0}
+        for _ in range(500):
+            items = tuple(f"w{k}" for k in range(rng.randint(0, 6)))
+            names = items + ("u0", "u1", "u2")
+            blocks = [
+                frozenset(rng.sample(names, rng.randint(0, 3)))
+                for _ in range(rng.randint(0, 6))
+            ]
+            known = [b & set(items) for b in blocks]
+            seen["overlap"] += any(a & b for k, a in enumerate(known) for b in known[:k])
+            seen["empty"] += frozenset() in blocks
+            seen["unknown only"] += any(b and not k for b, k in zip(blocks, known))
+            seen["mixed"] += any(k and b - k for b, k in zip(blocks, known))
+            expected = ref.normalize_partition(items, blocks)
+            assert _normalize_partition(items, blocks) == expected
+            assert _normalize_partition(items, (sorted(b) for b in blocks)) == expected
+        assert min(seen.values()) > 20
 
     def test_missing_valuation_defaults_to_empty(self):
         s = small_state(valuation={"w": frozenset({"p"})})

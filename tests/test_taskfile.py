@@ -1,0 +1,88 @@
+"""Task documents: every malformed input fails with a typed error."""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from attnplan.errors import AttnPlanError, TaskFileError
+from attnplan.taskfile import TaskDocument, bundled_path, loads
+
+BASE = json.loads(bundled_path("two_facts.task").read_text())
+
+
+def mutated(path: tuple, value) -> str:
+    """The bundled two-facts document with the node at ``path`` set to
+    ``value``, as JSON text."""
+    doc = copy.deepcopy(BASE)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+def nodes(node, path=()):
+    """Every node below ``node``, with its path."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for step, child in children:
+        yield path + (step,), child
+        if isinstance(child, (dict, list)):
+            yield from nodes(child, path + (step,))
+
+
+@pytest.mark.parametrize(
+    "path,value,complaint",
+    [
+        (("states", "init", "relations", "i"), [[{}]], "states.init.relations.i"),
+        (("models", "facts", "q", "i"), [[["e_pq"]]], "models.facts.q.i"),
+        (("models", "facts", "qstar", "i"), [["e_pq", {}]], "models.facts.qstar.i"),
+        (("signature", "agents"), [{}], "signature.agents"),
+        (("signature", "agents"), ["i", 3], "signature.agents"),
+        (("signature", "atoms"), ["p", ["q"]], "signature.atoms"),
+        (("tasks", "main", "actions"), [["ask_p"]], "tasks.main.actions"),
+        (("signature", "attention_bound"), True, "signature.attention_bound"),
+        (("states", "init", "worlds", "pq", "attention", "i"), True, "attention.i"),
+        (("models", "facts", "costs", "default"), False, "costs.default"),
+        (("models", "facts", "costs", "agent_defaults", "i"), True, "agent_defaults.i"),
+        (("models", "facts", "costs", "entries", 0, "cost"), True, "entries[0].cost"),
+    ],
+)
+def test_ill_typed_nodes_raise_task_file_errors(path, value, complaint):
+    with pytest.raises(TaskFileError) as info:
+        loads(mutated(path, value))
+    assert complaint in str(info.value)
+
+
+NODES = list(nodes(BASE))
+# Keys and string leaves: names and formulas the loader resolves.
+NAMES = sorted({x for path, node in NODES for x in (path[-1], node) if isinstance(x, str)})
+
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.sampled_from(NAMES)
+)
+
+
+def deeper(inner):
+    keys = st.text(max_size=3) | st.sampled_from(NAMES)
+    return leaves | st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3)
+
+
+json_values = deeper(deeper(deeper(leaves)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(path=st.sampled_from([path for path, _ in NODES]), value=json_values)
+def test_any_one_node_mutation_loads_or_raises_a_typed_error(path, value):
+    try:
+        doc = loads(mutated(path, value))
+    except AttnPlanError:
+        return
+    assert isinstance(doc, TaskDocument)
