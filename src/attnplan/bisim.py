@@ -124,7 +124,9 @@ def contract(s: AttentionState) -> AttentionState:
     lexicographically least member and read off its first member, classes
     keep the first-occurrence order of the input worlds, and each quotient
     block is the set of classes met in one input block.  The result is
-    bisimilar to the input (smallest such state up to isomorphism).
+    bisimilar to the input.  When every input world is reachable from the
+    actual world, it is also the smallest such state, unique up to
+    isomorphism; unreachable worlds survive as their own classes.
     """
     sig = s.sig
     members: dict[int, list[str]] = {}

@@ -1,16 +1,23 @@
-"""Breadth-first plan search over bisimulation-contracted states.
+"""Breadth-first plan search over contracted point-generated states.
 
-States are contracted after every step and pruned against the states
-already visited up to bisimilarity, which keeps the search space finite for
-the planning-friendly action class: questions keep draining budgets only
+After every step the search keeps only the worlds reachable from the actual
+world (``_generated``), which a pointed model is bisimilar to, and then
+contracts them.  States are pruned against the states already visited up
+to bisimilarity, which keeps the search space finite for the
+planning-friendly action class: questions keep draining budgets only
 finitely often, after which updates behave like announcements and the
 reachable quotients stop growing.
 
 The visited states sit in a hashed frontier.  Each state is keyed on
 arrival by its cheap structural key (``_prefilter_key``) and by the actual
-world's one-step view (``_one_step_key``); bisimilar states always get
-equal one-step views, so a new state is compared with ``bisimilar``, which
-alone decides, only against earlier states with the same key.
+world's one-step view (``_one_step_key``).  Bisimilar contracted
+point-generated states are isomorphic, so they get equal keys, and a new
+state is compared with ``bisimilar``, which alone decides, only against
+earlier states with the same key.
+
+The goal is validated once per search and each action's actual
+precondition once, when the search first tests that action; after that
+both are evaluated at the actual world without validating again.
 
 Plans come back shortest first, ties broken by the order actions were
 declared in the task (a consequence of in-order expansion).
@@ -24,15 +31,14 @@ from typing import Hashable
 
 from .actions import (
     AttentionAction,
-    applicable,
     apply_sequence,
     attention_update,
     is_nfl,
 )
 from .bisim import BisimWitness, bisimilar, contract
 from .errors import NotNfl
-from .logic import Formula
-from .models import AttentionState, check
+from .logic import Formula, validate_formula
+from .models import AttentionState, _eval, check, require_same_signature
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,8 @@ class PlanningTask:
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified plan; ``trace`` holds the contracted state after each step."""
+    """A verified plan; ``trace`` holds the state after each step, cut down
+    to the worlds reachable from its actual world and contracted."""
 
     plan: tuple[str, ...]
     trace: tuple[AttentionState, ...]
@@ -86,6 +93,38 @@ def _one_step_key(s: AttentionState) -> Hashable:
         frozenset(map(s.colour, s.block_of(agent, s.actual))) for agent in s.sig.agents
     )
     return s.colour(s.actual), blocks
+
+
+def _generated(s: AttentionState) -> AttentionState:
+    """The part of ``s`` reachable from its actual world: ``s`` itself when
+    that is every world, else the reached worlds in their order with their
+    blocks, valuation and budgets.  Reaching one member of a block reaches
+    all of it, so each block is kept whole or dropped."""
+    reached = {s.actual}
+    frontier = [s.actual]
+    while frontier:
+        world = frontier.pop()
+        for agent in s.sig.agents:
+            new = s.block_of(agent, world) - reached
+            reached |= new
+            frontier.extend(new)
+    if len(reached) == len(s.worlds):
+        return s
+    worlds = tuple(w for w in s.worlds if w in reached)
+    return AttentionState(
+        sig=s.sig,
+        worlds=worlds,
+        partitions={
+            agent: tuple(block for block in blocks if block <= reached)
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={w: s.valuation[w] for w in worlds},
+        attention={
+            agent: {w: per_world[w] for w in worlds}
+            for agent, per_world in s.attention.items()
+        },
+        actual=s.actual,
+    )
 
 
 class _Visited:
@@ -134,10 +173,14 @@ def _verified_solution(
 def _search(
     task: PlanningTask, max_depth: int | None
 ) -> Solution | NoSolution | NoneWithinBound:
-    start = contract(task.initial)
+    start = contract(_generated(task.initial))
     nodes = [_Node(state=start, parent=None, action=None, depth=0)]
-    if check(start, task.goal):
+    validate_formula(start.sig, task.goal)
+    if _eval(start, task.goal, start.actual):
         return _verified_solution(task, nodes, 0)
+    # Each action's actual precondition, checked as ``applicable`` checks
+    # it when the search first tests the action.
+    pres: list[Formula | None] = [None] * len(task.actions)
     visited = _Visited()
     visited.add(start)
     queue: deque[int] = deque([0])
@@ -147,11 +190,16 @@ def _search(
         node = nodes[index]
         if max_depth is not None and node.depth >= max_depth:
             continue
-        for action in task.actions:
-            if not applicable(node.state, action):
+        state = node.state
+        for k, action in enumerate(task.actions):
+            if pres[k] is None:
+                require_same_signature(state.sig, action.sig)
+                pres[k] = action.model.pre[action.actual]
+                validate_formula(state.sig, pres[k])
+            if not _eval(state, pres[k], state.actual):
                 continue
             explored += 1
-            successor = contract(attention_update(node.state, action))
+            successor = contract(_generated(attention_update(state, action)))
             nodes.append(
                 _Node(
                     state=successor,
@@ -160,7 +208,7 @@ def _search(
                     depth=node.depth + 1,
                 )
             )
-            if check(successor, task.goal):
+            if _eval(successor, task.goal, successor.actual):
                 return _verified_solution(task, nodes, len(nodes) - 1)
             if not visited.add(successor):
                 nodes.pop()

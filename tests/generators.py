@@ -129,6 +129,27 @@ def rand_state(rng: random.Random, sig: Signature, max_worlds: int = 4) -> Atten
     )
 
 
+def with_unreachable(s: AttentionState, extra: AttentionState, prefix: str) -> AttentionState:
+    """``s`` beside a renamed copy of ``extra`` that shares no block with it,
+    so no world of the copy is reachable from the actual world."""
+    name = {w: prefix + w for w in extra.worlds}
+    return AttentionState(
+        sig=s.sig,
+        worlds=s.worlds + tuple(name.values()),
+        partitions={
+            agent: blocks
+            + tuple(frozenset(name[w] for w in block) for block in extra.partitions[agent])
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={**s.valuation, **{name[w]: v for w, v in extra.valuation.items()}},
+        attention={
+            agent: {**per_world, **{name[w]: n for w, n in extra.attention[agent].items()}}
+            for agent, per_world in s.attention.items()
+        },
+        actual=s.actual,
+    )
+
+
 def rand_epistemic_state(
     rng: random.Random, sig: Signature, max_worlds: int = 4
 ) -> EpistemicState:

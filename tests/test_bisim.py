@@ -28,9 +28,9 @@ from attnplan.models import (
     kripke_rendition,
     validate_state,
 )
-from attnplan.planner import _one_step_key, _prefilter_key
+from attnplan.planner import _generated, _one_step_key, _prefilter_key
 
-from generators import SIG2, rand_formula, rand_state
+from generators import SIG2, rand_formula, rand_state, with_unreachable
 
 SIG = Signature(agents=("i",), attention_bound=2, prop_atoms=("p",))
 SIG3 = Signature(agents=("a", "b", "c"), attention_bound=1, prop_atoms=("p",))
@@ -108,27 +108,6 @@ def renamed(rng: random.Random, s: AttentionState) -> AttentionState:
             for agent, per_world in s.attention.items()
         },
         actual=name[s.actual],
-    )
-
-
-def with_unreachable(s: AttentionState, extra: AttentionState, prefix: str) -> AttentionState:
-    """``s`` beside a renamed copy of ``extra`` that shares no block with it,
-    so no world of the copy is reachable from the actual world."""
-    name = {w: prefix + w for w in extra.worlds}
-    return AttentionState(
-        sig=s.sig,
-        worlds=s.worlds + tuple(name.values()),
-        partitions={
-            agent: blocks
-            + tuple(frozenset(name[w] for w in block) for block in extra.partitions[agent])
-            for agent, blocks in s.partitions.items()
-        },
-        valuation={**s.valuation, **{name[w]: v for w, v in extra.valuation.items()}},
-        attention={
-            agent: {**per_world, **{name[w]: n for w, n in extra.attention[agent].items()}}
-            for agent, per_world in s.attention.items()
-        },
-        actual=s.actual,
     )
 
 
@@ -247,6 +226,35 @@ class TestCanonicalKey:
             assert isinstance(bisimilar(left, right), BisimWitness)
             keys = {_one_step_key(t) for t in (s, contract(s), left, right)}
             assert len(keys) == 1
+
+    @pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["two", "three"])
+    def test_point_generated_quotients_get_equal_frontier_keys(self, sig):
+        """Bisimilar states cut down to their reachable part and contracted
+        are isomorphic, so they get the whole frontier key; contracted
+        alone, unreachable parts can split them on ``_prefilter_key``."""
+
+        def key(s: AttentionState):
+            s = contract(_generated(s))
+            return _prefilter_key(s), _one_step_key(s)
+
+        rng = random.Random(64)
+        split = 0
+        for _ in range(150):
+            s = rand_state(rng, sig)
+            copies = [
+                s,
+                with_unreachable(s, rand_state(rng, sig, max_worlds=5), "u"),
+                with_unreachable(s, rand_state(rng, sig, max_worlds=5), "v"),
+            ]
+            copies.append(renamed(rng, copies[-1]))
+            for k, left in enumerate(copies):
+                for right in copies[:k]:
+                    assert isinstance(bisimilar(left, right), BisimWitness)
+                    assert key(left) == key(right)
+                    split += _prefilter_key(contract(left)) != _prefilter_key(
+                        contract(right)
+                    )
+        assert split > 0
 
     def test_keys_tell_states_apart(self):
         key = _one_step_key(pair_state())

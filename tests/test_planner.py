@@ -9,21 +9,24 @@ from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
     CostTable,
+    applicable,
     apply_sequence,
 )
-from attnplan.errors import NotNfl
+from attnplan.bisim import BisimWitness, bisimilar
+from attnplan.errors import FormulaValidationError, NotNfl, SignatureMismatch
 from attnplan.logic import Know, Not, PropAtom, Signature, TOP, bot, parse_formula
-from attnplan.models import AttentionState, check
+from attnplan.models import AttentionState, check, validate_state
 from attnplan.planner import (
     NoSolution,
     NoneWithinBound,
     PlanningTask,
     Solution,
+    _generated,
     solve_bounded,
     solve_nfl,
 )
 
-from generators import SIG2, rand_task
+from generators import SIG2, rand_state, rand_task, with_unreachable
 
 SIG = Signature(agents=("i",), attention_bound=2, prop_atoms=("p",))
 
@@ -88,6 +91,81 @@ class TestOutcomes:
         by_name = {a.name: a for a in task.actions}
         replayed = apply_sequence(task.initial, [by_name[n] for n in out.plan])
         assert check(replayed, task.goal)
+
+
+class TestGenerated:
+    def test_keeps_the_reachable_part_in_order(self):
+        rng = random.Random(52)
+        cut = 0
+        for _ in range(200):
+            s = rand_state(rng, SIG2, max_worlds=5)
+            g = _generated(s)
+            assert validate_state(g) == []
+            assert isinstance(bisimilar(g, s), BisimWitness)
+            assert g.actual == s.actual
+            assert g.worlds == tuple(w for w in s.worlds if w in set(g.worlds))
+            assert _generated(g) is g
+            assert _generated(with_unreachable(g, rand_state(rng, SIG2), "u")) == g
+            cut += g is not s
+        assert cut > 0
+
+
+def unchecked_actions(task: PlanningTask) -> dict[str, AttentionAction]:
+    """Copies of the task's action that fail the checks ``applicable`` makes:
+    an unknown atom in the actual precondition, or another signature."""
+    ask = task.actions[0]
+    other = Signature(agents=("i",), attention_bound=2, prop_atoms=("p", "r"))
+    return {
+        "unknown_atom": dataclasses.replace(
+            ask,
+            name="bad",
+            model=dataclasses.replace(ask.model, pre={"e": PropAtom("r"), "f": TOP}),
+        ),
+        "other_signature": dataclasses.replace(
+            ask, name="bad", model=dataclasses.replace(ask.model, sig=other)
+        ),
+    }
+
+
+ERRORS = {"unknown_atom": FormulaValidationError, "other_signature": SignatureMismatch}
+
+
+class TestValidatedOnce:
+    """The search checks the goal once and each action's precondition when
+    it first tests that action, raising what ``check`` and ``applicable``
+    raise, in the same cases."""
+
+    @pytest.mark.parametrize("kind", sorted(ERRORS))
+    def test_goal_true_at_start_tests_no_action(self, kind):
+        task = tiny_task(TOP)
+        bad = unchecked_actions(task)[kind]
+        out = solve_bounded(dataclasses.replace(task, actions=(bad,)), 3)
+        assert isinstance(out, Solution)
+        assert out.plan == ()
+
+    @pytest.mark.parametrize("kind", sorted(ERRORS))
+    def test_action_never_reached_is_not_checked(self, kind):
+        task = tiny_task(Know("i", PropAtom("p")))
+        bad = unchecked_actions(task)[kind]
+        out = solve_bounded(dataclasses.replace(task, actions=task.actions + (bad,)), 3)
+        assert isinstance(out, Solution)
+        assert out.plan == ("ask",)
+
+    @pytest.mark.parametrize("kind", sorted(ERRORS))
+    def test_action_reached_raises_as_applicable_does(self, kind):
+        task = tiny_task(bot())
+        bad = unchecked_actions(task)[kind]
+        with pytest.raises(ERRORS[kind]):
+            applicable(task.initial, bad)
+        with pytest.raises(ERRORS[kind]):
+            solve_bounded(dataclasses.replace(task, actions=task.actions + (bad,)), 3)
+
+    def test_invalid_goal_raises_as_check_does(self):
+        task = tiny_task(PropAtom("r"))
+        with pytest.raises(FormulaValidationError):
+            check(task.initial, task.goal)
+        with pytest.raises(FormulaValidationError):
+            solve_bounded(task, 3)
 
 
 class TestClassGate:
