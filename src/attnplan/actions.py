@@ -35,12 +35,12 @@ from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .errors import (
+    AttnPlanError,
     CostLookupError,
     FormulaValidationError,
     IllFormedResult,
     NameCollision,
     NotApplicable,
-    StateValidationError,
 )
 from .logic import (
     Formula,
@@ -61,7 +61,6 @@ from .models import (
     check,
     close_into_partition,
     require_same_signature,
-    validate_state,
 )
 
 
@@ -169,7 +168,9 @@ class AttentionActionModel:
 
 @dataclass(frozen=True)
 class AttentionAction:
-    """An action model plus the question asked of each agent and the actual event."""
+    """An action model plus the question asked of each agent and the actual
+    event.  Unasked agents get ``T``; questions for agents outside the
+    signature are kept for ``validate_action`` to report."""
 
     name: str
     model: AttentionActionModel
@@ -177,7 +178,7 @@ class AttentionAction:
     actual: str = ""
 
     def __post_init__(self) -> None:
-        filled = {a: self.questions.get(a, TOP) for a in self.model.sig.agents}
+        filled = dict.fromkeys(self.model.sig.agents, TOP) | dict(self.questions)
         object.__setattr__(self, "questions", filled)
         if not self.actual:
             object.__setattr__(self, "actual", self.model.events[0])
@@ -185,6 +186,15 @@ class AttentionAction:
     @property
     def sig(self) -> Signature:
         return self.model.sig
+
+    @property
+    def _actual_pre(self) -> Formula:
+        """The actual event's precondition."""
+        if self.actual not in self.model.events:
+            raise AttnPlanError(
+                f"actual event {self.actual!r} of action {self.name!r} is not an event"
+            )
+        return self.model.pre[self.actual]
 
     @cached_property
     def _costs(self) -> dict[str, dict[str, int]]:
@@ -464,7 +474,7 @@ def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
 def applicable(s: AttentionState, x: AttentionAction) -> bool:
     """Whether the actual event's precondition holds at the actual world."""
     require_same_signature(s.sig, x.sig)
-    return check(s, x.model.pre[x.actual], s.actual)
+    return check(s, x._actual_pre, s.actual)
 
 
 def _pair_names(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
@@ -485,15 +495,16 @@ def _pair_names(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
 def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     """Execute an attention action on a state (the product of the two).
 
-    Raises NotApplicable when the actual event fails at the actual world
-    and IllFormedResult when some agent's updated relation is not
-    transitive (the one way it can fail to be an equivalence).
+    Raises AttnPlanError when the actual event is not an event,
+    NotApplicable when it fails at the actual world and IllFormedResult
+    when some agent's updated relation is not transitive (the one way it
+    can fail to be an equivalence).
     """
     require_same_signature(s.sig, x.sig)
     model = x.model
     sig = s.sig
     labels = _Labelling(s)
-    if not labels.holds(model.pre[x.actual], s.actual):
+    if not labels.holds(x._actual_pre, s.actual):
         raise NotApplicable(
             f"pre of actual event {x.actual!r} fails at actual world {s.actual!r}"
         )
@@ -551,7 +562,7 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
         }
         for agent in sig.agents
     }
-    result = AttentionState(
+    return AttentionState(
         sig=sig,
         worlds=new_worlds,
         partitions=partitions,
@@ -559,10 +570,6 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
         attention=attention,
         actual=names[(s.actual, x.actual)],
     )
-    problems = validate_state(result)
-    if problems:  # pragma: no cover - guarded by construction
-        raise StateValidationError(problems)
-    return result
 
 
 def apply_sequence(

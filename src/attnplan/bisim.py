@@ -5,7 +5,7 @@ union of the states they are given, starting from the colouring each state
 gives its worlds (``colour``): an attention state colours by propositional
 valuation plus the attention vector, an epistemic state by the full
 (propositional and attention-atom) valuation.  Each round reads every block
-once and adds the set of class ids in it to the key of each member.
+once and adds the set of class numbers in it to the key of each member.
 """
 
 from __future__ import annotations
@@ -42,14 +42,17 @@ class NotBisimilar:
     round: int
 
 
-def _refine(*states) -> tuple[list[Node], list[list[int]]]:
+def _refine(
+    table: dict[Hashable, int], *states
+) -> tuple[list[Node], list[list[int]], list[int]]:
     """Colour refinement over the disjoint union of ``states``.
 
-    Node ``(k, w)`` is world ``w`` of ``states[k]``.  Round 0 numbers the
-    nodes by their state's ``colour``; each later round keys a node by its
-    id and, per agent, the set of ids in its block, read once per block.
-    Ids are numbered in node order.  Stops at the first round that splits no
-    class; returns the nodes and each round's ids, aligned with the nodes.
+    Node ``(k, w)`` is world ``w`` of ``states[k]``.  Round 0 keys a node by
+    its ``colour``, each later round by its class number and, per agent, the
+    set of numbers in its block.  ``table`` numbers each key once for all
+    calls that share it.  Stops at the first round that splits no class;
+    returns the nodes, the earlier rounds' ids (0.. in node order) and the
+    stable round's numbers, aligned with the nodes.
     """
     sig = states[0].sig
     if any(s.sig != sig for s in states):
@@ -66,24 +69,27 @@ def _refine(*states) -> tuple[list[Node], list[list[int]]]:
     rounds: list[list[int]] = []
     count = 0
     while True:
-        numbering: dict[Hashable, int] = {}
-        ids = [numbering.setdefault(key, len(numbering)) for key in keys]
-        if len(numbering) == count:
-            return nodes, rounds
+        numbers = [table.setdefault(key, len(table)) for key in keys]
+        ids_of: dict[int, int] = {}
+        ids = [ids_of.setdefault(number, len(ids_of)) for number in numbers]
+        if len(ids_of) == count:
+            return nodes, rounds, numbers
         rounds.append(ids)
-        count = len(numbering)
-        signatures = [[i] for i in ids]
+        count = len(ids_of)
+        signatures: list[list[Hashable]] = [[number] for number in numbers]
         for block in blocks:
-            classes = frozenset([ids[n] for n in block])
+            # A sorted tuple takes a third of a frozenset's memory in ``table``.
+            classes = tuple(sorted({numbers[n] for n in block}))
             for n in block:
                 signatures[n].append(classes)
         keys = [tuple(key) for key in signatures]
 
 
 def _separation(s1, s2) -> tuple[list[Node], list[list[int]], int, int | None]:
-    """``_refine(s1, s2)``, the index of ``s1``'s actual node and the first
-    round that separates the actual worlds (None if none does)."""
-    nodes, rounds = _refine(s1, s2)
+    """``_refine``'s nodes and rounds for ``s1`` and ``s2``, the index of
+    ``s1``'s actual node and the first round that separates the actual
+    worlds (None if none does)."""
+    nodes, rounds, _ = _refine({}, s1, s2)
     actual1, actual2 = nodes.index((0, s1.actual)), nodes.index((1, s2.actual))
     separated = next(
         (r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None
@@ -117,21 +123,23 @@ def kripke_bisimilar(
     return _compare(k1, k2)
 
 
-def contract(s: AttentionState) -> AttentionState:
-    """Quotient by the largest auto-bisimulation.
-
-    Reads the classes of the stable colouring: each class is named after its
-    lexicographically least member and read off its first member, classes
-    keep the first-occurrence order of the input worlds, and each quotient
-    block is the set of classes met in one input block.  The result is
-    bisimilar to the input.  When every input world is reachable from the
-    actual world, it is also the smallest such state, unique up to
-    isomorphism; unreachable worlds survive as their own classes.
-    """
-    sig = s.sig
+def _quotient(
+    s: AttentionState, table: dict[Hashable, int]
+) -> tuple[AttentionState, tuple[frozenset[int], int]]:
+    """``contract(s)`` keyed by its stable numbers against ``table`` and the
+    actual world's number.  Over one table the key is exact: a stable number
+    fixes the previous round's class and the classes each block meets, each
+    of which holds one stable class, so equal numbers form a bisimulation.
+    It is complete when every world is reachable from the actual world, as
+    bisimilar such states meet the same classes in every round."""
+    _, _, stable = _refine(table, s)
+    key = (frozenset(stable), stable[s.worlds.index(s.actual)])
     members: dict[int, list[str]] = {}
-    for world, cid in zip(s.worlds, _refine(s)[1][-1]):
-        members.setdefault(cid, []).append(world)
+    for world, number in zip(s.worlds, stable):
+        members.setdefault(number, []).append(world)
+    if len(members) == len(s.worlds):
+        return s, key
+    sig = s.sig
     rep: dict[str, str] = {}  # class name -> first member
     name_of: dict[str, str] = {}
     for group in members.values():
@@ -160,7 +168,22 @@ def contract(s: AttentionState) -> AttentionState:
             for agent in sig.agents
         },
         actual=name_of[s.actual],
-    )
+    ), key
+
+
+def contract(s: AttentionState) -> AttentionState:
+    """Quotient by the largest auto-bisimulation.
+
+    Reads the classes of the stable colouring: each class is named after its
+    lexicographically least member and read off its first member, classes
+    keep the first-occurrence order of the input worlds, and each quotient
+    block is the set of classes met in one input block; when every class is
+    one world, ``s`` itself comes back.  The result is bisimilar to the
+    input.  When every input world is reachable from the actual world, it
+    is also the smallest such state, unique up to isomorphism; unreachable
+    worlds survive as their own classes.
+    """
+    return _quotient(s, {})[0]
 
 
 def _known(sig: Signature, atom: Atom) -> bool:

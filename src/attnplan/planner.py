@@ -8,12 +8,11 @@ planning-friendly action class: questions keep draining budgets only
 finitely often, after which updates behave like announcements and the
 reachable quotients stop growing.
 
-The visited states sit in a hashed frontier.  Each state is keyed on
-arrival by its cheap structural key (``_prefilter_key``) and by the actual
-world's one-step view (``_one_step_key``).  Bisimilar contracted
-point-generated states are isomorphic, so they get equal keys, and a new
-state is compared with ``bisimilar``, which alone decides, only against
-earlier states with the same key.
+The visited states sit in a hashed frontier.  ``_quotient`` contracts each
+state and keys it by the numbers its stable colouring gets from the
+search's one intern table.  The key is exact and, on point-generated
+states, complete, so each key holds one state; ``bisimilar`` confirms every
+key hit, and a hit it refutes is an internal error.
 
 The goal is validated once per search and each action's actual
 precondition once, when the search first tests that action; after that
@@ -35,7 +34,7 @@ from .actions import (
     attention_update,
     is_nfl,
 )
-from .bisim import BisimWitness, bisimilar, contract
+from .bisim import BisimWitness, _quotient, bisimilar
 from .errors import NotNfl
 from .logic import Formula, validate_formula
 from .models import AttentionState, _eval, check, require_same_signature
@@ -73,28 +72,6 @@ class NoneWithinBound:
     explored: int
 
 
-def _prefilter_key(s: AttentionState) -> Hashable:
-    attention = tuple(
-        tuple(sorted(s.attention[agent].values())) for agent in s.sig.agents
-    )
-    valuation = tuple(sorted(tuple(sorted(v)) for v in s.valuation.values()))
-    return (len(s.worlds), attention, valuation)
-
-
-def _one_step_key(s: AttentionState) -> Hashable:
-    """The actual world's colour and, per agent, the colours in its block.
-
-    Bisimilar pointed states get equal keys: their actual worlds have equal
-    colours, and by forth and back each agent's block there holds the same
-    colours in both.  With one agent, equal keys also mean bisimilar: the
-    actual world's block is then its whole generated submodel.
-    """
-    blocks = tuple(
-        frozenset(map(s.colour, s.block_of(agent, s.actual))) for agent in s.sig.agents
-    )
-    return s.colour(s.actual), blocks
-
-
 def _generated(s: AttentionState) -> AttentionState:
     """The part of ``s`` reachable from its actual world: ``s`` itself when
     that is every world, else the reached worlds in their order with their
@@ -127,22 +104,6 @@ def _generated(s: AttentionState) -> AttentionState:
     )
 
 
-class _Visited:
-    """States visited by one search, keyed by ``_prefilter_key`` and
-    ``_one_step_key``."""
-
-    def __init__(self) -> None:
-        self._states: dict[Hashable, list[AttentionState]] = {}
-
-    def add(self, s: AttentionState) -> bool:
-        """Record ``s`` unless a bisimilar state is recorded; whether it was new."""
-        same = self._states.setdefault((_prefilter_key(s), _one_step_key(s)), [])
-        if any(isinstance(bisimilar(s, seen), BisimWitness) for seen in same):
-            return False
-        same.append(s)
-        return True
-
-
 @dataclass
 class _Node:
     state: AttentionState
@@ -173,7 +134,8 @@ def _verified_solution(
 def _search(
     task: PlanningTask, max_depth: int | None
 ) -> Solution | NoSolution | NoneWithinBound:
-    start = contract(_generated(task.initial))
+    table: dict[Hashable, int] = {}
+    start, key = _quotient(_generated(task.initial), table)
     nodes = [_Node(state=start, parent=None, action=None, depth=0)]
     validate_formula(start.sig, task.goal)
     if _eval(start, task.goal, start.actual):
@@ -181,8 +143,7 @@ def _search(
     # Each action's actual precondition, checked as ``applicable`` checks
     # it when the search first tests the action.
     pres: list[Formula | None] = [None] * len(task.actions)
-    visited = _Visited()
-    visited.add(start)
+    visited = {key: start}
     queue: deque[int] = deque([0])
     explored = 0
     while queue:
@@ -194,12 +155,14 @@ def _search(
         for k, action in enumerate(task.actions):
             if pres[k] is None:
                 require_same_signature(state.sig, action.sig)
-                pres[k] = action.model.pre[action.actual]
+                pres[k] = action._actual_pre
                 validate_formula(state.sig, pres[k])
             if not _eval(state, pres[k], state.actual):
                 continue
             explored += 1
-            successor = contract(_generated(attention_update(state, action)))
+            successor, key = _quotient(
+                _generated(attention_update(state, action)), table
+            )
             nodes.append(
                 _Node(
                     state=successor,
@@ -210,9 +173,15 @@ def _search(
             )
             if _eval(successor, task.goal, successor.actual):
                 return _verified_solution(task, nodes, len(nodes) - 1)
-            if not visited.add(successor):
+            if key in visited:
+                if not isinstance(bisimilar(successor, visited[key]), BisimWitness):
+                    raise RuntimeError(
+                        f"internal error: equal frontier keys after {action.name!r}"
+                        " on states that are not bisimilar"
+                    )
                 nodes.pop()
                 continue
+            visited[key] = successor
             queue.append(len(nodes) - 1)
     if max_depth is None:
         return NoSolution(explored=explored)

@@ -2,7 +2,8 @@
 
 This is the earlier implementation: the visited states sit in a list, and
 each new state is compared with ``bisimilar`` against every earlier state
-whose ``_prefilter_key`` matches.  The differential suite compares the
+whose cheap structural key (``_prefilter_key``: size, budgets and
+valuations) matches.  The differential suite compares the
 library's hashed frontier against it; nothing in the package imports this
 module.
 """
@@ -21,9 +22,16 @@ from attnplan.planner import (
     PlanningTask,
     Solution,
     _Node,
-    _prefilter_key,
     _verified_solution,
 )
+
+
+def _prefilter_key(s: AttentionState) -> Hashable:
+    attention = tuple(
+        tuple(sorted(s.attention[agent].values())) for agent in s.sig.agents
+    )
+    valuation = tuple(sorted(tuple(sorted(v)) for v in s.valuation.values()))
+    return (len(s.worlds), attention, valuation)
 
 
 def already_visited(

@@ -22,6 +22,7 @@ from attnplan.actions import (
 from attnplan.bisim import BisimWitness, bisimilar
 from attnplan.emulate import to_post
 from attnplan.errors import (
+    AttnPlanError,
     CostLookupError,
     FormulaValidationError,
     IllFormedResult,
@@ -158,6 +159,27 @@ class TestValidation:
             d.severity == "warning" and "ignored" in d.message
             for d in validate_action(action)
         )
+
+
+    def test_question_for_unknown_agent_is_an_error(self):
+        action = AttentionAction(
+            name="x", model=two_event_model(), questions={"zz": P}, actual="e"
+        )
+        assert action.questions == {"i": TOP, "zz": P}
+        assert [d.message for d in validate_action(action) if d.severity == "error"] == [
+            "question for unknown agent 'zz'"
+        ]
+
+    def test_unknown_actual_event_is_a_typed_error(self):
+        action = AttentionAction(
+            name="x", model=two_event_model(), questions={"i": P}, actual="zz"
+        )
+        assert [d.message for d in validate_action(action) if d.severity == "error"] == [
+            "actual event 'zz' is not an event"
+        ]
+        for update in (applicable, attention_update):
+            with pytest.raises(AttnPlanError, match="actual event 'zz' of action 'x'"):
+                update(one_block_state(), action)
 
 
 class TestClassification:

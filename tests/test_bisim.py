@@ -13,6 +13,7 @@ import attnplan
 from attnplan.bisim import (
     BisimWitness,
     NotBisimilar,
+    _quotient,
     bisimilar,
     contract,
     distinguishing_formula,
@@ -28,7 +29,7 @@ from attnplan.models import (
     kripke_rendition,
     validate_state,
 )
-from attnplan.planner import _generated, _one_step_key, _prefilter_key
+from attnplan.planner import _generated
 
 from generators import SIG2, rand_formula, rand_state, with_unreachable
 
@@ -202,42 +203,46 @@ class TestContraction:
         assert c.actual == "w1"
 
 
+def quotient_key(table: dict, s: AttentionState):
+    """The planner's frontier key of ``s``: that of its reachable part."""
+    return _quotient(_generated(s), table)[1]
+
+
 class TestCanonicalKey:
-    """The planner's ``_one_step_key``: bisimilar pointed states get equal
-    keys, whatever their names, world order and unreachable worlds; with one
-    agent, equal keys also mean bisimilar."""
+    """The key ``_quotient`` reads off the stable numbers: against one
+    table, bisimilar point-generated states get equal keys, whatever their
+    names, world order and unreachable worlds, and equal keys mean
+    bisimilar."""
 
     @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
     def test_renamed_copies_get_equal_keys(self, sig):
         rng = random.Random(61)
+        table: dict = {}
         for _ in range(150):
-            s = contract(rand_state(rng, sig, max_worlds=5))
+            s = _generated(rand_state(rng, sig, max_worlds=5))
             copy = renamed(rng, s)
             assert isinstance(bisimilar(s, copy), BisimWitness)
-            assert _one_step_key(s) == _one_step_key(copy)
+            assert _quotient(s, table)[1] == _quotient(copy, table)[1]
 
     @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
     def test_unreachable_worlds_do_not_change_the_key(self, sig):
         rng = random.Random(62)
+        table: dict = {}
         for _ in range(150):
             s = rand_state(rng, sig)
             left = contract(with_unreachable(s, rand_state(rng, sig, max_worlds=5), "u"))
             right = contract(with_unreachable(s, rand_state(rng, sig, max_worlds=5), "v"))
             assert isinstance(bisimilar(left, right), BisimWitness)
-            keys = {_one_step_key(t) for t in (s, contract(s), left, right)}
+            keys = {quotient_key(table, t) for t in (s, contract(s), left, right)}
             assert len(keys) == 1
 
     @pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["two", "three"])
     def test_point_generated_quotients_get_equal_frontier_keys(self, sig):
-        """Bisimilar states cut down to their reachable part and contracted
-        are isomorphic, so they get the whole frontier key; contracted
-        alone, unreachable parts can split them on ``_prefilter_key``."""
-
-        def key(s: AttentionState):
-            s = contract(_generated(s))
-            return _prefilter_key(s), _one_step_key(s)
-
+        """Bisimilar states cut down to their reachable part get equal keys
+        and quotients of one size; uncut, unreachable parts can split their
+        keys."""
         rng = random.Random(64)
+        table: dict = {}
         split = 0
         for _ in range(150):
             s = rand_state(rng, sig)
@@ -250,30 +255,42 @@ class TestCanonicalKey:
             for k, left in enumerate(copies):
                 for right in copies[:k]:
                     assert isinstance(bisimilar(left, right), BisimWitness)
-                    assert key(left) == key(right)
-                    split += _prefilter_key(contract(left)) != _prefilter_key(
-                        contract(right)
+                    assert quotient_key(table, left) == quotient_key(table, right)
+                    assert len(contract(_generated(left)).worlds) == len(
+                        contract(_generated(right)).worlds
                     )
+                    split += _quotient(left, table)[1] != _quotient(right, table)[1]
         assert split > 0
 
     def test_keys_tell_states_apart(self):
-        key = _one_step_key(pair_state())
-        assert _one_step_key(triple_state()) == key
-        assert _one_step_key(replace(pair_state(), actual="y")) != key
+        table: dict = {}
+        key = _quotient(pair_state(), table)[1]
+        assert _quotient(triple_state(), table)[1] == key
+        assert _quotient(replace(pair_state(), actual="y"), table)[1] != key
 
-    def test_one_agent_keys_are_exact(self):
-        """With one agent, equal keys hold exactly when the states are
-        bisimilar, also among states that share a ``_prefilter_key``."""
+    @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
+    def test_keys_are_exact(self, sig):
+        """Over one table, contracted point-generated states get equal keys
+        exactly when they are bisimilar, also among states of one size."""
         rng = random.Random(63)
-        states = [contract(rand_state(rng, SIG, max_worlds=5)) for _ in range(120)]
+        table: dict = {}
+        states = [
+            _quotient(_generated(rand_state(rng, sig, max_worlds=5)), table)
+            for _ in range(120)
+        ]
         outcomes = set()
-        for k, s in enumerate(states):
-            for t in states[:k]:
+        for k, (s, key) in enumerate(states):
+            for t, other in states[:k]:
                 same = isinstance(bisimilar(s, t), BisimWitness)
-                assert (_one_step_key(s) == _one_step_key(t)) == same
-                if _prefilter_key(s) == _prefilter_key(t):
+                assert (key == other) == same
+                if len(s.worlds) == len(t.worlds):
                     outcomes.add(same)
         assert outcomes == {True, False}
+
+    def test_discrete_quotient_is_the_state_itself(self):
+        s = pair_state()
+        assert _quotient(s, {})[0] is s
+        assert contract(s) is s
 
 
 class TestKripkeLevel:

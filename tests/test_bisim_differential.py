@@ -81,7 +81,7 @@ def with_disjoint_copy(rng: random.Random, s: AttentionState) -> AttentionState:
 
 
 def assert_refinement_agrees(s1, s2) -> None:
-    nodes, rounds = _refine(s1, s2)
+    nodes, rounds, _ = _refine({}, s1, s2)
     expected = ref.union_rounds(s1, s2)
     assert nodes == list(expected[0])
     assert rounds == [[ids[node] for node in nodes] for ids in expected]

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private function or class is used somewhere in the package.
 
 No linter ships with the project, so this walks each module's syntax tree
-with ``ast``.  ``__init__.py`` is left out: its imports are the package's
-public re-exports.
+with ``ast``.  ``__init__.py`` is left out of the import check: its imports
+are the package's public re-exports.
 """
 
 from __future__ import annotations
@@ -38,3 +39,45 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module: Path):
     assert unused_imports(module.read_text()) == []
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level private function or class that
+    no other top-level statement of any of ``sources`` names."""
+    statements = [
+        (module, statement)
+        for module, source in sources.items()
+        for statement in ast.parse(source).body
+    ]
+    out = []
+    for module, statement in statements:
+        if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = statement.name
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        others = (other for _, other in statements if other is not statement)
+        if not any(name in referenced_names(other) for other in others):
+            out.append(f"{module}: {name}")
+    return out
+
+
+def test_the_check_finds_an_unused_private_definition():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\ndef _unused():\n    return _unused()\n",
+        "b.py": "from .a import _used\n\nclass _Helper:\n    pass\n\nprint(_used())\n",
+    }
+    assert unused_private_definitions(sources) == ["a.py: _unused", "b.py: _Helper"]
+
+
+def test_package_uses_every_private_definition():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_private_definitions(sources) == []

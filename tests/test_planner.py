@@ -13,7 +13,12 @@ from attnplan.actions import (
     apply_sequence,
 )
 from attnplan.bisim import BisimWitness, bisimilar
-from attnplan.errors import FormulaValidationError, NotNfl, SignatureMismatch
+from attnplan.errors import (
+    AttnPlanError,
+    FormulaValidationError,
+    NotNfl,
+    SignatureMismatch,
+)
 from attnplan.logic import Know, Not, PropAtom, Signature, TOP, bot, parse_formula
 from attnplan.models import AttentionState, check, validate_state
 from attnplan.planner import (
@@ -112,7 +117,8 @@ class TestGenerated:
 
 def unchecked_actions(task: PlanningTask) -> dict[str, AttentionAction]:
     """Copies of the task's action that fail the checks ``applicable`` makes:
-    an unknown atom in the actual precondition, or another signature."""
+    an unknown atom in the actual precondition, another signature, or an
+    actual event the model lacks."""
     ask = task.actions[0]
     other = Signature(agents=("i",), attention_bound=2, prop_atoms=("p", "r"))
     return {
@@ -124,10 +130,15 @@ def unchecked_actions(task: PlanningTask) -> dict[str, AttentionAction]:
         "other_signature": dataclasses.replace(
             ask, name="bad", model=dataclasses.replace(ask.model, sig=other)
         ),
+        "unknown_actual": dataclasses.replace(ask, name="bad", actual="zz"),
     }
 
 
-ERRORS = {"unknown_atom": FormulaValidationError, "other_signature": SignatureMismatch}
+ERRORS = {
+    "unknown_atom": FormulaValidationError,
+    "other_signature": SignatureMismatch,
+    "unknown_actual": AttnPlanError,
+}
 
 
 class TestValidatedOnce:

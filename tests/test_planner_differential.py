@@ -24,7 +24,7 @@ import pytest
 import reference_planner as ref
 from attnplan import planner
 from attnplan.actions import AttentionAction, AttentionActionModel, CostTable
-from attnplan.bisim import BisimWitness, bisimilar, contract
+from attnplan.bisim import BisimWitness, NotBisimilar, bisimilar, contract
 from attnplan.logic import Know, Not, PropAtom, Signature, and_all, or_
 from attnplan.models import AttentionState, close_into_partition
 from attnplan.planner import NoSolution, PlanningTask, Solution, _generated, _search
@@ -149,3 +149,11 @@ def test_survey_dedups_with_hits_only(monkeypatch, facts, budget):
         assert counted.calls == counted.hits
         assert counted.hits == oracle.hits
         assert counted.calls <= oracle.calls
+
+
+def test_refuted_key_hit_is_an_internal_error(monkeypatch):
+    """A key hit that ``bisimilar`` refutes raises; it is not a miss."""
+    monkeypatch.setattr(planner, "bisimilar", lambda s1, s2: NotBisimilar(round=0))
+    task = survey_task(3, 1, random.Random(813))
+    with pytest.raises(RuntimeError, match="internal error: equal frontier keys"):
+        _search(task, None)

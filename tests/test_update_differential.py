@@ -5,7 +5,9 @@ the reference versions in ``reference_update``.
 Random actions come in two kinds: the rejection-sampled ones of
 ``generators`` (every update defined) and unfiltered ones, whose branch
 relations are often intransitive, so that both sides must raise the same
-IllFormedResult with the same agent and witness.
+IllFormedResult with the same agent and witness.  Every update that
+succeeds must also give a well-formed state, which ``attention_update``
+itself no longer checks.
 """
 
 import random
@@ -31,6 +33,7 @@ from attnplan.models import (
     _eval,
     _Labelling,
     kripke_rendition,
+    validate_state,
 )
 
 from generators import (
@@ -93,6 +96,7 @@ def assert_same_update(s: AttentionState, x: AttentionAction) -> object:
         assert fast == slow
         return slow
     assert isinstance(fast, AttentionState), fast
+    assert validate_state(fast) == []
     assert fast.worlds == slow.worlds
     assert fast.actual == slow.actual
     assert fast.valuation == slow.valuation
