@@ -57,15 +57,15 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
         for module, source in sources.items()
         for statement in ast.parse(source).body
     ]
+    names = [referenced_names(statement) for _, statement in statements]
     out = []
-    for module, statement in statements:
+    for k, (module, statement) in enumerate(statements):
         if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
             continue
         name = statement.name
         if not name.startswith("_") or name.startswith("__"):
             continue
-        others = (other for _, other in statements if other is not statement)
-        if not any(name in referenced_names(other) for other in others):
+        if not any(name in used for j, used in enumerate(names) if j != k):
             out.append(f"{module}: {name}")
     return out
 
