@@ -18,9 +18,15 @@ by construction: explicit entries name a component via any member event and
 lookups normalize to the component representative.
 
 ``branch_classes`` gives both branch relations of an agent, their classes
-and a witness when one is not transitive; the update, ``to_post`` and the
-validators all read it.  The update groups survivors by source block,
-attending bit and event class instead of comparing them pairwise.
+and a witness when one is not transitive.  They depend on the action alone,
+so each action derives them once per agent (``AttentionAction._branches``,
+after its prices in ``_costs``) and the update and ``to_post`` read them
+there; the validators call the kernel directly.  Every reader first passes
+the action's cached gate ``_actual_pre``, which raises AttnPlanError for
+an actual event that is no event, preconditions that miss an event or a
+relation that does not partition the events.  The update groups survivors
+by source block, attending bit and event class instead of comparing them
+pairwise.
 
 Both updates read formulas through one ``models._Labelling`` per call: the
 attention update its preconditions, the product update its preconditions
@@ -187,14 +193,26 @@ class AttentionAction:
     def sig(self) -> Signature:
         return self.model.sig
 
-    @property
+    @cached_property
     def _actual_pre(self) -> Formula:
-        """The actual event's precondition."""
-        if self.actual not in self.model.events:
+        """The actual event's precondition, read only once the action is
+        consistent: the actual event is an event, ``pre`` covers exactly the
+        events and each agent's ``q`` and ``qstar`` partition them exactly.
+        Every reader of the action passes this gate first."""
+        model = self.model
+        if self.actual not in model.events:
             raise AttnPlanError(
                 f"actual event {self.actual!r} of action {self.name!r} is not an event"
             )
-        return self.model.pre[self.actual]
+        if set(model.pre) != set(model.events):
+            raise AttnPlanError(
+                f"preconditions of action {self.name!r} do not cover exactly the events"
+            )
+        for agent in self.sig.agents:
+            for label, blocks in (("q", model.q[agent]), ("qstar", model.qstar[agent])):
+                for problem in _check_partition(agent, label, blocks, model.events):
+                    raise AttnPlanError(f"action {self.name!r}: {problem.message}")
+        return model.pre[self.actual]
 
     @cached_property
     def _costs(self) -> dict[str, dict[str, int]]:
@@ -206,11 +224,18 @@ class AttentionAction:
         }
 
     @cached_property
-    def _answers(self) -> dict[str, dict[str, bool]]:
-        """Whether each event's precondition entails each agent's question."""
+    def _branches(self) -> dict[str, tuple[BranchRelation, BranchRelation]]:
+        """Each agent's two branch relations under the answers its question
+        gets from the preconditions.  Reads ``_costs`` first, so a missing
+        price is reported before a bad question."""
         model, sig = self.model, self.sig
+        self._costs
         return {
-            agent: {e: entails(sig, model.pre[e], self.questions[agent]) for e in model.events}
+            agent: branch_classes(
+                model,
+                agent,
+                {e: entails(sig, model.pre[e], self.questions[agent]) for e in model.events},
+            )
             for agent in sig.agents
         }
 
@@ -257,49 +282,42 @@ class Diagnostic:
 def _check_partition(
     agent: str, label: str, blocks: Partition, events: tuple[str, ...]
 ) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
+    problems: list[str] = []
     seen: set[str] = set()
     for block in blocks:
         if not block:
-            out.append(Diagnostic("error", f"{label} of agent {agent!r} has an empty block"))
-        overlap = seen & block
-        if overlap:
-            out.append(
-                Diagnostic(
-                    "error",
-                    f"{label} of agent {agent!r} has overlapping blocks on {sorted(overlap)}",
-                )
-            )
+            problems.append("has an empty block")
+        if seen & block:
+            problems.append(f"has overlapping blocks on {sorted(seen & block)}")
         seen |= block
     if seen != set(events):
-        out.append(
-            Diagnostic(
-                "error",
-                f"{label} of agent {agent!r} does not partition the events exactly",
-            )
-        )
-    return out
+        problems.append("does not partition the events exactly")
+    return [Diagnostic("error", f"{label} of agent {agent!r} {p}") for p in problems]
 
 
 def validate_action(x: AttentionAction) -> list[Diagnostic]:
     """Structural diagnostics for an action; errors make updates unreliable."""
     out: list[Diagnostic] = []
+
+    def report(message: str, severity: str = "error") -> None:
+        out.append(Diagnostic(severity, message))
+
     model = x.model
     sig = model.sig
     if not model.events:
-        out.append(Diagnostic("error", "action model has no events"))
+        report("action model has no events")
         return out
     if len(set(model.events)) != len(model.events):
-        out.append(Diagnostic("error", "event names are not unique"))
+        report("event names are not unique")
     if x.actual not in model.events:
-        out.append(Diagnostic("error", f"actual event {x.actual!r} is not an event"))
+        report(f"actual event {x.actual!r} is not an event")
     if set(model.pre) != set(model.events):
-        out.append(Diagnostic("error", "preconditions do not cover exactly the events"))
+        report("preconditions do not cover exactly the events")
     for event, pre in model.pre.items():
         try:
             validate_formula(sig, pre)
         except FormulaValidationError as exc:
-            out.append(Diagnostic("error", f"pre of {event!r}: {exc}"))
+            report(f"pre of {event!r}: {exc}")
     partitioned: list[str] = []
     for agent in sig.agents:
         problems = _check_partition(agent, "q", model.q[agent], model.events)
@@ -309,74 +327,54 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
             partitioned.append(agent)
     for agent, question in x.questions.items():
         if agent not in sig.agents:
-            out.append(Diagnostic("error", f"question for unknown agent {agent!r}"))
+            report(f"question for unknown agent {agent!r}")
             continue
         try:
             validate_formula(sig, question)
         except FormulaValidationError as exc:
-            out.append(Diagnostic("error", f"question for {agent!r}: {exc}"))
+            report(f"question for {agent!r}: {exc}")
     seen_components: dict[tuple[str, Formula, str], int] = {}
     for entry in model.cost.entries:
         if entry.agent not in sig.agents:
-            out.append(Diagnostic("error", f"cost entry for unknown agent {entry.agent!r}"))
+            report(f"cost entry for unknown agent {entry.agent!r}")
             continue
         if entry.event not in model.events:
-            out.append(
-                Diagnostic(
-                    "error",
-                    f"cost entry of agent {entry.agent!r} names unknown event {entry.event!r}",
-                )
-            )
+            report(f"cost entry of agent {entry.agent!r} names unknown event {entry.event!r}")
             continue
         try:
             validate_formula(sig, entry.formula)
         except FormulaValidationError as exc:
-            out.append(Diagnostic("error", f"cost entry formula: {exc}"))
+            report(f"cost entry formula: {exc}")
             continue
         if entry.cost < 0:
-            out.append(
-                Diagnostic(
-                    "error",
-                    f"cost entry of agent {entry.agent!r} has negative cost {entry.cost}",
-                )
-            )
+            report(f"cost entry of agent {entry.agent!r} has negative cost {entry.cost}")
         if isinstance(entry.formula, Top):
-            out.append(
-                Diagnostic(
-                    "warning",
-                    f"cost entry of agent {entry.agent!r} prices the trivial "
-                    "question, which is fixed at 0; the entry is ignored",
-                )
+            report(
+                f"cost entry of agent {entry.agent!r} prices the trivial "
+                "question, which is fixed at 0; the entry is ignored",
+                "warning",
             )
             continue
         key = (entry.agent, entry.formula, model.component_of(entry.agent, entry.event))
-        if key in seen_components:
-            if seen_components[key] != entry.cost:
-                out.append(
-                    Diagnostic(
-                        "error",
-                        f"conflicting costs for agent {entry.agent!r} on the "
-                        f"component of {key[2]!r}: {seen_components[key]} vs {entry.cost}",
-                    )
-                )
-            else:
-                out.append(
-                    Diagnostic(
-                        "warning",
-                        f"duplicate cost entry for agent {entry.agent!r} on the "
-                        f"component of {key[2]!r}",
-                    )
-                )
-        else:
+        if key not in seen_components:
             seen_components[key] = entry.cost
+        elif seen_components[key] != entry.cost:
+            report(
+                f"conflicting costs for agent {entry.agent!r} on the "
+                f"component of {key[2]!r}: {seen_components[key]} vs {entry.cost}"
+            )
+        else:
+            report(
+                f"duplicate cost entry for agent {entry.agent!r} on the "
+                f"component of {key[2]!r}",
+                "warning",
+            )
     for agent in partitioned:
         if branch_classes(model, agent)[0].witness is not None:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    f"q union qstar is not transitive for agent {agent!r}; "
-                    "updates may raise IllFormedResult",
-                )
+            report(
+                f"q union qstar is not transitive for agent {agent!r}; "
+                "updates may raise IllFormedResult",
+                "warning",
             )
     return out
 
@@ -452,14 +450,14 @@ def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
     asks that q and qstar together relate every pair of events.
     """
     model = x.model
+    if relaxed:
+        x._actual_pre  # the gate: branch_classes needs exact partitions
     for agent in model.sig.agents:
         if relaxed:
             union = branch_classes(model, agent)[0]
             total = len(union.classes) <= 1 and union.witness is None
         else:
-            total = len(model.qstar[agent]) == 1 and set(model.qstar[agent][0]) == set(
-                model.events
-            )
+            total = model.qstar[agent] == (frozenset(model.events),)
         if not total:
             return False
         effective_default = model.cost.agent_defaults.get(agent, model.cost.default)
@@ -492,36 +490,44 @@ def _pair_names(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
     return names
 
 
+def _product_prelude(
+    s: AttentionState | EpistemicState, y: AttentionActionModel | EpistemicAction, actual: str
+) -> tuple[_Labelling, list[tuple[str, str]], dict[tuple[str, str], str]]:
+    """What both updates do first: check the signatures, label ``s`` once,
+    require the ``actual`` event's precondition at the actual world, and
+    pair each world with the events of ``y`` whose preconditions hold there,
+    in world then event order, with the pairs' names."""
+    require_same_signature(s.sig, y.sig)
+    if actual not in y.events:
+        raise AttnPlanError(f"actual event {actual!r} is not an event")
+    labels = _Labelling(s)
+    if not labels.holds(y.pre[actual], s.actual):
+        raise NotApplicable(
+            f"pre of actual event {actual!r} fails at actual world {s.actual!r}"
+        )
+    extension = {e: labels.extension(y.pre[e]) for e in y.events}
+    survivors = [
+        (w, e) for k, w in enumerate(s.worlds) for e in y.events if extension[e] >> k & 1
+    ]
+    return labels, survivors, _pair_names(survivors)
+
+
 def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     """Execute an attention action on a state (the product of the two).
 
-    Raises AttnPlanError when the actual event is not an event,
-    NotApplicable when it fails at the actual world and IllFormedResult
-    when some agent's updated relation is not transitive (the one way it
-    can fail to be an equivalence).
+    Raises AttnPlanError when the action is inconsistent (see
+    ``_actual_pre``), NotApplicable when the actual event fails at the
+    actual world and IllFormedResult when some agent's updated relation is
+    not transitive (the one way it can fail to be an equivalence).
     """
-    require_same_signature(s.sig, x.sig)
-    model = x.model
     sig = s.sig
-    labels = _Labelling(s)
-    if not labels.holds(x._actual_pre, s.actual):
-        raise NotApplicable(
-            f"pre of actual event {x.actual!r} fails at actual world {s.actual!r}"
-        )
-
-    pre = {e: labels.extension(model.pre[e]) for e in model.events}
-    survivors = [
-        (w, e) for k, w in enumerate(s.worlds) for e in model.events if pre[e] >> k & 1
-    ]
-    names = _pair_names(survivors)
-
-    # Costs before answers: a missing price is reported before a bad question.
-    costs = x._costs
-    answers = x._answers
+    x._actual_pre  # the gate
+    _, survivors, names = _product_prelude(s, x.model, x.actual)
+    branches, costs = x._branches, x._costs
 
     partitions: dict[str, Partition] = {}
     for agent in sig.agents:
-        relations = branch_classes(model, agent, answers[agent])
+        relations = branches[agent]
         source = {w: k for k, block in enumerate(s.partitions[agent]) for w in block}
         budget = s.attention[agent]
         # Cost is constant on each q-union-qstar component and the budget on
@@ -553,7 +559,6 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
             raise IllFormedResult(agent, min(broken)[1])
         partitions[agent] = tuple(blocks)
 
-    new_worlds = tuple(names[p] for p in survivors)
     valuation = {names[(w, e)]: s.valuation[w] for (w, e) in survivors}
     attention = {
         agent: {
@@ -564,7 +569,7 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     }
     return AttentionState(
         sig=sig,
-        worlds=new_worlds,
+        worlds=tuple(names[p] for p in survivors),
         partitions=partitions,
         valuation=valuation,
         attention=attention,
@@ -633,17 +638,7 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
 
 def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     """Standard product of an epistemic state with an epistemic action."""
-    require_same_signature(k.sig, y.sig)
-    labels = _Labelling(k)
-    if not labels.holds(y.pre[y.actual], k.actual):
-        raise NotApplicable(
-            f"pre of actual event {y.actual!r} fails at actual world {k.actual!r}"
-        )
-    pre = {e: labels.extension(y.pre[e]) for e in y.events}
-    survivors = [
-        (w, e) for i, w in enumerate(k.worlds) for e in y.events if pre[e] >> i & 1
-    ]
-    names = _pair_names(survivors)
+    labels, survivors, names = _product_prelude(k, y, y.actual)
 
     partitions: dict[str, Partition] = {}
     for agent in k.sig.agents:

@@ -245,10 +245,11 @@ def main() -> None:
         code = run()
         sys.stdout.flush()
     except BrokenPipeError:
-        # Downstream pipe reader (head, less, ...) closed early; silence the
+        # Downstream pipe reader (head, less, ...) closed early, so the answer
+        # was not delivered: an error, never exit 1.  Silence the
         # interpreter's shutdown-time flush of the dangling stdout as well.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
+        code = 2
     sys.exit(code)
 
 

@@ -3,8 +3,10 @@
 ``from_nopost`` wraps a postcondition-free epistemic action as an attention
 action that charges nothing and refines nothing extra.  ``to_post`` goes the
 other way: each event is split into one variant per attention profile (which
-agents can afford their question), preconditions gain budget guards, and
-postconditions write the discounted budgets back into the attention atoms.
+agents can afford their question), each agent relates the variants by the
+branch relation of its bit (``AttentionAction._branches``, derived once per
+action), preconditions gain budget guards, and postconditions write the
+discounted budgets back into the attention atoms.
 A charge c >= 1 leaves ``max(0, before - c)``, so every attention atom's
 postcondition is one atom or a constant: ``(att = 0)`` becomes
 ``(att < c + 1)``, ``(att = n)`` becomes ``(att = n + c)`` and ``(att < n)``
@@ -26,11 +28,10 @@ from .actions import (
     EpistemicAction,
     applicable,
     attention_update,
-    branch_classes,
     product_update,
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
-from .errors import AmbiguousActual, IllFormedResult, NotApplicable
+from .errors import AmbiguousActual, AttnPlanError, IllFormedResult, NotApplicable
 from .logic import TOP, AttEq, AttLess, Formula, and_all, att_geq, bot
 from .models import AttentionState, _Labelling, kripke_rendition
 
@@ -133,8 +134,9 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     Every event is copied once per attention profile; the profile's guards
     decide which copy fires on a given state, and only the matching copies
     of the original actual event are executable, so the actual is a family
-    resolved per state (see ``resolve_actual``).  Raises IllFormedResult if
-    some agent's branch relations are not transitive, in which case no
+    resolved per state (see ``resolve_actual``).  Raises AttnPlanError for
+    an inconsistent action, as the update does, and IllFormedResult if some
+    agent's branch relations are not transitive, in which case no
     partition-form result exists.
     """
     model = x.model
@@ -143,9 +145,8 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     agents = sig.agents
     profiles = profiles_for(len(agents))
 
-    # Costs before answers: a missing price is reported before a bad question.
-    costs = x._costs
-    answers = x._answers
+    x._actual_pre  # the gate
+    branches, costs = x._branches, x._costs
 
     def variant(event: str, profile: AttentionProfile) -> str:
         return f"{event}@{profile.tag()}"
@@ -172,7 +173,7 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     q: dict[str, tuple[frozenset[str], ...]] = {}
     for k, agent in enumerate(agents):
         blocks: list[frozenset[str]] = []
-        for bit, relation in enumerate(branch_classes(model, agent, answers[agent])):
+        for bit, relation in enumerate(branches[agent]):
             if relation.witness is not None:
                 raise IllFormedResult(agent, relation.witness)
             tagged = [profile for profile in profiles if profile.bits[k] == bit]
@@ -182,8 +183,6 @@ def to_post(x: AttentionAction) -> EpistemicAction:
             )
         q[agent] = tuple(blocks)
 
-    all_on = profiles[-1]
-    assert all(b == 1 for b in all_on.bits)
     family = tuple(variant(x.actual, profile) for profile in profiles)
     return EpistemicAction(
         sig=sig,
@@ -191,7 +190,7 @@ def to_post(x: AttentionAction) -> EpistemicAction:
         q=q,
         pre=pre,
         post=post,
-        actual=variant(x.actual, all_on),
+        actual=family[-1],  # the last profile: every agent attends
         actual_family=family,
     )
 
@@ -204,6 +203,9 @@ def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
     and several (a hand-built family) raise AmbiguousActual.
     """
     family = y.actual_family or (y.actual,)
+    for member in family:
+        if member not in y.events:
+            raise AttnPlanError(f"actual event {member!r} is not an event")
     labels = _Labelling(s)
     matches = [e for e in family if labels.holds(y.pre[e], s.actual)]
     if not matches:

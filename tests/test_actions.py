@@ -20,7 +20,7 @@ from attnplan.actions import (
     validate_action,
 )
 from attnplan.bisim import BisimWitness, bisimilar
-from attnplan.emulate import to_post
+from attnplan.emulate import resolve_actual, to_post
 from attnplan.errors import (
     AttnPlanError,
     CostLookupError,
@@ -180,6 +180,41 @@ class TestValidation:
         for update in (applicable, attention_update):
             with pytest.raises(AttnPlanError, match="actual event 'zz' of action 'x'"):
                 update(one_block_state(), action)
+
+    @pytest.mark.parametrize(
+        "malformation,entry",
+        [
+            (malformation, entry)
+            for malformation in ("pre misses an event", "q misses an event", "stray actual")
+            for entry in ("applicable", "attention_update", "to_post", "relaxed is_nfl")
+            # The actual-event check of the first two is older; see above.
+            if (malformation, entry)
+            not in {("stray actual", "applicable"), ("stray actual", "attention_update")}
+        ],
+    )
+    def test_inconsistent_action_is_a_typed_error_at_every_entry(self, malformation, entry):
+        pre = {"e": P, "f": Not(P)}
+        q = {"i": (frozenset({"e"}), frozenset({"f"}))}
+        actual = "e"
+        if malformation == "pre misses an event":
+            pre = {"e": P}
+        elif malformation == "q misses an event":
+            q = {"i": [{"e"}]}
+        else:
+            actual = "zz"
+        model = AttentionActionModel(
+            sig=SIG, events=("e", "f"), q=q, qstar={"i": [{"e", "f"}]}, pre=pre,
+            cost=CostTable(default=1),
+        )
+        action = AttentionAction(name="x", model=model, questions={"i": P}, actual=actual)
+        run = {
+            "applicable": lambda: applicable(one_block_state(), action),
+            "attention_update": lambda: attention_update(one_block_state(), action),
+            "to_post": lambda: to_post(action),
+            "relaxed is_nfl": lambda: is_nfl(action, relaxed=True),
+        }[entry]
+        with pytest.raises(AttnPlanError, match="action 'x'"):
+            run()
 
 
 class TestClassification:
@@ -349,13 +384,20 @@ class TestAttentionUpdate:
 
     def test_costs_and_answers_are_derived_once_per_action(self, monkeypatch):
         calls = []
+        kernel_calls = []
         real_entails = actions.entails
+        real_branch_classes = actions.branch_classes
 
         def counting_entails(sig, f, g):
             calls.append((f, g))
             return real_entails(sig, f, g)
 
+        def counting_branch_classes(model, agent, answers=None):
+            kernel_calls.append(agent)
+            return real_branch_classes(model, agent, answers)
+
         monkeypatch.setattr(actions, "entails", counting_entails)
+        monkeypatch.setattr(actions, "branch_classes", counting_branch_classes)
         action = AttentionAction(
             name="x", model=two_event_model(), questions={"i": P}, actual="e"
         )
@@ -363,6 +405,7 @@ class TestAttentionUpdate:
         assert attention_update(one_block_state(), action) == first
         to_post(action)
         assert len(calls) == len(SIG.agents) * len(action.model.events)
+        assert kernel_calls == list(SIG.agents)
 
     def test_errors_keep_their_order(self):
         def action(actual: str, cost: CostTable) -> AttentionAction:
@@ -479,6 +522,26 @@ class TestProductUpdate:
         )
         with pytest.raises(NotApplicable):
             product_update(k, y)
+
+    @pytest.mark.parametrize(
+        "entry,family",
+        [("product_update", ()), ("resolve_actual", ()), ("resolve_actual", ("e", "zz"))],
+        ids=["product_update", "resolve_actual", "resolve_actual-family"],
+    )
+    def test_stray_actual_event_is_a_typed_error(self, entry, family):
+        y = EpistemicAction(
+            sig=SIG,
+            events=("e",),
+            q={},
+            pre={"e": TOP},
+            actual="e" if family else "zz",
+            actual_family=family,
+        )
+        with pytest.raises(AttnPlanError, match="actual event 'zz' is not an event"):
+            if entry == "product_update":
+                product_update(self.kripke(), y)
+            else:
+                resolve_actual(y, one_block_state())
 
 
 class TestPairNames:

@@ -25,6 +25,14 @@ TWO_FACTS = str(bundled_path("two_facts.task"))
 MUDDY = str(bundled_path("muddy_children.task"))
 
 
+def cli_env() -> dict[str, str]:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(attnplan.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestDocuments:
     def test_bundled_document_counts(self, two_facts_doc):
         doc = two_facts_doc
@@ -237,14 +245,24 @@ class TestCommands:
 
     @pytest.mark.parametrize("module", ["attnplan", "attnplan.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
-        src = str(Path(attnplan.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         done = subprocess.run(
             [sys.executable, "-m", module, "validate", "--task", TWO_FACTS],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=cli_env(), timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("ok: ")
+
+    def test_closed_output_pipe_exits_two(self):
+        # The plan is found but cannot be delivered: an error, not exit 1.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "attnplan", "plan", "--task", MUDDY,
+                 "--name", "siblings_learn"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=cli_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2, done.stderr

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-module-level private function or class is used somewhere in the package.
+module-level private function or class, and every private method of a
+module-level class, is used somewhere in the package.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -9,6 +10,7 @@ are the package's public re-exports.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,24 +51,43 @@ def referenced_names(node: ast.AST) -> set[str]:
     }
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     """``module: name`` for each module-level private function or class that
-    no other top-level statement of any of ``sources`` names."""
+    no other top-level statement of any of ``sources`` names, and
+    ``module: Class.name`` for each private method (cached properties
+    included) of a module-level class that neither another top-level
+    statement nor another member of its class names."""
     statements = [
         (module, statement)
         for module, source in sources.items()
         for statement in ast.parse(source).body
     ]
     names = [referenced_names(statement) for _, statement in statements]
+    statements_naming = Counter(name for used in names for name in used)
     out = []
     for k, (module, statement) in enumerate(statements):
         if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
             continue
-        name = statement.name
-        if not name.startswith("_") or name.startswith("__"):
+
+        def named_elsewhere(name: str) -> bool:
+            return statements_naming[name] > (name in names[k])
+
+        if is_private(statement.name) and not named_elsewhere(statement.name):
+            out.append(f"{module}: {statement.name}")
+        if not isinstance(statement, ast.ClassDef):
             continue
-        if not any(name in used for j, used in enumerate(names) if j != k):
-            out.append(f"{module}: {name}")
+        for member in statement.body:
+            if not isinstance(member, ast.FunctionDef) or not is_private(member.name):
+                continue
+            siblings = [m for m in statement.body if m is not member]
+            if not named_elsewhere(member.name) and not any(
+                member.name in referenced_names(m) for m in siblings
+            ):
+                out.append(f"{module}: {statement.name}.{member.name}")
     return out
 
 
@@ -76,6 +97,21 @@ def test_the_check_finds_an_unused_private_definition():
         "b.py": "from .a import _used\n\nclass _Helper:\n    pass\n\nprint(_used())\n",
     }
     assert unused_private_definitions(sources) == ["a.py: _unused", "b.py: _Helper"]
+
+
+def test_the_check_finds_an_unused_private_method():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    def _used(self):\n        return self._unused_too\n\n"
+            "    @cached_property\n"
+            "    def _unused(self):\n        return self._unused\n\n"
+            "    @property\n"
+            "    def _unused_too(self):\n        return self._used()\n"
+        ),
+        "b.py": "from .a import A\n\nprint(A()._used)\n",
+    }
+    assert unused_private_definitions(sources) == ["a.py: A._unused"]
 
 
 def test_package_uses_every_private_definition():

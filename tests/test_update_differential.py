@@ -134,6 +134,8 @@ def assert_same_kernel(x: AttentionAction) -> None:
     model = x.model
     for agent in x.sig.agents:
         relations = branch_classes(model, agent, answers_of(x, agent))
+        # Both generators price every question, so the derivation succeeds.
+        assert x._branches[agent] == relations
         try:
             expected = reference.branch_blocks(model, agent, answers_of(x, agent))
         except IllFormedResult as exc:
