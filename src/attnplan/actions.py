@@ -21,12 +21,11 @@ lookups normalize to the component representative.
 and a witness when one is not transitive.  They depend on the action alone,
 so each action derives them once per agent (``AttentionAction._branches``,
 after its prices in ``_costs``) and the update and ``to_post`` read them
-there; the validators call the kernel directly.  Every reader first passes
-the action's cached gate ``_actual_pre``, which raises AttnPlanError for
-an actual event that is no event, preconditions that miss an event or a
-relation that does not partition the events.  The update groups survivors
-by source block, attending bit and event class instead of comparing them
-pairwise.
+there; the validators call the kernel directly.  Both action kinds obey
+one set of structural rules, ``_event_model_faults``; every reader of an
+action first passes its cached gate ``_actual_pre``, which raises
+AttnPlanError for the first fault.  The update groups survivors by source
+block, attending bit and event class instead of comparing them pairwise.
 
 Both updates read formulas through one ``models._Labelling`` per call: the
 attention update its preconditions, the product update its preconditions
@@ -64,6 +63,7 @@ from .models import (
     Partition,
     _Labelling,
     _normalize_partition,
+    _partition_faults,
     check,
     close_into_partition,
     require_same_signature,
@@ -186,7 +186,7 @@ class AttentionAction:
     def __post_init__(self) -> None:
         filled = dict.fromkeys(self.model.sig.agents, TOP) | dict(self.questions)
         object.__setattr__(self, "questions", filled)
-        if not self.actual:
+        if not self.actual and self.model.events:
             object.__setattr__(self, "actual", self.model.events[0])
 
     @property
@@ -195,24 +195,13 @@ class AttentionAction:
 
     @cached_property
     def _actual_pre(self) -> Formula:
-        """The actual event's precondition, read only once the action is
-        consistent: the actual event is an event, ``pre`` covers exactly the
-        events and each agent's ``q`` and ``qstar`` partition them exactly.
-        Every reader of the action passes this gate first."""
-        model = self.model
-        if self.actual not in model.events:
-            raise AttnPlanError(
-                f"actual event {self.actual!r} of action {self.name!r} is not an event"
-            )
-        if set(model.pre) != set(model.events):
-            raise AttnPlanError(
-                f"preconditions of action {self.name!r} do not cover exactly the events"
-            )
-        for agent in self.sig.agents:
-            for label, blocks in (("q", model.q[agent]), ("qstar", model.qstar[agent])):
-                for problem in _check_partition(agent, label, blocks, model.events):
-                    raise AttnPlanError(f"action {self.name!r}: {problem.message}")
-        return model.pre[self.actual]
+        """The actual event's precondition, read only once the action is a
+        sound event model (``_event_model_faults``).  Every reader of the
+        action passes this gate first."""
+        faults = _event_model_faults(self.model, [self.actual], f" of action {self.name!r}")
+        if faults:
+            raise AttnPlanError(faults[0])
+        return self.model.pre[self.actual]
 
     @cached_property
     def _costs(self) -> dict[str, dict[str, int]]:
@@ -266,8 +255,18 @@ class EpistemicAction:
         object.__setattr__(
             self, "post", {e: dict(m) for e, m in self.post.items()}
         )
-        if not self.actual:
+        if not self.actual and self.events:
             object.__setattr__(self, "actual", self.events[0])
+
+    @cached_property
+    def _actual_pre(self) -> Formula:
+        """The actual event's precondition, read only once the action is a
+        sound event model, its actual family included: the gate of
+        ``product_update``, ``resolve_actual`` and ``from_nopost``."""
+        faults = _event_model_faults(self, dict.fromkeys((self.actual, *self.actual_family)))
+        if faults:
+            raise AttnPlanError(faults[0])
+        return self.pre[self.actual]
 
     def is_nopost(self) -> bool:
         return all(not mapping for mapping in self.post.values())
@@ -279,20 +278,28 @@ class Diagnostic:
     message: str
 
 
-def _check_partition(
-    agent: str, label: str, blocks: Partition, events: tuple[str, ...]
-) -> list[Diagnostic]:
-    problems: list[str] = []
-    seen: set[str] = set()
-    for block in blocks:
-        if not block:
-            problems.append("has an empty block")
-        if seen & block:
-            problems.append(f"has overlapping blocks on {sorted(seen & block)}")
-        seen |= block
-    if seen != set(events):
-        problems.append("does not partition the events exactly")
-    return [Diagnostic("error", f"{label} of agent {agent!r} {p}") for p in problems]
+def _event_model_faults(
+    y: AttentionActionModel | EpistemicAction, actuals: Iterable[str], of: str = ""
+) -> list[str]:
+    """The structural faults of an event model of either kind: no events,
+    repeated events, an ``actuals`` member that is no event, ``pre`` not
+    covering exactly the events, and a relation that does not partition
+    them.  ``of`` names the action in each message."""
+    events = y.events
+    if not events:
+        return [f"action model{of} has no events"]
+    out: list[str] = []
+    if len(set(events)) != len(events):
+        out.append(f"event names{of} are not unique")
+    out.extend(f"actual event {a!r}{of} is not an event" for a in actuals if a not in events)
+    if set(y.pre) != set(events):
+        out.append(f"preconditions{of} do not cover exactly the events")
+    starred = {"qstar": y.qstar} if isinstance(y, AttentionActionModel) else {}
+    for agent in y.sig.agents:
+        for label, partitions in ({"q": y.q} | starred).items():
+            faults = _partition_faults(events, partitions[agent], "events")
+            out.extend(f"{label} of agent {agent!r}{of} {fault}" for fault in faults)
+    return out
 
 
 def validate_action(x: AttentionAction) -> list[Diagnostic]:
@@ -304,27 +311,15 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
 
     model = x.model
     sig = model.sig
-    if not model.events:
-        report("action model has no events")
-        return out
-    if len(set(model.events)) != len(model.events):
-        report("event names are not unique")
-    if x.actual not in model.events:
-        report(f"actual event {x.actual!r} is not an event")
-    if set(model.pre) != set(model.events):
-        report("preconditions do not cover exactly the events")
+    for fault in _event_model_faults(model, [x.actual]):
+        report(fault)
+    if out:
+        return out  # the checks below read the events and relations
     for event, pre in model.pre.items():
         try:
             validate_formula(sig, pre)
         except FormulaValidationError as exc:
             report(f"pre of {event!r}: {exc}")
-    partitioned: list[str] = []
-    for agent in sig.agents:
-        problems = _check_partition(agent, "q", model.q[agent], model.events)
-        problems += _check_partition(agent, "qstar", model.qstar[agent], model.events)
-        out.extend(problems)
-        if not problems:
-            partitioned.append(agent)
     for agent, question in x.questions.items():
         if agent not in sig.agents:
             report(f"question for unknown agent {agent!r}")
@@ -369,7 +364,7 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
                 f"component of {key[2]!r}",
                 "warning",
             )
-    for agent in partitioned:
+    for agent in sig.agents:
         if branch_classes(model, agent)[0].witness is not None:
             report(
                 f"q union qstar is not transitive for agent {agent!r}; "
@@ -493,13 +488,12 @@ def _pair_names(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
 def _product_prelude(
     s: AttentionState | EpistemicState, y: AttentionActionModel | EpistemicAction, actual: str
 ) -> tuple[_Labelling, list[tuple[str, str]], dict[tuple[str, str], str]]:
-    """What both updates do first: check the signatures, label ``s`` once,
-    require the ``actual`` event's precondition at the actual world, and
-    pair each world with the events of ``y`` whose preconditions hold there,
-    in world then event order, with the pairs' names."""
+    """What both updates do first, once the action has passed its gate:
+    check the signatures, label ``s`` once, require the ``actual`` event's
+    precondition at the actual world, and pair each world with the events of
+    ``y`` whose preconditions hold there, in world then event order, with
+    the pairs' names."""
     require_same_signature(s.sig, y.sig)
-    if actual not in y.events:
-        raise AttnPlanError(f"actual event {actual!r} is not an event")
     labels = _Labelling(s)
     if not labels.holds(y.pre[actual], s.actual):
         raise NotApplicable(
@@ -600,6 +594,7 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
     trivial, and explicit costs are re-keyed to the new event (conflicting
     explicit costs for one agent and formula raise ValueError).
     """
+    x._actual_pre  # the gate
     model = x.model
     event = "e!"
     pre = or_all([model.pre[e] for e in model.events])
@@ -637,7 +632,13 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
 
 
 def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
-    """Standard product of an epistemic state with an epistemic action."""
+    """Standard product of an epistemic state with an epistemic action.
+
+    Raises AttnPlanError when the action is no sound event model (see
+    ``EpistemicAction._actual_pre``) and NotApplicable when the actual
+    event fails at the actual world.
+    """
+    y._actual_pre  # the gate
     labels, survivors, names = _product_prelude(k, y, y.actual)
 
     partitions: dict[str, Partition] = {}

@@ -9,10 +9,11 @@ unexpected exception, reported as a one-line message).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
-from .actions import apply_sequence
+from .actions import EpistemicAction, apply_sequence
 from .bisim import BisimWitness, bisimilar, contract, distinguishing_formula
 from .emulate import from_nopost, to_post
 from .errors import AttnPlanError
@@ -26,7 +27,6 @@ from .taskfile import (
     load,
     state_document,
 )
-import json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,6 +112,14 @@ def _named(section, name: str, kind: str):
     return section[name]
 
 
+def _emit(state, emit: str) -> None:
+    """Print a state as graphviz source or as a task document."""
+    if emit == "dot":
+        print(export_dot(state), end="")
+    else:
+        print(state_document(state))
+
+
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -158,19 +166,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = apply_sequence(state, actions)
         if not args.no_contract:
             result = contract(result)
-        print(
-            export_dot(result) if args.emit == "dot" else state_document(result),
-            end="" if args.emit == "dot" else "\n",
-        )
+        _emit(result, args.emit)
         return 0
 
     if args.command == "contract":
         state = _named(doc.states, args.state, "state")
-        result = contract(state)
-        print(
-            export_dot(result) if args.emit == "dot" else state_document(result),
-            end="" if args.emit == "dot" else "\n",
-        )
+        _emit(contract(state), args.emit)
         return 0
 
     if args.command == "bisim":
@@ -199,18 +200,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not args.model:
             raise AttnPlanError("--direction from-nopost needs --model")
         model = _named(doc.models, args.model, "model")
-        from .actions import EpistemicAction
-
         plain = EpistemicAction(
             sig=model.sig,
             events=model.events,
             q=model.q,
             pre=model.pre,
             post={},
-            actual=args.actual or model.events[0],
+            actual=args.actual or "",
         )
-        if plain.actual not in model.events:
-            raise AttnPlanError(f"no event named {plain.actual!r} in the model")
         lifted = from_nopost(plain, name=f"{args.model}_lifted")
         print(action_document(lifted, model_name=f"{args.model}_lifted_model"))
         return 0
@@ -233,8 +230,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 1
 
     if args.command == "render":
-        state = _named(doc.states, args.state, "state")
-        print(export_dot(state), end="")
+        _emit(_named(doc.states, args.state, "state"), "dot")
         return 0
 
     raise AttnPlanError(f"unknown command {args.command!r}")  # pragma: no cover

@@ -31,7 +31,7 @@ from .actions import (
     product_update,
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
-from .errors import AmbiguousActual, AttnPlanError, IllFormedResult, NotApplicable
+from .errors import AmbiguousActual, IllFormedResult, NotApplicable
 from .logic import TOP, AttEq, AttLess, Formula, and_all, att_geq, bot
 from .models import AttentionState, _Labelling, kripke_rendition
 
@@ -59,6 +59,7 @@ def from_nopost(y: EpistemicAction, name: str = "nopost") -> AttentionAction:
     identity, every question is trivial, and every cost is zero — so no
     budget moves and no extra refinement happens.
     """
+    y._actual_pre  # the gate
     if not y.is_nopost():
         raise ValueError("the action writes postconditions; only noPost converts")
     model = AttentionActionModel(
@@ -202,10 +203,8 @@ def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
     member fires; none firing means the action is not applicable at ``s``,
     and several (a hand-built family) raise AmbiguousActual.
     """
+    y._actual_pre  # the gate
     family = y.actual_family or (y.actual,)
-    for member in family:
-        if member not in y.events:
-            raise AttnPlanError(f"actual event {member!r} is not an event")
     labels = _Labelling(s)
     matches = [e for e in family if labels.holds(y.pre[e], s.actual)]
     if not matches:

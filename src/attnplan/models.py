@@ -89,6 +89,28 @@ def _normalize_partition(items: tuple[str, ...], blocks: Iterable[Iterable[str]]
     return tuple(blocks[k] for k in order)
 
 
+def _partition_faults(items: tuple[str, ...], blocks: Partition, noun: str) -> list[str]:
+    """What keeps ``blocks`` from partitioning ``items`` (the ``noun``)
+    exactly, each as a predicate for the relation's name: an empty block,
+    blocks sharing a member, items in no block and members that are no item.
+    The one structural check of every relation, on states and actions."""
+    out: list[str] = []
+    seen: set[str] = set()
+    for block in blocks:
+        if not block:
+            out.append("has an empty block")
+        if seen & block:
+            out.append(f"has overlapping blocks on {sorted(seen & block)}")
+        seen |= block
+    missing = [x for x in items if x not in seen]
+    unknown = sorted(seen.difference(items))
+    if missing:
+        out.append(f"does not partition the {noun} exactly: no block has {missing}")
+    if unknown:
+        out.append(f"does not partition the {noun} exactly: unknown {unknown}")
+    return out
+
+
 class _PartitionModel:
     """What the two state kinds share: worlds, one partition per agent and a
     valuation, normalized on construction, and the block index.  Subclasses
@@ -187,21 +209,8 @@ def validate_state(s: AttentionState) -> list[str]:
     if set(s.partitions) != set(s.sig.agents):
         out.append("partitions do not cover exactly the signature's agents")
     for agent, blocks in s.partitions.items():
-        seen: set[str] = set()
-        for block in blocks:
-            if not block:
-                out.append(f"agent {agent!r} has an empty block")
-            overlap = seen & block
-            if overlap:
-                out.append(f"agent {agent!r} blocks overlap on {sorted(overlap)}")
-            seen |= block
-        if seen != world_set:
-            missing = sorted(world_set - seen)
-            extra = sorted(seen - world_set)
-            if missing:
-                out.append(f"agent {agent!r} blocks miss worlds {missing}")
-            if extra:
-                out.append(f"agent {agent!r} blocks mention unknown worlds {extra}")
+        faults = _partition_faults(s.worlds, blocks, "worlds")
+        out.extend(f"agent {agent!r} {fault}" for fault in faults)
     if set(s.attention) != set(s.sig.agents):
         out.append("attention map does not cover exactly the signature's agents")
     for agent, per_world in s.attention.items():

@@ -102,22 +102,15 @@ def _state(sig: Signature, name: str, node: Any) -> AttentionState:
     where = f"states.{name}"
     node = _expect(node, dict, where)
     worlds_node = _expect(node.get("worlds"), dict, f"{where}.worlds")
-    if not worlds_node:
-        raise TaskFileError(f"{where}.worlds: a state needs at least one world")
     worlds = tuple(worlds_node)
     valuation: dict[str, frozenset[str]] = {}
     attention: dict[str, dict[str, int]] = {agent: {} for agent in sig.agents}
     for world, world_node in worlds_node.items():
         world_node = _expect(world_node, dict, f"{where}.worlds.{world}")
-        atoms = _expect(world_node.get("atoms", []), list, f"{where}.worlds.{world}.atoms")
-        for atom in atoms:
-            if atom not in sig.prop_atoms:
-                raise TaskFileError(
-                    f"{where}.worlds.{world}.atoms: unknown atom {atom!r}"
-                )
+        atoms = _strings(world_node.get("atoms", []), f"{where}.worlds.{world}.atoms")
         valuation[world] = frozenset(atoms)
         att_node = _expect(
-            world_node.get("attention"), dict, f"{where}.worlds.{world}.attention"
+            world_node.get("attention", {}), dict, f"{where}.worlds.{world}.attention"
         )
         for agent, value in att_node.items():
             if agent not in sig.agents:
@@ -219,9 +212,6 @@ def _action(
         agent: _formula(sig, text, f"{where}.questions.{agent}")
         for agent, text in questions_node.items()
     }
-    for agent in questions_node:
-        if agent not in sig.agents:
-            raise TaskFileError(f"{where}.questions: unknown agent {agent!r}")
     actual = _expect(node.get("actual"), str, f"{where}.actual")
     if actual not in model.events:
         raise TaskFileError(f"{where}.actual: unknown event {actual!r}")

@@ -1,6 +1,8 @@
 """Actions: cost tables, validation, classification, and both updates."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +22,7 @@ from attnplan.actions import (
     validate_action,
 )
 from attnplan.bisim import BisimWitness, bisimilar
-from attnplan.emulate import resolve_actual, to_post
+from attnplan.emulate import check_equivalent_on, from_nopost, resolve_actual, to_post
 from attnplan.errors import (
     AttnPlanError,
     CostLookupError,
@@ -51,6 +53,31 @@ from generators import (
 
 SIG = Signature(agents=("i",), attention_bound=2, prop_atoms=("p",))
 P = PropAtom("p")
+
+# Each malformation of an action as the fields it overrides in a sound
+# two-event action, with a fragment of the fault every entry must report.
+MALFORMATIONS = {
+    "pre misses an event": ({"pre": {"e": P}}, "do not cover exactly the events"),
+    "q misses an event": ({"q": {"i": [{"e"}]}}, "does not partition the events exactly"),
+    "overlapping q blocks": ({"q": {"i": [{"e", "f"}, {"f"}]}}, "overlapping blocks on ['f']"),
+    "stray actual": ({"actual": "zz"}, "is not an event"),
+    "stray family member": ({"actual_family": ("e", "zz")}, "is not an event"),
+    "duplicate events": (
+        {"events": ("e", "e"), "q": {"i": [{"e"}]}, "qstar": {"i": [{"e"}]}, "pre": {"e": P}},
+        "are not unique",
+    ),
+    "no events": ({"events": (), "q": {}, "qstar": {}, "pre": {}, "actual": ""}, "no events"),
+}
+ATTENTION_ENTRIES = tuple(
+    ("attention", name)
+    for name in (
+        "applicable", "attention_update", "to_post", "relaxed is_nfl", "background_announcement"
+    )
+)
+PLAIN_ENTRIES = tuple(
+    ("plain", name)
+    for name in ("product_update", "resolve_actual", "from_nopost", "check_equivalent_on")
+)
 
 
 def one_block_state(budget: int = 1) -> AttentionState:
@@ -185,36 +212,98 @@ class TestValidation:
         "malformation,entry",
         [
             (malformation, entry)
-            for malformation in ("pre misses an event", "q misses an event", "stray actual")
-            for entry in ("applicable", "attention_update", "to_post", "relaxed is_nfl")
-            # The actual-event check of the first two is older; see above.
-            if (malformation, entry)
-            not in {("stray actual", "applicable"), ("stray actual", "attention_update")}
+            for malformation in MALFORMATIONS
+            for entry in ATTENTION_ENTRIES + PLAIN_ENTRIES
+            # An attention action has no actual family.
+            if (malformation, entry[0]) != ("stray family member", "attention")
         ],
+        ids=lambda value: value if isinstance(value, str) else value[1],
     )
     def test_inconsistent_action_is_a_typed_error_at_every_entry(self, malformation, entry):
-        pre = {"e": P, "f": Not(P)}
-        q = {"i": (frozenset({"e"}), frozenset({"f"}))}
-        actual = "e"
-        if malformation == "pre misses an event":
-            pre = {"e": P}
-        elif malformation == "q misses an event":
-            q = {"i": [{"e"}]}
-        else:
-            actual = "zz"
+        overrides, fault = MALFORMATIONS[malformation]
+        fields = {
+            "events": ("e", "f"),
+            "q": {"i": (frozenset({"e"}), frozenset({"f"}))},
+            "qstar": {"i": [{"e", "f"}]},
+            "pre": {"e": P, "f": Not(P)},
+            "actual": "e",
+            "actual_family": (),
+        } | overrides
         model = AttentionActionModel(
-            sig=SIG, events=("e", "f"), q=q, qstar={"i": [{"e", "f"}]}, pre=pre,
-            cost=CostTable(default=1),
+            sig=SIG, events=fields["events"], q=fields["q"], qstar=fields["qstar"],
+            pre=fields["pre"], cost=CostTable(default=1),
         )
-        action = AttentionAction(name="x", model=model, questions={"i": P}, actual=actual)
+        action = AttentionAction(
+            name="x", model=model, questions={"i": P}, actual=fields["actual"]
+        )
+        y = EpistemicAction(
+            sig=SIG, events=fields["events"], q=fields["q"], pre=fields["pre"],
+            actual=fields["actual"], actual_family=fields["actual_family"],
+        )
+        sound = AttentionAction(name="sound", model=two_event_model(), actual="e")
         run = {
             "applicable": lambda: applicable(one_block_state(), action),
             "attention_update": lambda: attention_update(one_block_state(), action),
             "to_post": lambda: to_post(action),
             "relaxed is_nfl": lambda: is_nfl(action, relaxed=True),
-        }[entry]
-        with pytest.raises(AttnPlanError, match="action 'x'"):
+            "background_announcement": lambda: background_announcement(action),
+            "product_update": lambda: product_update(kripke_rendition(one_block_state()), y),
+            "resolve_actual": lambda: resolve_actual(y, one_block_state()),
+            "from_nopost": lambda: from_nopost(y),
+            "check_equivalent_on": lambda: check_equivalent_on(sound, y, [one_block_state()]),
+        }[entry[1]]
+        named = "action 'x'" if entry[0] == "attention" else None
+        with pytest.raises(AttnPlanError, match=named) as info:
             run()
+        assert fault in str(info.value)
+
+    def test_validation_errors_iff_the_gate_raises(self):
+        """One-field structural mutations of random actions: validate_action
+        reports an error exactly when the gate raises, and the gate raises
+        the first error reported, naming the action.  Each model also gets
+        an explicit cost entry, whose component is looked up through the
+        relations."""
+        rng = random.Random(13)
+        outcomes = Counter()
+        for _ in range(400):
+            sound = rand_attention_action(rng, SIG2)
+            model, events = sound.model, sound.model.events
+            entry = CostEntry(rng.choice(SIG2.agents), P, events[0], 1)
+            model = replace(model, cost=replace(model.cost, entries=(entry,)))
+            actual = sound.actual
+            field = rng.choice(("events", "pre", "q", "qstar", "actual"))
+            if field == "events":
+                mutated = rng.choice((events[:-1], events + events[:1], events + ("zz",)))
+                model = replace(model, events=mutated)
+            elif field == "pre":
+                pre = dict(model.pre)
+                if rng.random() < 0.5:
+                    del pre[rng.choice(events)]
+                else:
+                    pre["zz"] = TOP
+                model = replace(model, pre=pre)
+            elif field in ("q", "qstar"):
+                pool = events + ("zz",)
+                blocks = [
+                    frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                relation = getattr(model, field) | {rng.choice(SIG2.agents): blocks}
+                model = replace(model, **{field: relation})
+            else:
+                actual = rng.choice(events + ("zz",))
+            action = AttentionAction(
+                name="x", model=model, questions=sound.questions, actual=actual
+            )
+            errors = [d.message for d in validate_action(action) if d.severity == "error"]
+            try:
+                action._actual_pre
+            except AttnPlanError as exc:
+                assert errors and str(exc).replace(" of action 'x'", "") == errors[0]
+            else:
+                assert errors == []
+            outcomes[bool(errors)] += 1
+        assert min(outcomes[False], outcomes[True]) > 50, outcomes
 
 
 class TestClassification:

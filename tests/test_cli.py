@@ -182,6 +182,11 @@ class TestCommands:
         doc = loads(capsys.readouterr().out)
         assert "announce_lifted" in doc.actions
 
+    def test_emulate_from_nopost_refuses_a_stray_actual_event(self, capsys):
+        assert run(["emulate", "--task", MUDDY, "--direction", "from-nopost",
+                    "--model", "announce", "--actual", "zz"]) == 2
+        assert "actual event 'zz' is not an event" in capsys.readouterr().err
+
     def test_render_emits_graphviz(self, capsys):
         assert run(["render", "--task", MUDDY, "--state", "start"]) == 0
         out = capsys.readouterr().out

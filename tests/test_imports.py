@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function or class, and every private method of a
-module-level class, is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+import sits at module level, and every module-level private function or
+class, and every private method of a module-level class, is used somewhere
+in the package.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -41,6 +42,32 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module: Path):
     assert unused_imports(module.read_text()) == []
+
+
+def imports_in_functions(source: str) -> list[str]:
+    """``line n: module`` for each import inside a function body."""
+    found = {
+        node.lineno: getattr(node, "module", None) or node.names[0].name
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}: {module}" for line, module in sorted(found.items())]
+
+
+def test_the_check_finds_an_import_in_a_function():
+    source = (
+        "import os\n\n"
+        "def f():\n    from .a import b\n\n    def g():\n        import json\n"
+        "    return b, g\n"
+    )
+    assert imports_in_functions(source) == ["line 4: a", "line 7: json"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_at_top_level(module: Path):
+    assert imports_in_functions(module.read_text()) == []
 
 
 def referenced_names(node: ast.AST) -> set[str]:
