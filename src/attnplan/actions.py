@@ -126,10 +126,16 @@ class AttentionActionModel:
 
     @cached_property
     def _component_rep(self) -> dict[str, dict[str, str]]:
-        """Representative (least-index member) of each q-union-qstar component."""
+        """Representative (least-index member) of each q-union-qstar component;
+        CostLookupError names a relation with a member that is no event."""
         reps: dict[str, dict[str, str]] = {}
         for agent in self.sig.agents:
             reps[agent] = {}
+            for label, relation in (("q", self.q), ("qstar", self.qstar)):
+                if unknown := set().union(*relation[agent]).difference(self.events):
+                    raise CostLookupError(
+                        f"{label} of agent {agent!r} names unknown event {min(unknown)!r}"
+                    )
             blocks = self.q[agent] + self.qstar[agent]
             for component in close_into_partition(self.events, blocks):
                 rep = next(e for e in self.events if e in component)
@@ -139,7 +145,7 @@ class AttentionActionModel:
     def component_of(self, agent: str, event: str) -> str:
         try:
             return self._component_rep[agent][event]
-        except (KeyError, ValueError):
+        except KeyError:
             raise CostLookupError(f"unknown agent {agent!r} or event {event!r}")
 
     def cost_of(self, agent: str, question: Formula, event: str) -> int:
@@ -267,6 +273,12 @@ class EpistemicAction:
         if faults:
             raise AttnPlanError(faults[0])
         return self.pre[self.actual]
+
+    @cached_property
+    def _resolved(self) -> dict[str, EpistemicAction]:
+        """``emulate.resolve_actual``'s copy of this action for each family
+        member it has resolved to, each built (and gated) once."""
+        return {}
 
     def is_nopost(self) -> bool:
         return all(not mapping for mapping in self.post.values())
@@ -470,24 +482,24 @@ def applicable(s: AttentionState, x: AttentionAction) -> bool:
     return check(s, x._actual_pre, s.actual)
 
 
-def _pair_names(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
-    """Result-world names of surviving (world, event) pairs, ``world*event``;
+def _pair_names(pairs: list[tuple[str, str]]) -> list[str]:
+    """Names of the surviving (world, event) ``pairs``, ``world*event``;
     raises NameCollision when two pairs would share one."""
-    names: dict[tuple[str, str], str] = {}
-    owner: dict[str, tuple[str, str]] = {}
-    for pair in pairs:
-        name = names[pair] = f"{pair[0]}*{pair[1]}"
-        if owner.setdefault(name, pair) != pair:
-            raise NameCollision(
-                f"world and event names collide under pairing: {owner[name]} and "
-                f"{pair} both become {name!r}; rename one"
-            )
+    names = [f"{w}*{e}" for w, e in pairs]
+    if len(set(names)) < len(names):
+        owner: dict[str, tuple[str, str]] = {}
+        for name, pair in zip(names, pairs):
+            if owner.setdefault(name, pair) != pair:
+                raise NameCollision(
+                    f"world and event names collide under pairing: {owner[name]} and "
+                    f"{pair} both become {name!r}; rename one"
+                )
     return names
 
 
 def _product_prelude(
     s: AttentionState | EpistemicState, y: AttentionActionModel | EpistemicAction, actual: str
-) -> tuple[_Labelling, list[tuple[str, str]], dict[tuple[str, str], str]]:
+) -> tuple[_Labelling, list[tuple[str, str]], list[str]]:
     """What both updates do first, once the action has passed its gate:
     check the signatures, label ``s`` once, require the ``actual`` event's
     precondition at the actual world, and pair each world with the events of
@@ -514,60 +526,62 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     actual world and IllFormedResult when some agent's updated relation is
     not transitive (the one way it can fail to be an equivalence).
     """
-    sig = s.sig
     x._actual_pre  # the gate
     _, survivors, names = _product_prelude(s, x.model, x.actual)
     branches, costs = x._branches, x._costs
 
     partitions: dict[str, Partition] = {}
-    for agent in sig.agents:
-        relations = branches[agent]
-        source = {w: k for k, block in enumerate(s.partitions[agent]) for w in block}
-        budget = s.attention[agent]
+    attention: dict[str, dict[str, int]] = {}
+    for agent in s.sig.agents:
+        relations, cost = branches[agent], costs[agent]
+        source, budget = s._blocks[agent], s.attention[agent]
         # Cost is constant on each q-union-qstar component and the budget on
-        # each source block, so the key fixes the attending bit; with that
-        # bit's relation transitive, each group is one block of the result.
-        groups: dict[tuple[int, int, int], list[int]] = {}
+        # each source block, so the key fixes the attending bit and the
+        # budget left; with that bit's relation transitive, each group is
+        # one block of the result.
+        groups: dict[tuple[frozenset[str], int, int], list[int]] = {}
         for k, (w, e) in enumerate(survivors):
-            attends = int(costs[agent][e] <= budget[w])
+            attends = int(cost[e] <= budget[w])
             key = (source[w], attends, relations[attends].class_of[e])
             groups.setdefault(key, []).append(k)
-        blocks: list[frozenset[str]] = []
+        blocks: dict[int, frozenset[str]] = {}  # by first survivor
+        left = [0] * len(survivors)
         broken: list[tuple[int, tuple[str, str, str]]] = []
         for (_, attends, _), members in groups.items():
+            w, e = survivors[members[0]]
+            after = max(0, budget[w] - cost[e])
+            for k in members:
+                left[k] = after
             relation = relations[attends]
-            member_names = tuple(names[survivors[k]] for k in members)
+            member_names = tuple(names[k] for k in members)
             if relation.witness is None:
-                blocks.append(frozenset(member_names))
+                blocks[members[0]] = frozenset(member_names)
                 continue
             # The pairs of this group are related as their events are.  The
             # members keep survivor order, so the earliest broken class and
             # its witness are the ones an all-pairs check would report.
             keys = {n: relation.keys[survivors[k][1]] for n, k in zip(member_names, members)}
             classes, group_broken = _union_classes(member_names, keys)
-            blocks.extend(classes)
+            at = dict(zip(member_names, members))
+            blocks.update((min(at[n] for n in block), block) for block in classes)
             if group_broken:
                 first, witness = group_broken
-                broken.append((members[member_names.index(first)], witness))
+                broken.append((at[first], witness))
         if broken:
             raise IllFormedResult(agent, min(broken)[1])
-        partitions[agent] = tuple(blocks)
+        # A split group's classes landed at the group's place: restore the
+        # order of first members.
+        order = sorted(blocks) if any(r.witness for r in relations) else blocks
+        partitions[agent] = tuple(blocks[k] for k in order)
+        attention[agent] = dict(zip(names, left))
 
-    valuation = {names[(w, e)]: s.valuation[w] for (w, e) in survivors}
-    attention = {
-        agent: {
-            names[(w, e)]: max(0, s.att(agent, w) - costs[agent][e])
-            for (w, e) in survivors
-        }
-        for agent in sig.agents
-    }
-    return AttentionState(
-        sig=sig,
-        worlds=tuple(names[p] for p in survivors),
-        partitions=partitions,
-        valuation=valuation,
-        attention=attention,
-        actual=names[(s.actual, x.actual)],
+    return AttentionState._normal(
+        sig=s.sig,
+        worlds=tuple(names),
+        partitions={agent: partitions[agent] for agent in sorted(partitions)},
+        valuation={n: s.valuation[w] for n, (w, _) in zip(names, survivors)},
+        attention={agent: attention[agent] for agent in sorted(attention)},
+        actual=names[survivors.index((s.actual, x.actual))],
     )
 
 
@@ -646,23 +660,21 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
         grouped: dict[tuple[int, int], list[str]] = {}
         source_blocks = {w: i for i, block in enumerate(k.partitions[agent]) for w in block}
         event_blocks = {e: i for i, block in enumerate(y.q[agent]) for e in block}
-        for w, e in survivors:
-            grouped.setdefault((source_blocks[w], event_blocks[e]), []).append(
-                names[(w, e)]
-            )
+        for name, (w, e) in zip(names, survivors):
+            grouped.setdefault((source_blocks[w], event_blocks[e]), []).append(name)
         partitions[agent] = tuple(frozenset(ws) for ws in grouped.values())
 
     valuation: dict[str, frozenset[Atom]] = {}
-    for w, e in survivors:
+    for name, (w, e) in zip(names, survivors):
         post = y.post.get(e, {})
         atoms: set[Atom] = {a for a in k.valuation[w] if a not in post}
         atoms.update(atom for atom, formula in post.items() if labels.holds(formula, w))
-        valuation[names[(w, e)]] = frozenset(atoms)
+        valuation[name] = frozenset(atoms)
 
     return EpistemicState(
         sig=k.sig,
-        worlds=tuple(names[p] for p in survivors),
+        worlds=tuple(names),
         partitions=partitions,
         valuation=valuation,
-        actual=names[(k.actual, y.actual)],
+        actual=names[survivors.index((k.actual, y.actual))],
     )

@@ -139,7 +139,6 @@ def _quotient(
         members.setdefault(number, []).append(world)
     if len(members) == len(s.worlds):
         return s, key
-    sig = s.sig
     rep: dict[str, str] = {}  # class name -> first member
     name_of: dict[str, str] = {}
     for group in members.values():
@@ -150,22 +149,22 @@ def _quotient(
     # At the stable round, worlds of one class see the same set of classes
     # in their blocks, so two blocks whose images share a class have equal
     # images: each image is a whole quotient block, and only duplicates go.
+    # Each image's first class holds the first world of its input blocks, so
+    # the images come in normal order and the parts go in as they are.
     partitions = {
         agent: tuple(
-            dict.fromkeys(
-                frozenset(name_of[w] for w in block) for block in s.partitions[agent]
-            )
+            dict.fromkeys(frozenset(name_of[w] for w in block) for block in blocks)
         )
-        for agent in sig.agents
+        for agent, blocks in s.partitions.items()
     }
-    return AttentionState(
-        sig=sig,
+    return AttentionState._normal(
+        sig=s.sig,
         worlds=tuple(rep),
         partitions=partitions,
         valuation={name: s.valuation[w] for name, w in rep.items()},
         attention={
-            agent: {name: s.attention[agent][w] for name, w in rep.items()}
-            for agent in sig.agents
+            agent: {name: per_world[w] for name, w in rep.items()}
+            for agent, per_world in s.attention.items()
         },
         actual=name_of[s.actual],
     ), key

@@ -201,7 +201,8 @@ def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
 
     The profile guards of ``to_post`` are mutually exclusive, so at most one
     member fires; none firing means the action is not applicable at ``s``,
-    and several (a hand-built family) raise AmbiguousActual.
+    and several (a hand-built family) raise AmbiguousActual.  Each member's
+    copy of ``y`` is built once and kept on ``y``.
     """
     y._actual_pre  # the gate
     family = y.actual_family or (y.actual,)
@@ -216,7 +217,9 @@ def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
             f"members {', '.join(map(repr, matches))} of the actual family all "
             f"fire at world {s.actual!r}; their guards must be mutually exclusive"
         )
-    return replace(y, actual=matches[0])
+    if matches[0] not in y._resolved:
+        y._resolved[matches[0]] = replace(y, actual=matches[0])
+    return y._resolved[matches[0]]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ attention atoms, treated as opaque extensional facts.
 
 Construction normalizes field order so that equal models compare equal
 regardless of how their parts were assembled; semantic well-formedness is
-checked separately by :func:`validate_state`.
+checked separately by :func:`validate_state`.  In normal form maps are keyed
+by agent in sorted order, then by world in ``worlds`` order, blocks come in
+order of their first world, valuations are frozensets and budgets ints.
+The planner's steps (``attention_update``, ``_generated`` and the merging
+``_quotient``) skip the pass through ``AttentionState._normal``: each reads
+a state in normal form and writes its parts in that order.
 
 Truth is defined here once for both kinds, which differ only in
 ``holds_attention``.  It comes in two shapes: ``_eval`` answers at one
@@ -157,6 +162,13 @@ class AttentionState(_PartitionModel):
             for agent, per_world in self.attention.items()
         }
         object.__setattr__(self, "attention", {a: att[a] for a in sorted(att)})
+
+    @classmethod
+    def _normal(cls, **fields) -> AttentionState:
+        """The state with these fields, already in normal form, as they are."""
+        s = object.__new__(cls)
+        s.__dict__.update(fields)
+        return s
 
     def att(self, agent: str, world: str) -> int:
         return self.attention[agent][world]

@@ -76,23 +76,26 @@ def _generated(s: AttentionState) -> AttentionState:
     """The part of ``s`` reachable from its actual world: ``s`` itself when
     that is every world, else the reached worlds in their order with their
     blocks, valuation and budgets.  Reaching one member of a block reaches
-    all of it, so each block is kept whole or dropped."""
+    all of it, so each block is visited once and kept whole or dropped."""
     reached = {s.actual}
     frontier = [s.actual]
+    visited: set[frozenset[str]] = set()
     while frontier:
         world = frontier.pop()
-        for agent in s.sig.agents:
-            new = s.block_of(agent, world) - reached
-            reached |= new
-            frontier.extend(new)
+        for blocks in s._blocks.values():
+            block = blocks[world]
+            if block not in visited:
+                visited.add(block)
+                frontier.extend(block - reached)
+                reached |= block
     if len(reached) == len(s.worlds):
         return s
     worlds = tuple(w for w in s.worlds if w in reached)
-    return AttentionState(
+    return AttentionState._normal(
         sig=s.sig,
         worlds=worlds,
         partitions={
-            agent: tuple(block for block in blocks if block <= reached)
+            agent: tuple(block for block in blocks if block in visited)
             for agent, blocks in s.partitions.items()
         },
         valuation={w: s.valuation[w] for w in worlds},

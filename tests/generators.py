@@ -4,7 +4,7 @@ Everything takes an explicit ``random.Random`` so failures replay exactly.
 The action generators rejection-sample into the class where the update is
 total (both per-agent branch relations transitive), which is also the
 class the postcondition compiler accepts; the ill-formed path is covered
-by targeted fixtures instead.
+by targeted fixtures and by ``rand_attention_action(..., total=False)``.
 """
 
 from __future__ import annotations
@@ -221,8 +221,10 @@ def rand_attention_action(
     sig: Signature,
     max_events: int = 3,
     trivial_questions: bool = False,
+    total: bool = True,
 ) -> AttentionAction:
-    """A random attention action whose update is total (rejection-sampled)."""
+    """A random attention action whose update is total (rejection-sampled),
+    or any random action when ``total`` is False."""
     while True:
         count = rng.randint(1, max_events)
         events = tuple(f"e{j}" for j in range(count))
@@ -258,7 +260,7 @@ def rand_attention_action(
             questions=questions,
             actual=rng.choice(events),
         )
-        if branch_relations_transitive(action):
+        if not total or branch_relations_transitive(action):
             return action
 
 

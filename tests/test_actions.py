@@ -136,6 +136,22 @@ class TestCostTable:
         with pytest.raises(CostLookupError):
             model.cost_of("i", P, "zz")
 
+    def test_relation_naming_an_unknown_event_is_reported_as_such(self):
+        model = AttentionActionModel(
+            sig=SIG,
+            events=("e", "f"),
+            q={"i": [{"e", "zz"}, {"f"}]},
+            qstar={},
+            pre={"e": P, "f": Not(P)},
+            cost=CostTable(default=1),
+        )
+        for lookup in (lambda: model.component_of("i", "e"), lambda: model.cost_of("i", P, "e")):
+            with pytest.raises(CostLookupError) as info:
+                lookup()
+            assert str(info.value) == "q of agent 'i' names unknown event 'zz'"
+        with pytest.raises(CostLookupError, match="unknown agent 'j' or event 'e'"):
+            two_event_model().component_of("j", "e")
+
 
 class TestValidation:
     def test_clean_action_yields_no_errors(self, two_facts_doc):

@@ -1,6 +1,7 @@
 """Translations between budgeted actions and postcondition actions."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -149,6 +150,13 @@ class TestResolveActual:
         y = to_post(paying_action(cost=1))
         assert resolve_actual(y, self.state(2)).actual == "e@1"
         assert resolve_actual(y, self.state(0)).actual == "e@0"
+
+    def test_each_member_is_resolved_to_one_copy(self):
+        y = to_post(paying_action(cost=1))
+        first = resolve_actual(y, self.state(2))
+        assert resolve_actual(y, self.state(1)) is first
+        assert resolve_actual(y, self.state(0)) is not first
+        assert first == replace(y, actual="e@1")
 
     def test_raises_when_no_variant_applies(self):
         y = to_post(paying_action(cost=1))

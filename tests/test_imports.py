@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, every
 import sits at module level, and every module-level private function or
 class, and every private method of a module-level class, is used somewhere
-in the package.
+in the package.  The trusted constructor ``AttentionState._normal``, which
+skips normalization, is named only by the functions that build their parts
+in normal form.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -144,3 +146,50 @@ def test_the_check_finds_an_unused_private_method():
 def test_package_uses_every_private_definition():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unused_private_definitions(sources) == []
+
+
+# The functions whose parts come in normal form (see the ``models`` docstring).
+TRUSTED_SITES = ["actions.py: attention_update", "bisim.py: _quotient", "planner.py: _generated"]
+
+
+def naming_sites(sources: dict[str, str], name: str) -> list[str]:
+    """``module: function`` for each module-level function, ``module:
+    Class.method`` for each method and ``module: <module>`` for each other
+    top-level statement that names ``name``; defining it does not count."""
+    out = []
+    for module, source in sorted(sources.items()):
+        for statement in ast.parse(source).body:
+            if isinstance(statement, ast.ClassDef):
+                parts = [
+                    (f"{statement.name}.{getattr(m, 'name', '<body>')}", m)
+                    for m in statement.body
+                ]
+            elif isinstance(statement, ast.FunctionDef):
+                parts = [(statement.name, statement)]
+            else:
+                parts = [("<module>", statement)]
+            out.extend(
+                f"{module}: {label}" for label, node in parts if name in referenced_names(node)
+            )
+    return list(dict.fromkeys(out))
+
+
+def test_the_check_finds_every_site_naming_a_name():
+    sources = {
+        "a.py": (
+            "class S:\n"
+            "    @classmethod\n    def _normal(cls):\n        return cls()\n\n"
+            "    def other(self):\n        return S._normal()\n"
+        ),
+        "b.py": (
+            "from .a import S\n\n"
+            "def f():\n    def g():\n        return S._normal()\n    return g\n\n"
+            "x = S._normal()\n"
+        ),
+    }
+    assert naming_sites(sources, "_normal") == ["a.py: S.other", "b.py: f", "b.py: <module>"]
+
+
+def test_only_the_trusted_sites_skip_normalization():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert naming_sites(sources, "_normal") == TRUSTED_SITES
