@@ -24,8 +24,11 @@ after its prices in ``_costs``) and the update and ``to_post`` read them
 there; the validators call the kernel directly.  Both action kinds obey
 one set of structural rules, ``_event_model_faults``; every reader of an
 action first passes its cached gate ``_actual_pre``, which raises
-AttnPlanError for the first fault.  The update groups survivors by source
-block, attending bit and event class instead of comparing them pairwise.
+AttnPlanError for the first fault and, for an attention action,
+FormulaValidationError for a precondition outside the signature, so
+``applicable`` (the one applicability test) and the updates evaluate
+preconditions unvalidated.  The update groups survivors by source block,
+attending bit and event class instead of comparing them pairwise.
 
 Both updates read formulas through one ``models._Labelling`` per call: the
 attention update its preconditions, the product update its preconditions
@@ -62,9 +65,9 @@ from .models import (
     EpistemicState,
     Partition,
     _Labelling,
+    _eval,
     _normalize_partition,
     _partition_faults,
-    check,
     close_into_partition,
     require_same_signature,
 )
@@ -202,11 +205,17 @@ class AttentionAction:
     @cached_property
     def _actual_pre(self) -> Formula:
         """The actual event's precondition, read only once the action is a
-        sound event model (``_event_model_faults``).  Every reader of the
-        action passes this gate first."""
-        faults = _event_model_faults(self.model, [self.actual], f" of action {self.name!r}")
+        sound event model (``_event_model_faults``) whose preconditions fit
+        the signature.  Every reader of the action passes this gate first."""
+        of = f" of action {self.name!r}"
+        faults = _event_model_faults(self.model, [self.actual], of)
         if faults:
             raise AttnPlanError(faults[0])
+        for event, pre in self.model.pre.items():
+            try:
+                validate_formula(self.sig, pre)
+            except FormulaValidationError as exc:
+                raise FormulaValidationError(f"pre of {event!r}{of}: {exc}") from None
         return self.model.pre[self.actual]
 
     @cached_property
@@ -479,7 +488,7 @@ def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
 def applicable(s: AttentionState, x: AttentionAction) -> bool:
     """Whether the actual event's precondition holds at the actual world."""
     require_same_signature(s.sig, x.sig)
-    return check(s, x._actual_pre, s.actual)
+    return _eval(s, x._actual_pre, s.actual)
 
 
 def _pair_names(pairs: list[tuple[str, str]]) -> list[str]:
@@ -498,18 +507,19 @@ def _pair_names(pairs: list[tuple[str, str]]) -> list[str]:
 
 
 def _product_prelude(
-    s: AttentionState | EpistemicState, y: AttentionActionModel | EpistemicAction, actual: str
+    s: AttentionState | EpistemicState, x: AttentionAction | EpistemicAction
 ) -> tuple[_Labelling, list[tuple[str, str]], list[str]]:
-    """What both updates do first, once the action has passed its gate:
-    check the signatures, label ``s`` once, require the ``actual`` event's
-    precondition at the actual world, and pair each world with the events of
-    ``y`` whose preconditions hold there, in world then event order, with
-    the pairs' names."""
-    require_same_signature(s.sig, y.sig)
+    """What both updates do first, in ``applicable``'s order: check the
+    signatures, pass the gate, label ``s`` once, require the actual event's
+    precondition at the actual world, and name the pairs of each world with
+    the events whose preconditions hold there, in world then event order."""
+    require_same_signature(s.sig, x.sig)
+    actual_pre = x._actual_pre  # the gate
+    y = x.model if isinstance(x, AttentionAction) else x
     labels = _Labelling(s)
-    if not labels.holds(y.pre[actual], s.actual):
+    if not labels.holds(actual_pre, s.actual):
         raise NotApplicable(
-            f"pre of actual event {actual!r} fails at actual world {s.actual!r}"
+            f"pre of actual event {x.actual!r} fails at actual world {s.actual!r}"
         )
     extension = {e: labels.extension(y.pre[e]) for e in y.events}
     survivors = [
@@ -521,13 +531,12 @@ def _product_prelude(
 def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     """Execute an attention action on a state (the product of the two).
 
-    Raises AttnPlanError when the action is inconsistent (see
-    ``_actual_pre``), NotApplicable when the actual event fails at the
-    actual world and IllFormedResult when some agent's updated relation is
-    not transitive (the one way it can fail to be an equivalence).
+    Raises SignatureMismatch, the errors of the gate ``_actual_pre``,
+    NotApplicable when the actual event fails at the actual world and
+    IllFormedResult when some agent's updated relation is not transitive
+    (the one way it can fail to be an equivalence).
     """
-    x._actual_pre  # the gate
-    _, survivors, names = _product_prelude(s, x.model, x.actual)
+    _, survivors, names = _product_prelude(s, x)
     branches, costs = x._branches, x._costs
 
     partitions: dict[str, Partition] = {}
@@ -591,12 +600,11 @@ def apply_sequence(
     """Fold attention_update over ``actions``; NotApplicable carries the index."""
     current = s
     for index, action in enumerate(actions):
-        if not applicable(current, action):
-            raise NotApplicable(
-                f"action {action.name!r} is not applicable at step {index}",
-                index=index,
-            )
-        current = attention_update(current, action)
+        try:
+            current = attention_update(current, action)
+        except NotApplicable as exc:
+            message = f"action {action.name!r} is not applicable at step {index}"
+            raise NotApplicable(message, index=index) from exc
     return current
 
 
@@ -648,12 +656,11 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
 def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     """Standard product of an epistemic state with an epistemic action.
 
-    Raises AttnPlanError when the action is no sound event model (see
-    ``EpistemicAction._actual_pre``) and NotApplicable when the actual
-    event fails at the actual world.
+    Raises SignatureMismatch, AttnPlanError when the action is no sound
+    event model (see ``EpistemicAction._actual_pre``) and NotApplicable
+    when the actual event fails at the actual world.
     """
-    y._actual_pre  # the gate
-    labels, survivors, names = _product_prelude(k, y, y.actual)
+    labels, survivors, names = _product_prelude(k, y)
 
     partitions: dict[str, Partition] = {}
     for agent in k.sig.agents:

@@ -23,7 +23,7 @@ from .logic import (
     Signature,
     and_all,
 )
-from .models import Atom, AttentionState, EpistemicState, check_epistemic
+from .models import Atom, AttentionState, EpistemicState, _eval
 
 Node = tuple[int, str]  # (k, world): world of the k-th state in the disjoint union
 
@@ -249,8 +249,7 @@ def distinguishing_formula(
         return and_all(parts)
 
     formula = chi(separated, rounds[separated][actual1])
-    if check_epistemic(k1, formula, k1.actual) and not check_epistemic(
-        k2, formula, k2.actual
-    ):
+    # Built from the signature's atoms and agents alone, so not validated.
+    if _eval(k1, formula, k1.actual) and not _eval(k2, formula, k2.actual):
         return formula
     return None

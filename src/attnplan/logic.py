@@ -162,14 +162,15 @@ def or_all(parts: Iterable[Formula]) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, And):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Know):
-        yield from subformulas(f.sub)
+    """Every node of ``f``, pre-order, on an explicit stack (no recursion)."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        elif isinstance(f, (Not, Know)):
+            stack.append(f.sub)
 
 
 def modal_depth(f: Formula) -> int:

@@ -296,11 +296,8 @@ class _Labelling:
             for atom in atoms:
                 if isinstance(atom, str):
                     self.atoms[atom] = self.atoms.get(atom, 0) | self.bit[w]
-        partitions = s.partitions.items()
-        self.blocks = {agent: [self.mask(b) for b in blocks] for agent, blocks in partitions}
-
-    def mask(self, worlds: Iterable[str]) -> int:
-        return sum(self.bit[w] for w in worlds)
+        bit = self.bit.__getitem__
+        self.blocks = {a: [sum(map(bit, b)) for b in bs] for a, bs in s.partitions.items()}
 
     def holds(self, f: Formula, world: str) -> bool:
         return bool(self.extension(f) & self.bit[world])
@@ -313,7 +310,7 @@ class _Labelling:
         elif isinstance(f, PropAtom):
             out = self.atoms.get(f.name, 0)
         elif isinstance(f, (AttEq, AttLess)):
-            out = self.mask(w for w in self.s.worlds if self.s.holds_attention(f, w))
+            out = sum(b for w, b in self.bit.items() if self.s.holds_attention(f, w))
         elif isinstance(f, Not):
             out = self.full & ~self.extension(f.sub)
         elif isinstance(f, And):

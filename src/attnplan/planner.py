@@ -14,9 +14,9 @@ search's one intern table.  The key is exact and, on point-generated
 states, complete, so each key holds one state; ``bisimilar`` confirms every
 key hit, and a hit it refutes is an internal error.
 
-The goal is validated once per search and each action's actual
-precondition once, when the search first tests that action; after that
-both are evaluated at the actual world without validating again.
+The goal is validated once per search, then evaluated without validating
+again.  Each step asks ``applicable``, whose gate checks an action and all
+its preconditions once, when the search first tests that action.
 
 Plans come back shortest first, ties broken by the order actions were
 declared in the task (a consequence of in-order expansion).
@@ -30,6 +30,7 @@ from typing import Hashable
 
 from .actions import (
     AttentionAction,
+    applicable,
     apply_sequence,
     attention_update,
     is_nfl,
@@ -37,7 +38,7 @@ from .actions import (
 from .bisim import BisimWitness, _quotient, bisimilar
 from .errors import NotNfl
 from .logic import Formula, validate_formula
-from .models import AttentionState, _eval, check, require_same_signature
+from .models import AttentionState, _eval
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def _verified_solution(
     plan = tuple(node.action for node in chain if node.action is not None)
     by_name = {action.name: action for action in task.actions}
     replayed = apply_sequence(task.initial, [by_name[name] for name in plan])
-    if not check(replayed, task.goal):
+    if not _eval(replayed, task.goal, replayed.actual):
         raise RuntimeError(
             f"internal error: plan {list(plan)} does not reach the goal on replay"
         )
@@ -143,9 +144,6 @@ def _search(
     validate_formula(start.sig, task.goal)
     if _eval(start, task.goal, start.actual):
         return _verified_solution(task, nodes, 0)
-    # Each action's actual precondition, checked as ``applicable`` checks
-    # it when the search first tests the action.
-    pres: list[Formula | None] = [None] * len(task.actions)
     visited = {key: start}
     queue: deque[int] = deque([0])
     explored = 0
@@ -155,12 +153,8 @@ def _search(
         if max_depth is not None and node.depth >= max_depth:
             continue
         state = node.state
-        for k, action in enumerate(task.actions):
-            if pres[k] is None:
-                require_same_signature(state.sig, action.sig)
-                pres[k] = action._actual_pre
-                validate_formula(state.sig, pres[k])
-            if not _eval(state, pres[k], state.actual):
+        for action in task.actions:
+            if not applicable(state, action):
                 continue
             explored += 1
             successor, key = _quotient(

@@ -30,6 +30,7 @@ from attnplan.errors import (
     IllFormedResult,
     NameCollision,
     NotApplicable,
+    SignatureMismatch,
 )
 from attnplan.logic import (
     And,
@@ -78,6 +79,16 @@ PLAIN_ENTRIES = tuple(
     ("plain", name)
     for name in ("product_update", "resolve_actual", "from_nopost", "check_equivalent_on")
 )
+
+
+# Preconditions outside the signature, at the actual event "e" or the other
+# event "f" of ``two_event_model``.
+INVALID_PRES = {
+    "actual unknown agent": ("e", Know("zz", TOP), "unknown agent 'zz'"),
+    "actual unknown atom": ("e", PropAtom("zz"), "unknown atom 'zz'"),
+    "other unknown agent": ("f", Know("zz", TOP), "unknown agent 'zz'"),
+    "other unknown atom": ("f", PropAtom("zz"), "unknown atom 'zz'"),
+}
 
 
 def one_block_state(budget: int = 1) -> AttentionState:
@@ -224,6 +235,44 @@ class TestValidation:
             with pytest.raises(AttnPlanError, match="actual event 'zz' of action 'x'"):
                 update(one_block_state(), action)
 
+    @pytest.mark.parametrize("case", INVALID_PRES)
+    def test_invalid_precondition_is_refused_at_every_entry(self, case):
+        event, pre, fault = INVALID_PRES[case]
+        model = two_event_model()
+        model = replace(model, pre=model.pre | {event: pre})
+        action = AttentionAction(name="x", model=model, questions={"i": P}, actual="e")
+        runs = {
+            "applicable": lambda: applicable(one_block_state(), action),
+            "attention_update": lambda: attention_update(one_block_state(), action),
+            "apply_sequence": lambda: apply_sequence(one_block_state(), [action]),
+            "to_post": lambda: to_post(action),
+            "relaxed is_nfl": lambda: is_nfl(action, relaxed=True),
+            "background_announcement": lambda: background_announcement(action),
+        }
+        for entry, run in runs.items():
+            with pytest.raises(FormulaValidationError) as info:
+                run()
+            assert str(info.value) == f"pre of {event!r} of action 'x': {fault}", entry
+        assert [d.message for d in validate_action(action) if d.severity == "error"] == [
+            f"pre of {event!r}: {fault}"
+        ]
+
+    def test_signature_is_checked_before_the_gate(self):
+        """Every update checks what ``applicable`` checks, in its order:
+        signature, then the gate, then the precondition."""
+        other = Signature(agents=("i",), attention_bound=2, prop_atoms=("p", "r"))
+        model = replace(two_event_model(), sig=other)
+        action = AttentionAction(name="x", model=model, questions={}, actual="zz")
+        y = EpistemicAction(sig=other, events=("e",), q={}, pre={"e": P}, actual="zz")
+        for run in (
+            lambda: applicable(one_block_state(), action),
+            lambda: attention_update(one_block_state(), action),
+            lambda: apply_sequence(one_block_state(), [action]),
+            lambda: product_update(kripke_rendition(one_block_state()), y),
+        ):
+            with pytest.raises(SignatureMismatch):
+                run()
+
     @pytest.mark.parametrize(
         "malformation,entry",
         [
@@ -274,20 +323,21 @@ class TestValidation:
         assert fault in str(info.value)
 
     def test_validation_errors_iff_the_gate_raises(self):
-        """One-field structural mutations of random actions: validate_action
+        """One-field mutations of random actions, structural or one
+        precondition naming an unknown atom or agent: validate_action
         reports an error exactly when the gate raises, and the gate raises
         the first error reported, naming the action.  Each model also gets
         an explicit cost entry, whose component is looked up through the
         relations."""
         rng = random.Random(13)
         outcomes = Counter()
-        for _ in range(400):
+        for _ in range(480):
             sound = rand_attention_action(rng, SIG2)
             model, events = sound.model, sound.model.events
             entry = CostEntry(rng.choice(SIG2.agents), P, events[0], 1)
             model = replace(model, cost=replace(model.cost, entries=(entry,)))
             actual = sound.actual
-            field = rng.choice(("events", "pre", "q", "qstar", "actual"))
+            field = rng.choice(("events", "pre", "pre formula", "q", "qstar", "actual"))
             if field == "events":
                 mutated = rng.choice((events[:-1], events + events[:1], events + ("zz",)))
                 model = replace(model, events=mutated)
@@ -298,6 +348,9 @@ class TestValidation:
                 else:
                     pre["zz"] = TOP
                 model = replace(model, pre=pre)
+            elif field == "pre formula":
+                stray = rng.choice((PropAtom("zz"), Know("zz", TOP), AttEq("zz", 0)))
+                model = replace(model, pre=model.pre | {rng.choice(events): stray})
             elif field in ("q", "qstar"):
                 pool = events + ("zz",)
                 blocks = [

@@ -3,7 +3,8 @@ import sits at module level, and every module-level private function or
 class, and every private method of a module-level class, is used somewhere
 in the package.  The trusted constructor ``AttentionState._normal``, which
 skips normalization, is named only by the functions that build their parts
-in normal form.
+in normal form, and ``validate_formula`` only by the entry points that
+validate formulas.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -193,3 +194,20 @@ def test_the_check_finds_every_site_naming_a_name():
 def test_only_the_trusted_sites_skip_normalization():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, "_normal") == TRUSTED_SITES
+
+
+# The entry points that validate formulas against a signature; every other
+# reader evaluates what one of them has validated.  Imports name no site.
+VALIDATING_SITES = [
+    "actions.py: AttentionAction._actual_pre",
+    "actions.py: validate_action",
+    "logic.py: is_satisfiable",
+    "logic.py: is_valid",
+    "models.py: check",
+    "planner.py: _search",
+]
+
+
+def test_only_the_entry_points_validate_formulas():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert naming_sites(sources, "validate_formula") == VALIDATING_SITES

@@ -33,6 +33,7 @@ from attnplan.logic import (
     validate_formula,
 )
 
+import reference_logic
 from generators import SIG2, rand_formula
 
 SIG = Signature(agents=("i",), attention_bound=3, prop_atoms=("p", "q"))
@@ -195,6 +196,24 @@ class TestHelpers:
         f = And(PropAtom("p"), Not(PropAtom("p")))
         subs = set(subformulas(f))
         assert PropAtom("p") in subs and f in subs
+
+    def test_subformulas_match_the_recursive_walk(self):
+        rng = random.Random(41)
+        for sig in (SIG, SIG2):
+            for _ in range(300):
+                f = rand_formula(rng, sig, max_modal_depth=3, max_size=25)
+                assert [id(g) for g in subformulas(f)] == [
+                    id(g) for g in reference_logic.subformulas(f)
+                ]
+
+    def test_deep_disjunction_validates(self):
+        """A 400-way ``or_all`` nests about 1,200 nodes deep, past the
+        recursion limit of a recursive walk."""
+        f = or_all([PropAtom("p")] * 400)
+        validate_formula(SIG, f)
+        assert sum(1 for _ in subformulas(f)) == 5 * 400 - 4
+        with pytest.raises(FormulaValidationError, match="unknown atom 'zz'"):
+            validate_formula(SIG, or_all([PropAtom("p")] * 399 + [PropAtom("zz")]))
 
     def test_modal_depth(self):
         p = PropAtom("p")

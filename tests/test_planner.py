@@ -19,7 +19,7 @@ from attnplan.errors import (
     NotNfl,
     SignatureMismatch,
 )
-from attnplan.logic import Know, Not, PropAtom, Signature, TOP, bot, parse_formula
+from attnplan.logic import Formula, Know, Not, PropAtom, Signature, TOP, bot, parse_formula
 from attnplan.models import AttentionState, check, validate_state
 from attnplan.planner import (
     NoSolution,
@@ -117,16 +117,26 @@ class TestGenerated:
 
 def unchecked_actions(task: PlanningTask) -> dict[str, AttentionAction]:
     """Copies of the task's action that fail the checks ``applicable`` makes:
-    an unknown atom in the actual precondition, another signature, or an
-    actual event the model lacks."""
+    an unknown atom or agent in the precondition of the actual event ``e``
+    or of the other event ``f``, another signature, or an actual event the
+    model lacks."""
     ask = task.actions[0]
     other = Signature(agents=("i",), attention_bound=2, prop_atoms=("p", "r"))
+
+    def with_pre(event: str, pre: Formula) -> AttentionAction:
+        model = dataclasses.replace(ask.model, pre=ask.model.pre | {event: pre})
+        return dataclasses.replace(ask, name="bad", model=model)
+
     return {
         "unknown_atom": dataclasses.replace(
             ask,
             name="bad",
             model=dataclasses.replace(ask.model, pre={"e": PropAtom("r"), "f": TOP}),
         ),
+        "actual_unknown_agent": with_pre("e", Know("zz", TOP)),
+        "actual_unknown_atom": with_pre("e", PropAtom("zz")),
+        "other_unknown_agent": with_pre("f", Know("zz", TOP)),
+        "other_unknown_atom": with_pre("f", PropAtom("zz")),
         "other_signature": dataclasses.replace(
             ask, name="bad", model=dataclasses.replace(ask.model, sig=other)
         ),
@@ -136,6 +146,10 @@ def unchecked_actions(task: PlanningTask) -> dict[str, AttentionAction]:
 
 ERRORS = {
     "unknown_atom": FormulaValidationError,
+    "actual_unknown_agent": FormulaValidationError,
+    "actual_unknown_atom": FormulaValidationError,
+    "other_unknown_agent": FormulaValidationError,
+    "other_unknown_atom": FormulaValidationError,
     "other_signature": SignatureMismatch,
     "unknown_actual": AttnPlanError,
 }
