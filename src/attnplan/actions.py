@@ -14,8 +14,10 @@ events fall together under the branch rule:
   neither does).
 
 Costs are constant across each connected component of ``q`` union ``qstar``
-by construction: explicit entries name a component via any member event and
-lookups normalize to the component representative.
+by construction: explicit entries name a component via any member event,
+indexed once per model by representative (``_prices``), and ``cost_of``,
+the one reader every update, ``to_post`` and the planner price through,
+refuses a conflicting or negative price.
 
 ``branch_classes`` gives both branch relations of an agent, their classes
 and a witness when one is not transitive.  They depend on the action alone,
@@ -38,7 +40,7 @@ shared subformulas once, not evaluated world by world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
@@ -87,7 +89,8 @@ class CostEntry:
 class CostTable:
     """Explicit entries, then per-agent defaults, then a global default.
 
-    The trivial question ``T`` always costs 0, before any lookup.
+    The trivial question ``T`` always costs 0, before any lookup.  Prices
+    are non-negative: ``cost_of`` refuses a negative one.
     """
 
     entries: tuple[CostEntry, ...] = ()
@@ -151,34 +154,38 @@ class AttentionActionModel:
         except KeyError:
             raise CostLookupError(f"unknown agent {agent!r} or event {event!r}")
 
+    @cached_property
+    def _prices(self) -> dict[tuple[str, Formula, str], list[int]]:
+        """The explicit costs of each (agent, question, component representative)
+        in entry order; an entry naming an unknown agent or event prices nothing."""
+        prices: dict[tuple[str, Formula, str], list[int]] = {}
+        for entry in self.cost.entries:
+            rep = self._component_rep.get(entry.agent, {}).get(entry.event)
+            if rep is not None:
+                prices.setdefault((entry.agent, entry.formula, rep), []).append(entry.cost)
+        return prices
+
     def cost_of(self, agent: str, question: Formula, event: str) -> int:
-        """Cost charged to ``agent`` for ``question`` at ``event``'s component."""
+        """Cost charged to ``agent`` for ``question`` at ``event``'s component,
+        from ``_prices`` or else the defaults; CostLookupError for none, two
+        or a negative one."""
         if isinstance(question, Top):
             return 0
         rep = self.component_of(agent, event)
-        found: list[int] = []
-        for entry in self.cost.entries:
-            if (
-                entry.agent == agent
-                and entry.formula == question
-                and entry.event in self._component_rep[agent]
-                and self._component_rep[agent][entry.event] == rep
-            ):
-                found.append(entry.cost)
-        if found:
-            if len(set(found)) > 1:
-                raise CostLookupError(
-                    f"conflicting explicit costs for agent {agent!r} in the "
-                    f"component of {rep!r}"
-                )
-            return found[0]
-        if agent in self.cost.agent_defaults:
-            return self.cost.agent_defaults[agent]
-        if self.cost.default is not None:
-            return self.cost.default
-        raise CostLookupError(
-            f"no cost entry or default covers agent {agent!r} at event {event!r}"
-        )
+        found = set(self._prices.get((agent, question, rep), ()))
+        if len(found) > 1:
+            raise CostLookupError(
+                f"conflicting explicit costs for agent {agent!r} in the "
+                f"component of {rep!r}"
+            )
+        price = found.pop() if found else self.cost.agent_defaults.get(agent, self.cost.default)
+        if price is None:
+            raise CostLookupError(
+                f"no cost entry or default covers agent {agent!r} at event {event!r}"
+            )
+        if price < 0:
+            raise CostLookupError(f"negative cost {price} for agent {agent!r} at event {event!r}")
+        return price
 
 
 @dataclass(frozen=True)
@@ -349,40 +356,41 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
             validate_formula(sig, question)
         except FormulaValidationError as exc:
             report(f"question for {agent!r}: {exc}")
-    seen_components: dict[tuple[str, Formula, str], int] = {}
-    for entry in model.cost.entries:
+    cost = model.cost
+    for agent, price in cost.agent_defaults.items():
+        if agent not in sig.agents:
+            report(f"agent default for unknown agent {agent!r}")
+        elif price < 0:
+            report(f"agent default of agent {agent!r} has negative cost {price}")
+    if cost.default is not None and cost.default < 0:
+        report(f"default has negative cost {cost.default}")
+    for entry in cost.entries:
         if entry.agent not in sig.agents:
             report(f"cost entry for unknown agent {entry.agent!r}")
-            continue
-        if entry.event not in model.events:
+        elif entry.event not in model.events:
             report(f"cost entry of agent {entry.agent!r} names unknown event {entry.event!r}")
-            continue
+        elif entry.cost < 0:
+            report(f"cost entry of agent {entry.agent!r} has negative cost {entry.cost}")
+    for (agent, formula, rep), costs in model._prices.items():
         try:
-            validate_formula(sig, entry.formula)
+            validate_formula(sig, formula)
         except FormulaValidationError as exc:
             report(f"cost entry formula: {exc}")
             continue
-        if entry.cost < 0:
-            report(f"cost entry of agent {entry.agent!r} has negative cost {entry.cost}")
-        if isinstance(entry.formula, Top):
+        if isinstance(formula, Top):
             report(
-                f"cost entry of agent {entry.agent!r} prices the trivial "
+                f"cost entry of agent {agent!r} prices the trivial "
                 "question, which is fixed at 0; the entry is ignored",
                 "warning",
             )
-            continue
-        key = (entry.agent, entry.formula, model.component_of(entry.agent, entry.event))
-        if key not in seen_components:
-            seen_components[key] = entry.cost
-        elif seen_components[key] != entry.cost:
+        elif len(set(costs)) > 1:
             report(
-                f"conflicting costs for agent {entry.agent!r} on the "
-                f"component of {key[2]!r}: {seen_components[key]} vs {entry.cost}"
+                f"conflicting costs for agent {agent!r} on the component of "
+                f"{rep!r}: {' vs '.join(map(str, dict.fromkeys(costs)))}"
             )
-        else:
+        elif len(costs) > 1:
             report(
-                f"duplicate cost entry for agent {entry.agent!r} on the "
-                f"component of {key[2]!r}",
+                f"duplicate cost entry for agent {agent!r} on the component of {rep!r}",
                 "warning",
             )
     for agent in sig.agents:
@@ -479,10 +487,7 @@ def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
         effective_default = model.cost.agent_defaults.get(agent, model.cost.default)
         if effective_default is None or effective_default <= 0:
             return False
-    for entry in model.cost.entries:
-        if not isinstance(entry.formula, Top) and entry.cost <= 0:
-            return False
-    return True
+    return all(e.cost > 0 for e in model.cost.entries if not isinstance(e.formula, Top))
 
 
 def applicable(s: AttentionState, x: AttentionAction) -> bool:
@@ -613,26 +618,13 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
 
     The one event's precondition is the event-order disjunction of the
     original preconditions, both relations are total, every question is
-    trivial, and explicit costs are re-keyed to the new event (conflicting
-    explicit costs for one agent and formula raise ValueError).
+    trivial, and explicit costs are re-keyed to the new event (distinct
+    costs for one agent and formula collide: CostLookupError).
     """
     x._actual_pre  # the gate
     model = x.model
     event = "e!"
     pre = or_all([model.pre[e] for e in model.events])
-    merged: dict[tuple[str, Formula], int] = {}
-    for entry in model.cost.entries:
-        key = (entry.agent, entry.formula)
-        if key in merged and merged[key] != entry.cost:
-            raise ValueError(
-                f"explicit costs for agent {entry.agent!r} collide when all "
-                "events share one component"
-            )
-        merged[key] = entry.cost
-    entries = tuple(
-        CostEntry(agent, formula, event, cost)
-        for (agent, formula), cost in merged.items()
-    )
     new_model = AttentionActionModel(
         sig=model.sig,
         events=(event,),
@@ -640,11 +632,17 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
         qstar={agent: (frozenset((event,)),) for agent in model.sig.agents},
         pre={event: pre},
         cost=CostTable(
-            entries=entries,
+            entries=tuple(dict.fromkeys(replace(e, event=event) for e in model.cost.entries)),
             agent_defaults=dict(model.cost.agent_defaults),
             default=model.cost.default,
         ),
     )
+    for (agent, _, _), costs in new_model._prices.items():
+        if len(set(costs)) > 1:
+            raise CostLookupError(
+                f"explicit costs for agent {agent!r} collide when all "
+                "events share one component"
+            )
     return AttentionAction(
         name=x.name + "!",
         model=new_model,

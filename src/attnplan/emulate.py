@@ -33,7 +33,7 @@ from .actions import (
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
 from .errors import AmbiguousActual, IllFormedResult, NotApplicable
 from .logic import TOP, AttEq, AttLess, Formula, and_all, att_geq, bot
-from .models import AttentionState, _Labelling, kripke_rendition
+from .models import AttentionState, _eval, kripke_rendition
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,7 @@ def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
     """
     y._actual_pre  # the gate
     family = y.actual_family or (y.actual,)
-    labels = _Labelling(s)
-    matches = [e for e in family if labels.holds(y.pre[e], s.actual)]
+    matches = [e for e in family if _eval(s, y.pre[e], s.actual)]
     if not matches:
         raise NotApplicable(
             f"no member of the actual family fires at world {s.actual!r}"

@@ -34,8 +34,9 @@ class SignatureMismatch(AttnPlanError):
     """Two objects that must share a signature do not."""
 
 
-class CostLookupError(AttnPlanError):
-    """No cost entry, agent default, or global default covers a lookup."""
+class CostLookupError(AttnPlanError, ValueError):
+    """A cost table prices a question nowhere, twice or below 0.  Also a
+    ValueError, which ``background_announcement`` raised for collisions."""
 
 
 class NotApplicable(AttnPlanError):

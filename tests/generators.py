@@ -5,16 +5,20 @@ The action generators rejection-sample into the class where the update is
 total (both per-agent branch relations transitive), which is also the
 class the postcondition compiler accepts; the ill-formed path is covered
 by targeted fixtures and by ``rand_attention_action(..., total=False)``.
+Both action generators price by defaults alone unless asked for
+``priced`` actions, which also carry explicit cost entries.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
+    CostEntry,
     CostTable,
     EpistemicAction,
     applicable,
@@ -216,15 +220,51 @@ def branch_relations_transitive(action: AttentionAction) -> bool:
     return True
 
 
+def with_cost_entries(
+    rng: random.Random,
+    model: AttentionActionModel,
+    questions: dict[str, Formula],
+    costs: list[int],
+) -> AttentionActionModel:
+    """``model`` with explicit entries over ``costs`` for the asked
+    questions, the trivial one and unasked ones: some repeated verbatim,
+    some repeated at an event of the same component with a cost drawn
+    again, which conflicts when it differs."""
+    sig = model.sig
+    entries: list[CostEntry] = []
+    for agent in sig.agents:
+        for _ in range(rng.randint(0, 2)):
+            roll = rng.random()
+            formula = (
+                TOP if roll < 0.15
+                else rand_propositional(rng, sig) if roll < 0.3
+                else questions.get(agent, TOP)
+            )
+            event = rng.choice(model.events)
+            entries.append(CostEntry(agent, formula, event, rng.choice(costs)))
+            roll = rng.random()
+            if roll < 0.2:
+                entries.append(entries[-1])
+            elif roll < 0.4:
+                rep = model.component_of(agent, event)
+                same = [e for e in model.events if model.component_of(agent, e) == rep]
+                entries.append(CostEntry(agent, formula, rng.choice(same), rng.choice(costs)))
+    rng.shuffle(entries)
+    return replace(model, cost=replace(model.cost, entries=tuple(entries)))
+
+
 def rand_attention_action(
     rng: random.Random,
     sig: Signature,
     max_events: int = 3,
     trivial_questions: bool = False,
     total: bool = True,
+    priced: bool = False,
 ) -> AttentionAction:
     """A random attention action whose update is total (rejection-sampled),
-    or any random action when ``total`` is False."""
+    or any random action when ``total`` is False.  A ``priced`` action also
+    carries explicit entries (``with_cost_entries``), a negative cost among
+    them at times, so some of its questions have no price."""
     while True:
         count = rng.randint(1, max_events)
         events = tuple(f"e{j}" for j in range(count))
@@ -254,6 +294,10 @@ def rand_attention_action(
                 if rng.random() < 0.8
             }
         )
+        if priced:
+            # -1 is one draw in 2 * (bound + 2) + 1.
+            costs = [-1] + list(range(sig.attention_bound + 2)) * 2
+            model = with_cost_entries(rng, model, questions, costs)
         action = AttentionAction(
             name="rand",
             model=model,
@@ -269,8 +313,11 @@ def rand_nfl_action(
     sig: Signature,
     max_events: int = 3,
     trivial_questions: bool = False,
+    priced: bool = False,
 ) -> AttentionAction:
-    """A random action in the positively-priced, starred-total class."""
+    """A random action in the positively-priced, starred-total class.  A
+    ``priced`` action also carries positive explicit entries, which may
+    conflict (``with_cost_entries``)."""
     while True:
         count = rng.randint(1, max_events)
         events = tuple(f"e{j}" for j in range(count))
@@ -301,6 +348,9 @@ def rand_nfl_action(
                 if rng.random() < 0.8
             }
         )
+        if priced:
+            costs = list(range(1, max(1, sig.attention_bound) + 1))
+            model = with_cost_entries(rng, model, questions, costs)
         action = AttentionAction(
             name=f"act{rng.randrange(1000)}",
             model=model,

@@ -1,8 +1,9 @@
 """Naive reference versions of the update and model-checking code in
 ``attnplan``.
 
-These are the original implementations: the all-pairs survivor loop and
-partition of ``attention_update``, the per-bit relation loop of
+These are the original implementations: the scanning price lookup of
+``cost_of``, the all-pairs survivor loop and partition of
+``attention_update``, the per-bit relation loop of
 ``to_post``, the transitivity test behind ``validate_action`` and relaxed
 ``is_nfl``, the evaluator for epistemic states that read attention atoms
 from the valuation, ``product_update`` with its preconditions and
@@ -17,7 +18,7 @@ module.
 from __future__ import annotations
 
 from attnplan.actions import AttentionAction, AttentionActionModel, EpistemicAction
-from attnplan.errors import IllFormedResult, NotApplicable
+from attnplan.errors import CostLookupError, IllFormedResult, NotApplicable
 from attnplan.logic import (
     And,
     AttEq,
@@ -65,6 +66,38 @@ def union_total(model: AttentionActionModel, agent: str) -> bool:
     return all(
         union_related(model, agent, e, f) for e in model.events for f in model.events
     )
+
+
+def cost_of(model: AttentionActionModel, agent: str, question: Formula, event: str) -> int:
+    """The price of ``question`` for ``agent`` at ``event``, found by
+    scanning every entry for one on the event's q-union-qstar component;
+    CostLookupError wherever the library's lookup refuses."""
+    if isinstance(question, Top):
+        return 0
+    if agent not in model.sig.agents or event not in model.events:
+        raise CostLookupError(f"unknown agent {agent!r} or event {event!r}")
+    related = {
+        (e, f) for e in model.events for f in model.events if union_related(model, agent, e, f)
+    }
+    component = next(c for c in _components(list(model.events), related) if event in c)
+    found = [
+        entry.cost
+        for entry in model.cost.entries
+        if entry.agent == agent and entry.formula == question and entry.event in component
+    ]
+    if len(set(found)) > 1:
+        raise CostLookupError(f"conflicting explicit costs for agent {agent!r}")
+    if found:
+        price = found[0]
+    elif agent in model.cost.agent_defaults:
+        price = model.cost.agent_defaults[agent]
+    elif model.cost.default is not None:
+        price = model.cost.default
+    else:
+        raise CostLookupError(f"no price for agent {agent!r} at event {event!r}")
+    if price < 0:
+        raise CostLookupError(f"negative cost {price} for agent {agent!r}")
+    return price
 
 
 def _find_intransitive_triple(
@@ -154,7 +187,7 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     pairs = survivors(s, model)
     names = {pair: _pair_name(*pair) for pair in pairs}
     costs = {
-        agent: {e: model.cost_of(agent, x.questions[agent], e) for e in model.events}
+        agent: {e: cost_of(model, agent, x.questions[agent], e) for e in model.events}
         for agent in sig.agents
     }
     answers = {

@@ -91,6 +91,21 @@ INVALID_PRES = {
 }
 
 
+# A negative price in each place a cost table can hold one, with the
+# diagnostic ``validate_action`` reports for it.
+NEGATIVE_PRICES = {
+    "default": (CostTable(default=-7), "default has negative cost -7"),
+    "agent default": (
+        CostTable(agent_defaults={"i": -7}, default=1),
+        "agent default of agent 'i' has negative cost -7",
+    ),
+    "entry": (
+        CostTable(entries=(CostEntry("i", P, "f", -7),), default=1),
+        "cost entry of agent 'i' has negative cost -7",
+    ),
+}
+
+
 def one_block_state(budget: int = 1) -> AttentionState:
     return AttentionState(
         sig=SIG,
@@ -141,6 +156,40 @@ class TestCostTable:
         )
         with pytest.raises(CostLookupError):
             model.cost_of("i", P, "e")
+
+    @pytest.mark.parametrize("case", NEGATIVE_PRICES)
+    def test_negative_price_is_refused_by_every_reader(self, case):
+        cost, diagnostic = NEGATIVE_PRICES[case]
+        action = AttentionAction(
+            name="x", model=two_event_model(cost), questions={"i": P}, actual="e"
+        )
+        free = replace(action, model=two_event_model())
+        runs = {
+            "cost_of": lambda: action.model.cost_of("i", P, "e"),
+            "attention_update": lambda: attention_update(one_block_state(15), action),
+            "apply_sequence": lambda: apply_sequence(one_block_state(15), [action]),
+            "to_post": lambda: to_post(action),
+            "check_equivalent_on": lambda: check_equivalent_on(
+                action, to_post(free), [one_block_state(2)]
+            ),
+        }
+        for entry, run in runs.items():
+            with pytest.raises(CostLookupError) as info:
+                run()
+            assert str(info.value) == "negative cost -7 for agent 'i' at event 'e'", entry
+        assert not is_nfl(action)
+        assert not is_nfl(action, relaxed=True)
+        assert [d.message for d in validate_action(action) if d.severity == "error"] == [
+            diagnostic
+        ]
+
+    def test_trivial_question_is_free_under_a_negative_default(self):
+        action = AttentionAction(
+            name="x", model=two_event_model(CostTable(default=-7)), questions={}, actual="e"
+        )
+        assert attention_update(one_block_state(), action).attention["i"] == {
+            "w*e": 1, "v*f": 1
+        }
 
     def test_unknown_event_rejected(self):
         model = two_event_model()
@@ -203,6 +252,36 @@ class TestValidation:
         model = two_event_model(CostTable(entries=(CostEntry("i", P, "e", -1),)))
         action = AttentionAction(name="x", model=model, questions={}, actual="e")
         assert any(d.severity == "error" for d in validate_action(action))
+
+    def test_agent_default_for_unknown_agent_is_an_error(self):
+        action = AttentionAction(
+            name="x",
+            model=two_event_model(CostTable(agent_defaults={"zz": 1}, default=1)),
+            actual="e",
+        )
+        assert [d.message for d in validate_action(action) if d.severity == "error"] == [
+            "agent default for unknown agent 'zz'"
+        ]
+
+    def test_entry_diagnostics_are_read_per_component(self):
+        entries = (
+            CostEntry("zz", P, "e", 1),
+            CostEntry("i", P, "zz", 1),
+            CostEntry("i", P, "e", 1),
+            CostEntry("i", P, "f", 2),
+            CostEntry("i", P, "e", 3),
+            CostEntry("i", Not(P), "e", 1),
+            CostEntry("i", Not(P), "f", 1),
+        )
+        action = AttentionAction(
+            name="x", model=two_event_model(CostTable(entries=entries)), actual="e"
+        )
+        assert [(d.severity, d.message) for d in validate_action(action)] == [
+            ("error", "cost entry for unknown agent 'zz'"),
+            ("error", "cost entry of agent 'i' names unknown event 'zz'"),
+            ("error", "conflicting costs for agent 'i' on the component of 'e': 1 vs 2 vs 3"),
+            ("warning", "duplicate cost entry for agent 'i' on the component of 'e'"),
+        ]
 
     def test_priced_trivial_question_warns(self):
         model = two_event_model(
@@ -609,6 +688,18 @@ class TestBackgroundAnnouncement:
         )
         action = AttentionAction(name="x", model=model, questions={}, actual="e")
         with pytest.raises(ValueError):
+            background_announcement(action)
+
+    def test_colliding_prices_raise_a_typed_error(self):
+        entries = (CostEntry("i", P, "e", 1), CostEntry("i", P, "e", 1), CostEntry("i", P, "f", 2))
+        action = AttentionAction(
+            name="x", model=two_event_model(CostTable(entries=entries[:2])), actual="e"
+        )
+        assert background_announcement(action).model.cost.entries == (
+            CostEntry("i", P, "e!", 1),
+        )
+        action = replace(action, model=two_event_model(CostTable(entries=entries)))
+        with pytest.raises(CostLookupError, match="agent 'i' collide"):
             background_announcement(action)
 
     def test_trivial_questions_match_background_by_hand(self):

@@ -213,6 +213,25 @@ class TestCommands:
         assert run(["validate", "--task", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "costs,fault",
+        [
+            ({"default": -7}, "default has negative cost -7"),
+            ({"agent_defaults": {"i": -7}}, "agent default of agent 'i' has negative cost -7"),
+        ],
+        ids=["default", "agent default"],
+    )
+    def test_negative_default_exits_two(self, capsys, tmp_path, costs, fault):
+        doc = json.loads(Path(TWO_FACTS).read_text())
+        doc["models"]["facts"]["costs"] = costs
+        path = tmp_path / "negative.task"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--task", str(path)]) == 2
+        assert fault in capsys.readouterr().err
+        assert run(["update", "--task", str(path), "--state", "init",
+                    "--actions", "ask_p"]) == 2
+        assert fault in capsys.readouterr().err
+
     def test_unexpected_exception_exits_two(self, capsys):
         # Parsing nests a 400-way disjunction deeper than the evaluator's
         # recursion allows; whatever fails, exit 1 stays an honest "false".

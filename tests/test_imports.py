@@ -3,8 +3,9 @@ import sits at module level, and every module-level private function or
 class, and every private method of a module-level class, is used somewhere
 in the package.  The trusted constructor ``AttentionState._normal``, which
 skips normalization, is named only by the functions that build their parts
-in normal form, and ``validate_formula`` only by the entry points that
-validate formulas.
+in normal form, ``validate_formula`` only by the entry points that
+validate formulas, and a cost table's ``entries`` only by the model's price
+index and the code that checks, copies or writes the table.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -211,3 +212,21 @@ VALIDATING_SITES = [
 def test_only_the_entry_points_validate_formulas():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, "validate_formula") == VALIDATING_SITES
+
+
+# The sites that read a cost table's explicit entries.  Prices come from
+# the model's index, ``_prices``, alone: ``cost_of`` scans no entry.
+ENTRY_SITES = [
+    "actions.py: CostTable.<body>",
+    "actions.py: AttentionActionModel._prices",
+    "actions.py: validate_action",
+    "actions.py: is_nfl",
+    "actions.py: background_announcement",
+    "taskfile.py: _cost_table",
+    "taskfile.py: model_fragment",
+]
+
+
+def test_only_the_price_index_reads_cost_entries():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert naming_sites(sources, "entries") == ENTRY_SITES

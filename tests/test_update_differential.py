@@ -7,10 +7,13 @@ Random actions come in two kinds: the rejection-sampled ones of
 relations are often intransitive, so that both sides must raise the same
 IllFormedResult with the same agent and witness.  Every update that
 succeeds must also give a well-formed state, which ``attention_update``
-itself no longer checks.
+itself no longer checks.  Priced actions carry explicit cost entries, so
+the library's indexed price lookup meets the reference's scanning one.
 """
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -24,8 +27,14 @@ from attnplan.actions import (
     product_update,
     validate_action,
 )
-from attnplan.emulate import _attention_posts, profiles_for, resolve_actual, to_post
-from attnplan.errors import AttnPlanError, IllFormedResult, NotApplicable
+from attnplan.emulate import (
+    _attention_posts,
+    check_equivalent_on,
+    profiles_for,
+    resolve_actual,
+    to_post,
+)
+from attnplan.errors import AttnPlanError, CostLookupError, IllFormedResult, NotApplicable
 from attnplan.logic import And, Know, Not, PropAtom, Signature, TOP, entails
 from attnplan.models import (
     AttentionState,
@@ -42,6 +51,7 @@ from generators import (
     rand_attention_action,
     rand_epistemic_state,
     rand_formula,
+    rand_nfl_action,
     rand_partition,
     rand_propositional,
     rand_state,
@@ -198,6 +208,65 @@ def test_kernel_matches_reference_relations(sig):
     for _ in range(150):
         assert_same_kernel(rand_unfiltered_action(rng, sig))
         assert_same_kernel(rand_attention_action(rng, sig))
+
+
+def rand_priced_action(rng: random.Random, sig: Signature) -> AttentionAction:
+    return rand_attention_action(rng, sig, priced=True)
+
+
+@pytest.mark.parametrize("sig", [SIG, SIG2], ids=["SIG", "SIG2"])
+def test_priced_updates_match_the_reference(sig):
+    """Duplicated, conflicting and negative entries: both updates charge the
+    same prices or both refuse, and ``to_post`` reads the same prices."""
+    rng = random.Random(4701 if sig is SIG else 4702)
+    kinds = []
+    for _ in range(150):
+        s, x = rand_applicable_pair(rng, sig, rand_priced_action)
+        result = assert_same_update(s, x)
+        kinds.append(result[0] if isinstance(result, tuple) else "ok")
+        if kinds[-1] == "ok":
+            assert all(v.equivalent for v in check_equivalent_on(x, to_post(x), [s]))
+        else:
+            with pytest.raises(CostLookupError):
+                to_post(x)
+    assert set(kinds) == {"ok", "CostLookupError"}
+    assert kinds.count("CostLookupError") >= 15
+    assert kinds.count("ok") >= 60
+
+
+def test_cost_of_matches_the_scanning_oracle():
+    """Every (agent, question, event) of seeded priced actions, unknown agent
+    and event included, with defaults dropped or negative at times."""
+    rng = random.Random(4801)
+    seen = Counter()
+    for _ in range(300):
+        make = rand_attention_action if rng.random() < 0.5 else rand_nfl_action
+        model = make(rng, SIG2, max_events=4, priced=True).model
+        cost = replace(
+            model.cost,
+            agent_defaults={
+                agent: rng.choice([value, -1])
+                for agent, value in model.cost.agent_defaults.items()
+                if rng.random() < 0.6
+            },
+            default=rng.choice([None, -1, 0, 1, 2]),
+        )
+        model = replace(model, cost=cost)
+        questions = {TOP, rand_propositional(rng, SIG2), *(e.formula for e in cost.entries)}
+        for agent in (*SIG2.agents, "zz"):
+            for question in questions:
+                for event in (*model.events, "zz"):
+                    try:
+                        fast = model.cost_of(agent, question, event)
+                    except CostLookupError as exc:
+                        with pytest.raises(CostLookupError):
+                            reference.cost_of(model, agent, question, event)
+                        seen[str(exc).split()[0]] += 1  # the refusal's kind
+                    else:
+                        assert fast == reference.cost_of(model, agent, question, event)
+                        seen["price"] += 1
+    assert min(seen[kind] for kind in ("conflicting", "negative", "no", "unknown")) >= 100
+    assert seen["price"] >= 1000
 
 
 def _pinned_model(pre_e2=TOP) -> AttentionActionModel:
