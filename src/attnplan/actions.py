@@ -662,8 +662,8 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
 
     partitions: dict[str, Partition] = {}
     for agent in k.sig.agents:
-        grouped: dict[tuple[int, int], list[str]] = {}
-        source_blocks = {w: i for i, block in enumerate(k.partitions[agent]) for w in block}
+        grouped: dict[tuple[frozenset[str], int], list[str]] = {}
+        source_blocks = k._blocks[agent]
         event_blocks = {e: i for i, block in enumerate(y.q[agent]) for e in block}
         for name, (w, e) in zip(names, survivors):
             grouped.setdefault((source_blocks[w], event_blocks[e]), []).append(name)

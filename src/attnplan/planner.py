@@ -51,8 +51,9 @@ class PlanningTask:
 
 @dataclass(frozen=True)
 class Solution:
-    """A verified plan; ``trace`` holds the state after each step, cut down
-    to the worlds reachable from its actual world and contracted."""
+    """A verified plan; ``trace`` holds the start state and then the state
+    after each step, so ``len(trace) == len(plan) + 1``, each cut down to the
+    worlds reachable from its actual world and contracted."""
 
     plan: tuple[str, ...]
     trace: tuple[AttentionState, ...]
@@ -108,31 +109,18 @@ def _generated(s: AttentionState) -> AttentionState:
     )
 
 
-@dataclass
-class _Node:
-    state: AttentionState
-    parent: int | None
-    action: str | None
-    depth: int
-
-
 def _verified_solution(
-    task: PlanningTask, nodes: list[_Node], goal_index: int
+    task: PlanningTask,
+    steps: tuple[AttentionAction, ...],
+    trace: tuple[AttentionState, ...],
 ) -> Solution:
-    chain: list[_Node] = []
-    index: int | None = goal_index
-    while index is not None:
-        chain.append(nodes[index])
-        index = nodes[index].parent
-    chain.reverse()
-    plan = tuple(node.action for node in chain if node.action is not None)
-    by_name = {action.name: action for action in task.actions}
-    replayed = apply_sequence(task.initial, [by_name[name] for name in plan])
+    replayed = apply_sequence(task.initial, steps)
+    plan = tuple(action.name for action in steps)
     if not _eval(replayed, task.goal, replayed.actual):
         raise RuntimeError(
             f"internal error: plan {list(plan)} does not reach the goal on replay"
         )
-    return Solution(plan=plan, trace=tuple(node.state for node in chain))
+    return Solution(plan=plan, trace=trace)
 
 
 def _search(
@@ -140,19 +128,18 @@ def _search(
 ) -> Solution | NoSolution | NoneWithinBound:
     table: dict[Hashable, int] = {}
     start, key = _quotient(_generated(task.initial), table)
-    nodes = [_Node(state=start, parent=None, action=None, depth=0)]
     validate_formula(start.sig, task.goal)
     if _eval(start, task.goal, start.actual):
-        return _verified_solution(task, nodes, 0)
+        return _verified_solution(task, (), (start,))
     visited = {key: start}
-    queue: deque[int] = deque([0])
+    # Each entry is a path: the actions taken and the states along them.
+    queue = deque([((), (start,))])
     explored = 0
     while queue:
-        index = queue.popleft()
-        node = nodes[index]
-        if max_depth is not None and node.depth >= max_depth:
+        steps, trace = queue.popleft()
+        if max_depth is not None and len(steps) >= max_depth:
             continue
-        state = node.state
+        state = trace[-1]
         for action in task.actions:
             if not applicable(state, action):
                 continue
@@ -160,26 +147,18 @@ def _search(
             successor, key = _quotient(
                 _generated(attention_update(state, action)), table
             )
-            nodes.append(
-                _Node(
-                    state=successor,
-                    parent=index,
-                    action=action.name,
-                    depth=node.depth + 1,
-                )
-            )
+            path = (steps + (action,), trace + (successor,))
             if _eval(successor, task.goal, successor.actual):
-                return _verified_solution(task, nodes, len(nodes) - 1)
+                return _verified_solution(task, *path)
             if key in visited:
                 if not isinstance(bisimilar(successor, visited[key]), BisimWitness):
                     raise RuntimeError(
                         f"internal error: equal frontier keys after {action.name!r}"
                         " on states that are not bisimilar"
                     )
-                nodes.pop()
                 continue
             visited[key] = successor
-            queue.append(len(nodes) - 1)
+            queue.append(path)
     if max_depth is None:
         return NoSolution(explored=explored)
     return NoneWithinBound(bound=max_depth, explored=explored)

@@ -184,7 +184,7 @@ def _model(sig: Signature, name: str, node: Any) -> AttentionActionModel:
     for event, event_node in events_node.items():
         event_node = _expect(event_node, dict, f"{where}.events.{event}")
         pre[event] = _formula(sig, event_node.get("pre"), f"{where}.events.{event}.pre")
-    return AttentionActionModel(
+    model = AttentionActionModel(
         sig=sig,
         events=events,
         q=_relation_groups(sig, events, node.get("q"), f"{where}.q"),
@@ -192,6 +192,12 @@ def _model(sig: Signature, name: str, node: Any) -> AttentionActionModel:
         pre=pre,
         cost=_cost_table(sig, events, node.get("costs"), f"{where}.costs"),
     )
+    # Checked as its question-free action, so a model no action names is
+    # checked too; warnings are left to the actions that use the model.
+    for diagnostic in validate_action(AttentionAction(name=name, model=model)):
+        if diagnostic.severity == "error":
+            raise TaskFileError(f"{where}: {diagnostic.message}")
+    return model
 
 
 def _action(

@@ -3,9 +3,10 @@
 This is the earlier implementation: the visited states sit in a list, and
 each new state is compared with ``bisimilar`` against every earlier state
 whose cheap structural key (``_prefilter_key``: size, budgets and
-valuations) matches.  The differential suite compares the
-library's hashed frontier against it; nothing in the package imports this
-module.
+valuations) matches.  It replays each plan it finds and builds its
+``Solution`` itself, naming no private part of the planner.  The
+differential suite compares the library's hashed frontier against it;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -13,17 +14,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable
 
-from attnplan.actions import applicable, attention_update
+from attnplan.actions import AttentionAction, applicable, apply_sequence, attention_update
 from attnplan.bisim import BisimWitness, bisimilar, contract
 from attnplan.models import AttentionState, check
-from attnplan.planner import (
-    NoneWithinBound,
-    NoSolution,
-    PlanningTask,
-    Solution,
-    _Node,
-    _verified_solution,
-)
+from attnplan.planner import NoneWithinBound, NoSolution, PlanningTask, Solution
 
 
 def _prefilter_key(s: AttentionState) -> Hashable:
@@ -43,42 +37,49 @@ def already_visited(
     )
 
 
+def replayed_solution(
+    task: PlanningTask,
+    path: list[tuple[AttentionAction, AttentionState]],
+    start: AttentionState,
+) -> Solution:
+    """The plan along ``path`` (each step's action and the state after it),
+    once replaying its actions from the task's initial state reaches the goal."""
+    actions = [action for action, _ in path]
+    if not check(apply_sequence(task.initial, actions), task.goal):
+        raise RuntimeError(f"plan {[a.name for a in actions]} does not reach the goal")
+    return Solution(
+        plan=tuple(action.name for action in actions),
+        trace=(start, *(state for _, state in path)),
+    )
+
+
 def search(
     task: PlanningTask, max_depth: int | None
 ) -> Solution | NoSolution | NoneWithinBound:
     start = contract(task.initial)
-    nodes = [_Node(state=start, parent=None, action=None, depth=0)]
     if check(start, task.goal):
-        return _verified_solution(task, nodes, 0)
+        return replayed_solution(task, [], start)
     visited = [(_prefilter_key(start), start)]
-    queue: deque[int] = deque([0])
+    queue: deque[list[tuple[AttentionAction, AttentionState]]] = deque([[]])
     explored = 0
     while queue:
-        index = queue.popleft()
-        node = nodes[index]
-        if max_depth is not None and node.depth >= max_depth:
+        path = queue.popleft()
+        if max_depth is not None and len(path) >= max_depth:
             continue
+        state = path[-1][1] if path else start
         for action in task.actions:
-            if not applicable(node.state, action):
+            if not applicable(state, action):
                 continue
             explored += 1
-            successor = contract(attention_update(node.state, action))
-            nodes.append(
-                _Node(
-                    state=successor,
-                    parent=index,
-                    action=action.name,
-                    depth=node.depth + 1,
-                )
-            )
+            successor = contract(attention_update(state, action))
+            longer = path + [(action, successor)]
             if check(successor, task.goal):
-                return _verified_solution(task, nodes, len(nodes) - 1)
+                return replayed_solution(task, longer, start)
             key = _prefilter_key(successor)
             if already_visited(visited, key, successor):
-                nodes.pop()
                 continue
             visited.append((key, successor))
-            queue.append(len(nodes) - 1)
+            queue.append(longer)
     if max_depth is None:
         return NoSolution(explored=explored)
     return NoneWithinBound(bound=max_depth, explored=explored)

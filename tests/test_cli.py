@@ -21,6 +21,8 @@ from attnplan.taskfile import (
     state_document,
 )
 
+from test_taskfile import UNUSED_MODEL_FAULTS, with_spare_model
+
 TWO_FACTS = str(bundled_path("two_facts.task"))
 MUDDY = str(bundled_path("muddy_children.task"))
 
@@ -230,6 +232,13 @@ class TestCommands:
         assert fault in capsys.readouterr().err
         assert run(["update", "--task", str(path), "--state", "init",
                     "--actions", "ask_p"]) == 2
+        assert fault in capsys.readouterr().err
+
+    @pytest.mark.parametrize("costs,fault", UNUSED_MODEL_FAULTS, ids=["default", "agent"])
+    def test_unused_model_fault_exits_two(self, capsys, tmp_path, costs, fault):
+        path = tmp_path / "spare.task"
+        path.write_text(with_spare_model(costs))
+        assert run(["validate", "--task", str(path)]) == 2
         assert fault in capsys.readouterr().err
 
     def test_unexpected_exception_exits_two(self, capsys):

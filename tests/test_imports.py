@@ -5,7 +5,9 @@ in the package.  The trusted constructor ``AttentionState._normal``, which
 skips normalization, is named only by the functions that build their parts
 in normal form, ``validate_formula`` only by the entry points that
 validate formulas, and a cost table's ``entries`` only by the model's price
-index and the code that checks, copies or writes the table.
+index and the code that checks, copies or writes the table.  The reference
+modules under ``tests/`` import no private name of the package, apart from
+one listed exception.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -230,3 +232,43 @@ ENTRY_SITES = [
 def test_only_the_price_index_reads_cost_entries():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, "entries") == ENTRY_SITES
+
+
+# The reference modules under tests/ are oracles for the package, so they
+# import only its public names.  The one exception: the reference update
+# evaluates preconditions with the library's ``_eval``, which
+# ``test_update_differential`` checks against the reference evaluator.
+REFERENCES = sorted((PACKAGE.parent.parent / "tests").glob("reference_*.py"))
+PRIVATE_IMPORTS_ALLOWED = {"reference_update.py": ["attnplan.models._eval"]}
+
+
+def private_package_imports(source: str) -> list[str]:
+    """``module.name`` for each private name imported from ``attnplan``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "attnplan":
+            out.extend(
+                f"{node.module}.{alias.name}" for alias in node.names if is_private(alias.name)
+            )
+        elif isinstance(node, ast.Import):
+            out.extend(
+                alias.name
+                for alias in node.names
+                if alias.name.split(".")[0] == "attnplan"
+                and any(is_private(part) for part in alias.name.split("."))
+            )
+    return out
+
+
+def test_the_check_finds_a_private_package_import():
+    source = (
+        "import attnplan._hidden\nimport json\n"
+        "from attnplan.planner import Solution, _search\nfrom json import _default_decoder\n"
+    )
+    assert private_package_imports(source) == ["attnplan._hidden", "attnplan.planner._search"]
+
+
+@pytest.mark.parametrize("module", REFERENCES, ids=lambda p: p.name)
+def test_reference_imports_no_private_name(module: Path):
+    allowed = PRIVATE_IMPORTS_ALLOWED.get(module.name, [])
+    assert private_package_imports(module.read_text()) == allowed

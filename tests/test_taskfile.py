@@ -24,6 +24,30 @@ def mutated(path: tuple, value) -> str:
     return json.dumps(doc)
 
 
+UNUSED_MODEL_FAULTS = [
+    ({"default": -3}, "models.spare: default has negative cost -3"),
+    (
+        {"default": 1, "entries": [{"agent": "zz", "formula": "p", "event": "e_pq", "cost": 1}]},
+        "models.spare: cost entry for unknown agent 'zz'",
+    ),
+]
+
+
+def with_spare_model(costs: dict) -> str:
+    """The bundled two-facts document plus a model ``spare``, the ``facts``
+    model with ``costs``, that no action names, as JSON text."""
+    doc = copy.deepcopy(BASE)
+    doc["models"]["spare"] = dict(doc["models"]["facts"], costs=costs)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("costs,fault", UNUSED_MODEL_FAULTS, ids=["default", "agent"])
+def test_a_model_no_action_names_is_checked(costs, fault):
+    with pytest.raises(TaskFileError) as info:
+        loads(with_spare_model(costs))
+    assert str(info.value) == fault
+
+
 def nodes(node, path=()):
     """Every node below ``node``, with its path."""
     children = node.items() if isinstance(node, dict) else enumerate(node)
