@@ -41,7 +41,7 @@ shared subformulas once, not evaluated world by world.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .errors import (
@@ -274,20 +274,31 @@ class EpistemicAction:
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "q", _fill_partitions(self.sig, self.events, self.q))
         object.__setattr__(self, "pre", dict(self.pre))
-        object.__setattr__(
-            self, "post", {e: dict(m) for e, m in self.post.items()}
-        )
+        # Events sharing a map (``to_post`` gives each event's profile
+        # variants one) share its copy, which the gate checks once.
+        maps = {id(m): m for m in self.post.values()}
+        copies = {key: dict(m) for key, m in maps.items()}
+        object.__setattr__(self, "post", {e: copies[id(m)] for e, m in self.post.items()})
         if not self.actual and self.events:
             object.__setattr__(self, "actual", self.events[0])
 
     @cached_property
     def _actual_pre(self) -> Formula:
         """The actual event's precondition, read only once the action is a
-        sound event model, its actual family included: the gate of
-        ``product_update``, ``resolve_actual`` and ``from_nopost``."""
+        sound event model, its actual family included, and each
+        postcondition writes only atoms of the signature: the gate of
+        ``product_update``, ``resolve_actual`` and ``from_nopost``.  The
+        formulas are not walked; ``product_update``'s labelling refuses an
+        unknown agent where it meets one."""
         faults = _event_model_faults(self, dict.fromkeys((self.actual, *self.actual_family)))
         if faults:
             raise AttnPlanError(faults[0])
+        known = _known_atoms(self.sig)
+        for event in {id(m): e for e, m in self.post.items()}.values():
+            unknown = self.post[event].keys() - known
+            if unknown:
+                names = ", ".join(sorted(map(repr, unknown)))
+                raise AttnPlanError(f"post of {event!r} writes unknown atoms: {names}")
         return self.pre[self.actual]
 
     @cached_property
@@ -298,6 +309,14 @@ class EpistemicAction:
 
     def is_nopost(self) -> bool:
         return all(not mapping for mapping in self.post.values())
+
+
+@cache
+def _known_atoms(sig: Signature) -> frozenset[Atom]:
+    """The atoms a valuation over ``sig`` may list: its propositional atoms
+    and its shared attention atoms, whose stored hashes a set difference
+    reuses."""
+    return frozenset(sig.prop_atoms + sig.attention_atoms())
 
 
 @dataclass(frozen=True)
@@ -654,9 +673,15 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
 def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     """Standard product of an epistemic state with an epistemic action.
 
+    A pair's valuation is its world's atoms minus the post map's keys plus
+    the keys whose formula's extension holds the world, by set operations
+    that reuse stored hashes.
+
     Raises SignatureMismatch, AttnPlanError when the action is no sound
-    event model (see ``EpistemicAction._actual_pre``) and NotApplicable
-    when the actual event fails at the actual world.
+    event model or writes an atom outside the signature (see
+    ``EpistemicAction._actual_pre``), FormulaValidationError for a
+    knowledge operator of an unknown agent in a pre- or postcondition, and
+    NotApplicable when the actual event fails at the actual world.
     """
     labels, survivors, names = _product_prelude(k, y)
 
@@ -670,11 +695,11 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
         partitions[agent] = tuple(frozenset(ws) for ws in grouped.values())
 
     valuation: dict[str, frozenset[Atom]] = {}
+    extension, bit = labels.extension, labels.bit
     for name, (w, e) in zip(names, survivors):
-        post = y.post.get(e, {})
-        atoms: set[Atom] = {a for a in k.valuation[w] if a not in post}
-        atoms.update(atom for atom, formula in post.items() if labels.holds(formula, w))
-        valuation[name] = frozenset(atoms)
+        post, here = y.post.get(e, {}), bit[w]
+        written = [atom for atom, formula in post.items() if extension(formula) & here]
+        valuation[name] = k.valuation[w].difference(post).union(written)
 
     return EpistemicState(
         sig=k.sig,

@@ -32,8 +32,8 @@ from .actions import (
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
 from .errors import AmbiguousActual, IllFormedResult, NotApplicable
-from .logic import TOP, AttEq, AttLess, Formula, and_all, att_geq, bot
-from .models import AttentionState, _eval, kripke_rendition
+from .logic import TOP, AttEq, AttLess, Formula, and_all, att_eq, att_geq, att_lt, bot
+from .models import AttentionState, EpistemicState, _eval, kripke_rendition
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,14 @@ def _attention_posts(
     never = bot()
 
     def below(m: int) -> Formula:
-        return AttLess(agent, m) if m <= bound else TOP
+        return att_lt(agent, m) if m <= bound else TOP
 
-    out: dict[AttEq | AttLess, Formula] = {AttEq(agent, 0): below(cost + 1)}
+    out: dict[AttEq | AttLess, Formula] = {att_eq(agent, 0): below(cost + 1)}
     for n in range(1, bound + 1):
-        out[AttEq(agent, n)] = AttEq(agent, n + cost) if n + cost <= bound else never
-    out[AttLess(agent, 0)] = never
+        out[att_eq(agent, n)] = att_eq(agent, n + cost) if n + cost <= bound else never
+    out[att_lt(agent, 0)] = never
     for n in range(1, bound + 1):
-        out[AttLess(agent, n)] = below(n + cost)
+        out[att_lt(agent, n)] = below(n + cost)
     return out
 
 
@@ -126,7 +126,7 @@ def _nonattending_guard(agent: str, cost: int, bound: int) -> Formula | None:
         return bot()  # a free question is always heard
     if cost > bound:
         return None  # every budget is below the cost, drop the guard
-    return AttLess(agent, cost)
+    return att_lt(agent, cost)
 
 
 def to_post(x: AttentionAction) -> EpistemicAction:
@@ -196,13 +196,18 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     )
 
 
-def resolve_actual(y: EpistemicAction, s: AttentionState) -> EpistemicAction:
+def resolve_actual(
+    y: EpistemicAction, s: AttentionState | EpistemicState
+) -> EpistemicAction:
     """Pick the family member executable at ``s``'s actual world.
 
-    The profile guards of ``to_post`` are mutually exclusive, so at most one
-    member fires; none firing means the action is not applicable at ``s``,
-    and several (a hand-built family) raise AmbiguousActual.  Each member's
-    copy of ``y`` is built once and kept on ``y``.
+    ``s`` is either state kind: an attention state and its
+    ``kripke_rendition`` give every guard the same truth value, so they pick
+    the same member.  The profile guards of ``to_post`` are mutually
+    exclusive, so at most one member fires; none firing means the action is
+    not applicable at ``s``, and several (a hand-built family) raise
+    AmbiguousActual.  Each member's copy of ``y`` is built once and kept on
+    ``y``.
     """
     y._actual_pre  # the gate
     family = y.actual_family or (y.actual,)

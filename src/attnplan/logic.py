@@ -6,6 +6,14 @@ knowledge modality ``K_i``.  Everything else (``F``, ``|``, ``->``, ``<->``,
 ``>=``, ``>``) is sugar that normalizes to the core at construction, so two
 formulas are equal iff their core ASTs are equal.
 
+Each attention atom has one shared object: the package builds ``AttEq``
+and ``AttLess`` only through the cached constructors ``att_eq`` and
+``att_lt``, so set and dict lookups meet renditions' and compiled actions'
+atoms by identity before calling the dataclass ``__eq__``.  Equality and
+hashing stay structural, so an atom built directly, or before the tables'
+``cache_clear``, is equal to the shared one; no code tests ``is`` on a
+formula.  The tables keep one atom per agent and value asked for.
+
 Validity and entailment are decided by a tableau over equivalence-class
 ("clique") relations: each agent's accessibility within a branch is a
 partition of the branch's worlds grown by diamond witnesses, and each
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import FormulaSyntaxError, FormulaValidationError
@@ -57,9 +65,9 @@ class Signature:
         out: list[Formula] = []
         for agent in self.agents:
             for n in range(self.attention_bound + 1):
-                out.append(AttEq(agent, n))
+                out.append(att_eq(agent, n))
             for n in range(self.attention_bound + 1):
-                out.append(AttLess(agent, n))
+                out.append(att_lt(agent, n))
         return tuple(out)
 
 
@@ -135,14 +143,26 @@ def iff(left: Formula, right: Formula) -> Formula:
     return And(implies(left, right), implies(right, left))
 
 
+@cache
+def att_eq(agent: str, bound: int) -> AttEq:
+    """``(att_agent = bound)``, the one shared object for it."""
+    return AttEq(agent, bound)
+
+
+@cache
+def att_lt(agent: str, bound: int) -> AttLess:
+    """``(att_agent < bound)``, the one shared object for it."""
+    return AttLess(agent, bound)
+
+
 def att_geq(agent: str, bound: int) -> Formula:
     """``(att_agent >= bound)`` as negated strict inequality."""
-    return Not(AttLess(agent, bound))
+    return Not(att_lt(agent, bound))
 
 
 def att_gt(agent: str, bound: int) -> Formula:
     """``(att_agent > bound)``: neither below nor equal."""
-    return And(Not(AttLess(agent, bound)), Not(AttEq(agent, bound)))
+    return And(Not(att_lt(agent, bound)), Not(att_eq(agent, bound)))
 
 
 def and_all(parts: Iterable[Formula]) -> Formula:
@@ -383,9 +403,9 @@ class _Parser:
             )
         self.expect("rpar", "')'")
         if op.kind == "eq":
-            return AttEq(agent, n)
+            return att_eq(agent, n)
         if op.kind == "lt":
-            return AttLess(agent, n)
+            return att_lt(agent, n)
         if op.kind == "gt":
             return att_gt(agent, n)
         if op.kind == "geq":

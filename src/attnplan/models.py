@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Union
 
-from .errors import SignatureMismatch, StateValidationError
+from .errors import FormulaValidationError, SignatureMismatch, StateValidationError
 from .logic import (
     And,
     AttEq,
@@ -42,6 +42,8 @@ from .logic import (
     PropAtom,
     Signature,
     Top,
+    att_eq,
+    att_lt,
     validate_formula,
 )
 
@@ -316,6 +318,8 @@ class _Labelling:
         elif isinstance(f, And):
             out = self.extension(f.left) & self.extension(f.right)
         elif isinstance(f, Know):
+            if f.agent not in self.blocks:
+                raise FormulaValidationError(f"unknown agent {f.agent!r}")
             inner = self.extension(f.sub)
             out = sum(b for b in self.blocks[f.agent] if b & inner == b)
         else:
@@ -329,18 +333,23 @@ def kripke_rendition(s: AttentionState) -> EpistemicState:
 
     A world gets ``(att_i = n)`` for its exact budget n and ``(att_i < m)``
     for every m above the budget, so the rendition satisfies exactly the
-    formulas the attention state does.
+    formulas the attention state does.  Each (agent, budget) pair's atoms
+    are one frozenset of shared atoms (``logic.att_eq``/``att_lt``), built
+    once per call; a world's valuation is the union of its own with one such
+    set per agent, which reuses the hashes the sets store.
     """
     bound = s.sig.attention_bound
+    facts: dict[tuple[str, int], frozenset[Atom]] = {}
     valuation: dict[str, frozenset[Atom]] = {}
     for world in s.worlds:
-        atoms: set[Atom] = set(s.valuation[world])
+        per_agent = []
         for agent in s.sig.agents:
             budget = s.attention[agent][world]
-            atoms.add(AttEq(agent, budget))
-            for m in range(budget + 1, bound + 1):
-                atoms.add(AttLess(agent, m))
-        valuation[world] = frozenset(atoms)
+            if (agent, budget) not in facts:
+                below = (att_lt(agent, m) for m in range(budget + 1, bound + 1))
+                facts[agent, budget] = frozenset((att_eq(agent, budget), *below))
+            per_agent.append(facts[agent, budget])
+        valuation[world] = s.valuation[world].union(*per_agent)
     return EpistemicState(
         sig=s.sig,
         worlds=s.worlds,

@@ -1,6 +1,7 @@
 """Actions: cost tables, validation, classification, and both updates."""
 
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from attnplan.errors import (
 from attnplan.logic import (
     And,
     AttEq,
+    AttLess,
     Know,
     Not,
     PropAtom,
@@ -113,6 +115,17 @@ def one_block_state(budget: int = 1) -> AttentionState:
         partitions={"i": (frozenset({"w", "v"}),)},
         valuation={"w": frozenset({"p"}), "v": frozenset()},
         attention={"i": {"w": budget, "v": budget}},
+        actual="w",
+    )
+
+
+def one_world_state(budget: int = 1) -> AttentionState:
+    return AttentionState(
+        sig=SIG,
+        worlds=("w",),
+        partitions={"i": (frozenset({"w"}),)},
+        valuation={"w": frozenset({"p"})},
+        attention={"i": {"w": budget}},
         actual="w",
     )
 
@@ -758,6 +771,61 @@ class TestProductUpdate:
         assert "p" not in out.valuation["w*e"]
         assert "p" in out.valuation["v*e"]
         assert AttEq("i", 1) in out.valuation["w*e"]
+
+    @pytest.mark.parametrize(
+        "pre,post",
+        [
+            ({"e": Know("zz", TOP), "f": TOP}, {}),
+            ({"e": TOP, "f": Know("zz", TOP)}, {}),
+            ({"e": TOP, "f": TOP}, {"f": {"p": Not(Know("zz", P))}}),
+        ],
+        ids=["actual pre", "other pre", "post"],
+    )
+    def test_unknown_agent_in_a_formula_is_a_typed_error(self, pre, post):
+        y = EpistemicAction(
+            sig=SIG,
+            events=("e", "f"),
+            q={"i": (frozenset({"e", "f"}),)},
+            pre=pre,
+            post=post,
+            actual="e",
+        )
+        with pytest.raises(FormulaValidationError, match="unknown agent 'zz'"):
+            product_update(kripke_rendition(one_world_state()), y)
+
+    @pytest.mark.parametrize(
+        "atom",
+        ["zz", AttEq("zz", 0), AttEq("i", 3), AttLess("i", 9), Not(P)],
+        ids=["atom", "agent", "value", "less", "formula"],
+    )
+    def test_unknown_post_atom_is_refused_at_the_gate(self, atom):
+        y = EpistemicAction(
+            sig=SIG,
+            events=("e", "f"),
+            q={"i": (frozenset({"e", "f"}),)},
+            pre={"e": TOP, "f": TOP},
+            post={"e": {"p": TOP}, "f": {"p": TOP, atom: TOP}},
+            actual="e",
+        )
+        message = f"post of 'f' writes unknown atoms: {re.escape(repr(atom))}$"
+        with pytest.raises(AttnPlanError, match=message):
+            product_update(kripke_rendition(one_world_state()), y)
+        with pytest.raises(AttnPlanError, match=message):
+            resolve_actual(y, one_world_state())
+
+    def test_events_sharing_a_post_map_share_its_copy(self):
+        shared = {"p": Not(P)}
+        y = EpistemicAction(
+            sig=SIG,
+            events=("e", "f", "g"),
+            q={},
+            pre={"e": TOP, "f": TOP, "g": TOP},
+            post={"e": shared, "f": shared, "g": {"p": TOP}},
+        )
+        assert y.post["e"] is y.post["f"] and y.post["e"] is not shared
+        assert y.post == {"e": shared, "f": shared, "g": {"p": TOP}}
+        shared["p"] = TOP
+        assert y.post["e"] == {"p": Not(P)}
 
     def test_not_applicable_when_actual_fails(self):
         k = self.kripke()

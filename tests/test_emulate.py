@@ -32,7 +32,9 @@ from attnplan.logic import (
     PropAtom,
     Signature,
     TOP,
+    att_eq,
     att_geq,
+    att_lt,
     bot,
 )
 from attnplan.models import AttentionState, kripke_rendition
@@ -121,6 +123,15 @@ class TestToPost:
         assert block_of["f@1"] == frozenset({"f@1"})
         assert block_of["e@0"] == frozenset({"e@0", "f@0"})
 
+    def test_post_keys_are_the_shared_atoms(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            _, action = rand_applicable_pair(rng, SIG2, rand_attention_action)
+            for posts in to_post(action).post.values():
+                for atom in posts:
+                    constructor = att_eq if isinstance(atom, AttEq) else att_lt
+                    assert atom is constructor(atom.agent, atom.bound)
+
     def test_intransitive_branch_relation_refused(self):
         model = AttentionActionModel(
             sig=SIG,
@@ -157,6 +168,22 @@ class TestResolveActual:
         assert resolve_actual(y, self.state(1)) is first
         assert resolve_actual(y, self.state(0)) is not first
         assert first == replace(y, actual="e@1")
+
+    def test_picks_the_same_member_on_the_rendition(self):
+        rng = random.Random(44)
+        picked = 0
+        for _ in range(60):
+            y = to_post(rand_attention_action(rng, SIG2))
+            s = rand_state(rng, SIG2)
+            try:
+                member = resolve_actual(y, s).actual
+            except NotApplicable:
+                with pytest.raises(NotApplicable):
+                    resolve_actual(y, kripke_rendition(s))
+                continue
+            assert resolve_actual(y, kripke_rendition(s)).actual == member
+            picked += 1
+        assert picked >= 20
 
     def test_raises_when_no_variant_applies(self):
         y = to_post(paying_action(cost=1))
@@ -270,6 +297,31 @@ class TestEquivalence:
             states = [state] + [rand_state(rng, SIG2) for _ in range(2)]
             verdicts = check_equivalent_on(action, to_post(action), states)
             assert all(v.equivalent for v in verdicts), verdicts
+
+    def test_identity_is_never_needed(self):
+        """Emptying the shared-atom tables between compiling an action and
+        rendering the states, as the benchmark does between operations,
+        mixes atoms that are equal but not the same objects; every verdict
+        stays equivalent."""
+        rng = random.Random(45)
+        mixed = 0
+        for _ in range(30):
+            state, action = rand_applicable_pair(rng, SIG2, rand_attention_action)
+            y = to_post(action)
+            att_eq.cache_clear()
+            att_lt.cache_clear()
+            states = [state] + [rand_state(rng, SIG2) for _ in range(2)]
+            for s in states:
+                kripke_rendition(s)
+            mixed += any(
+                atom is not att_lt(atom.agent, atom.bound)
+                for posts in y.post.values()
+                for atom in posts
+                if isinstance(atom, AttLess)
+            )
+            verdicts = check_equivalent_on(action, y, states)
+            assert all(v.equivalent for v in verdicts), verdicts
+        assert mixed >= 10
 
     def test_randomized_round_trip_from_postcondition_free(self):
         rng = random.Random(42)

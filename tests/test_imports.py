@@ -5,9 +5,11 @@ in the package.  The trusted constructor ``AttentionState._normal``, which
 skips normalization, is named only by the functions that build their parts
 in normal form, ``validate_formula`` only by the entry points that
 validate formulas, and a cost table's ``entries`` only by the model's price
-index and the code that checks, copies or writes the table.  The reference
-modules under ``tests/`` import no private name of the package, apart from
-one listed exception.
+index and the code that checks, copies or writes the table.  Only the
+interning constructors ``att_eq`` and ``att_lt`` call ``AttEq`` and
+``AttLess``, so every attention atom the package builds is the shared one.
+The reference modules under ``tests/`` import no private name of the
+package, apart from one listed exception.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -156,10 +158,19 @@ def test_package_uses_every_private_definition():
 TRUSTED_SITES = ["actions.py: attention_update", "bisim.py: _quotient", "planner.py: _generated"]
 
 
-def naming_sites(sources: dict[str, str], name: str) -> list[str]:
+def called_names(node: ast.AST) -> set[str]:
+    return {
+        sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, (ast.Name, ast.Attribute))
+    }
+
+
+def naming_sites(sources: dict[str, str], name: str, names_in=referenced_names) -> list[str]:
     """``module: function`` for each module-level function, ``module:
     Class.method`` for each method and ``module: <module>`` for each other
-    top-level statement that names ``name``; defining it does not count."""
+    top-level statement that names ``name`` (or, with ``called_names``,
+    calls it); defining it does not count."""
     out = []
     for module, source in sorted(sources.items()):
         for statement in ast.parse(source).body:
@@ -172,9 +183,7 @@ def naming_sites(sources: dict[str, str], name: str) -> list[str]:
                 parts = [(statement.name, statement)]
             else:
                 parts = [("<module>", statement)]
-            out.extend(
-                f"{module}: {label}" for label, node in parts if name in referenced_names(node)
-            )
+            out.extend(f"{module}: {label}" for label, node in parts if name in names_in(node))
     return list(dict.fromkeys(out))
 
 
@@ -194,9 +203,32 @@ def test_the_check_finds_every_site_naming_a_name():
     assert naming_sites(sources, "_normal") == ["a.py: S.other", "b.py: f", "b.py: <module>"]
 
 
+def test_the_check_finds_every_site_calling_a_name():
+    sources = {
+        "a.py": (
+            "from .logic import AttEq, logic\n\n"
+            "def f(x):\n    return isinstance(x, AttEq)\n\n"
+            "def g():\n    return logic.AttEq('i', 0)\n\n"
+            "atom = AttEq('i', 1)\n"
+        ),
+    }
+    assert naming_sites(sources, "AttEq", called_names) == ["a.py: g", "a.py: <module>"]
+
+
 def test_only_the_trusted_sites_skip_normalization():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, "_normal") == TRUSTED_SITES
+
+
+# The interning constructors: every attention atom the package builds is
+# the one shared object for it, so set and dict lookups meet it by identity.
+INTERNING_SITES = {"AttEq": ["logic.py: att_eq"], "AttLess": ["logic.py: att_lt"]}
+
+
+@pytest.mark.parametrize("kind", sorted(INTERNING_SITES))
+def test_only_the_interning_constructors_build_attention_atoms(kind: str):
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert naming_sites(sources, kind, called_names) == INTERNING_SITES[kind]
 
 
 # The entry points that validate formulas against a signature; every other

@@ -16,8 +16,10 @@ from attnplan.logic import (
     TOP,
     Top,
     and_all,
+    att_eq,
     att_geq,
     att_gt,
+    att_lt,
     bot,
     entails,
     format_formula,
@@ -73,6 +75,27 @@ class TestSignature:
         expected += [AttEq("b", n) for n in range(3)]
         expected += [AttLess("b", n) for n in range(3)]
         assert list(atoms) == expected
+
+
+class TestSharedAtoms:
+    def test_one_object_per_atom_equal_to_a_direct_one(self):
+        assert att_eq("i", 2) is att_eq("i", 2)
+        assert att_lt("i", 2) is att_lt("i", 2)
+        assert att_eq("i", 2) == AttEq("i", 2) and att_lt("i", 2) == AttLess("i", 2)
+        assert hash(att_lt("i", 2)) == hash(AttLess("i", 2))
+        assert att_eq("i", 2) != att_lt("i", 2)
+
+    def test_parser_and_sugar_build_the_shared_objects(self):
+        assert parse_formula(SIG, "(att_i = 2)") is att_eq("i", 2)
+        assert parse_formula(SIG, "(att_i < 2)") is att_lt("i", 2)
+        assert parse_formula(SIG, "(att_i >= 2)").sub is att_lt("i", 2)
+        gt = parse_formula(SIG, "(att_i > 2)")
+        assert gt.left.sub is att_lt("i", 2) and gt.right.sub is att_eq("i", 2)
+
+    def test_signature_lists_the_shared_objects(self):
+        for atom in SIG2.attention_atoms():
+            constructor = att_eq if isinstance(atom, AttEq) else att_lt
+            assert atom is constructor(atom.agent, atom.bound)
 
 
 class TestParsing:

@@ -15,6 +15,8 @@ from attnplan.logic import (
     PropAtom,
     Signature,
     TOP,
+    att_eq,
+    att_lt,
 )
 from attnplan.models import (
     AttentionState,
@@ -205,6 +207,27 @@ class TestBudgetAtomView:
             f = rand_formula(rng, SIG2)
             w = rng.choice(s.worlds)
             assert check(s, f, world=w) == check_epistemic(k, f, world=w)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 40])
+    def test_rendition_matches_the_atom_by_atom_reference(self, bound):
+        sig = Signature(agents=("a", "b", "c"), attention_bound=bound, prop_atoms=("p", "q"))
+        rng = random.Random(1800 + bound)
+        for _ in range(60):
+            s = rand_state(rng, sig, max_worlds=5)
+            k, expected = kripke_rendition(s), ref.kripke_rendition(s)
+            assert k.valuation == expected.valuation
+            assert k == expected
+
+    def test_rendition_atoms_are_the_shared_objects(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            k = kripke_rendition(rand_state(rng, SIG2))
+            for atoms in k.valuation.values():
+                for atom in atoms:
+                    if isinstance(atom, AttEq):
+                        assert atom is att_eq(atom.agent, atom.bound)
+                    elif isinstance(atom, AttLess):
+                        assert atom is att_lt(atom.agent, atom.bound)
 
     def test_round_trip_back_to_budget_form(self):
         rng = random.Random(12)
