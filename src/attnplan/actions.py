@@ -29,8 +29,8 @@ action first passes its cached gate ``_actual_pre``, which raises
 AttnPlanError for the first fault and, for an attention action,
 FormulaValidationError for a precondition outside the signature, so
 ``applicable`` (the one applicability test) and the updates evaluate
-preconditions unvalidated.  The update groups survivors by source block,
-attending bit and event class instead of comparing them pairwise.
+preconditions unvalidated.  The update groups survivors by source block
+and (budget, event) tag instead of comparing them pairwise.
 
 Both updates read formulas through one ``models._Labelling`` per call: the
 attention update its preconditions, the product update its preconditions
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from .errors import (
@@ -57,7 +58,7 @@ from .logic import (
     Signature,
     Top,
     TOP,
-    entails,
+    _entails,
     or_all,
     validate_formula,
 )
@@ -236,19 +237,28 @@ class AttentionAction:
 
     @cached_property
     def _branches(self) -> dict[str, tuple[BranchRelation, BranchRelation]]:
-        """Each agent's two branch relations under the answers its question
-        gets from the preconditions.  Reads ``_costs`` first, so a missing
-        price is reported before a bad question."""
-        model, sig = self.model, self.sig
+        """Each agent's branch relations under the answers its question gets
+        from the preconditions.  Passes the gate and prices first, so a missing
+        price is reported before a bad question, then validates each once."""
+        model, sig, questions = self.model, self.sig, self.questions
+        self._actual_pre
         self._costs
+        for agent in sig.agents:
+            validate_formula(sig, questions[agent])
         return {
             agent: branch_classes(
                 model,
                 agent,
-                {e: entails(sig, model.pre[e], self.questions[agent]) for e in model.events},
+                {e: _entails(sig, model.pre[e], questions[agent]) for e in model.events},
             )
             for agent in sig.agents
         }
+
+    @cached_property
+    def _tags(self) -> dict[str, dict[tuple[int, str], tuple[int, int, int]]]:
+        """Per agent, the attending bit, branch class and budget left that each
+        (budget, event) pair fixes; ``attention_update`` adds each budget it meets."""
+        return {agent: {} for agent in self.sig.agents}
 
 
 @dataclass(frozen=True)
@@ -559,60 +569,59 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     NotApplicable when the actual event fails at the actual world and
     IllFormedResult when some agent's updated relation is not transitive
     (the one way it can fail to be an equivalence).
+
+    Cost is constant on each q-union-qstar component and the budget on each
+    source block, so one pass per agent groups the survivors by source block
+    and tag (``AttentionAction._tags``); with the tag's relation transitive,
+    each group is one block of the result.
     """
     _, survivors, names = _product_prelude(s, x)
-    branches, costs = x._branches, x._costs
+    branches, costs, all_tags, events = x._branches, x._costs, x._tags, x.model.events
+    worlds, kinds = zip(*survivors)
 
     partitions: dict[str, Partition] = {}
     attention: dict[str, dict[str, int]] = {}
     for agent in s.sig.agents:
-        relations, cost = branches[agent], costs[agent]
+        relations, cost, tags = branches[agent], costs[agent], all_tags[agent]
         source, budget = s._blocks[agent], s.attention[agent]
-        # Cost is constant on each q-union-qstar component and the budget on
-        # each source block, so the key fixes the attending bit and the
-        # budget left; with that bit's relation transitive, each group is
-        # one block of the result.
-        groups: dict[tuple[frozenset[str], int, int], list[int]] = {}
-        for k, (w, e) in enumerate(survivors):
-            attends = int(cost[e] <= budget[w])
-            key = (source[w], attends, relations[attends].class_of[e])
+        for b in set(budget.values()):
+            if (b, events[0]) not in tags:
+                for e in events:
+                    bit = int(cost[e] <= b)
+                    tags[b, e] = (bit, relations[bit].class_of[e], max(0, b - cost[e]))
+        tagged = list(map(tags.__getitem__, zip(map(budget.__getitem__, worlds), kinds)))
+        groups: dict[tuple[frozenset[str], tuple[int, int, int]], list[int]] = {}
+        for k, key in enumerate(zip(map(source.__getitem__, worlds), tagged)):
             groups.setdefault(key, []).append(k)
         blocks: dict[int, frozenset[str]] = {}  # by first survivor
-        left = [0] * len(survivors)
         broken: list[tuple[int, tuple[str, str, str]]] = []
-        for (_, attends, _), members in groups.items():
-            w, e = survivors[members[0]]
-            after = max(0, budget[w] - cost[e])
-            for k in members:
-                left[k] = after
+        for (_, (attends, _, _)), members in groups.items():
             relation = relations[attends]
-            member_names = tuple(names[k] for k in members)
             if relation.witness is None:
-                blocks[members[0]] = frozenset(member_names)
+                blocks[members[0]] = frozenset(map(names.__getitem__, members))
                 continue
             # The pairs of this group are related as their events are.  The
             # members keep survivor order, so the earliest broken class and
             # its witness are the ones an all-pairs check would report.
-            keys = {n: relation.keys[survivors[k][1]] for n, k in zip(member_names, members)}
+            member_names = tuple(map(names.__getitem__, members))
+            keys = {n: relation.keys[kinds[k]] for n, k in zip(member_names, members)}
             classes, group_broken = _union_classes(member_names, keys)
             at = dict(zip(member_names, members))
             blocks.update((min(at[n] for n in block), block) for block in classes)
             if group_broken:
-                first, witness = group_broken
-                broken.append((at[first], witness))
+                broken.append((at[group_broken[0]], group_broken[1]))
         if broken:
             raise IllFormedResult(agent, min(broken)[1])
         # A split group's classes landed at the group's place: restore the
         # order of first members.
-        order = sorted(blocks) if any(r.witness for r in relations) else blocks
-        partitions[agent] = tuple(blocks[k] for k in order)
-        attention[agent] = dict(zip(names, left))
+        partitions[agent] = tuple(map(blocks.__getitem__, sorted(blocks)))
+        attention[agent] = dict(zip(names, map(itemgetter(2), tagged)))
 
     return AttentionState._normal(
         sig=s.sig,
         worlds=tuple(names),
         partitions={agent: partitions[agent] for agent in sorted(partitions)},
-        valuation={n: s.valuation[w] for n, (w, _) in zip(names, survivors)},
+        valuation=dict(zip(names, map(s.valuation.__getitem__, worlds))),
         attention={agent: attention[agent] for agent in sorted(attention)},
         actual=names[survivors.index((s.actual, x.actual))],
     )

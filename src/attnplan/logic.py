@@ -596,3 +596,8 @@ def is_valid(sig: Signature, f: Formula) -> bool:
 def entails(sig: Signature, f: Formula, g: Formula) -> bool:
     """Whether ``f -> g`` is valid over ``sig``."""
     return is_valid(sig, implies(f, g))
+
+
+def _entails(sig: Signature, f: Formula, g: Formula) -> bool:
+    """``entails`` for formulas already validated against ``sig``."""
+    return not _satisfiable(sig.attention_bound, _to_nnf(implies(f, g), False))

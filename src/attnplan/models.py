@@ -143,6 +143,8 @@ class _PartitionModel:
         }
 
     def block_of(self, agent: str, world: str) -> frozenset[str]:
+        if agent not in self._blocks:  # from a formula no gate has walked
+            raise FormulaValidationError(f"unknown agent {agent!r}")
         return self._blocks[agent][world]
 
 
@@ -177,6 +179,8 @@ class AttentionState(_PartitionModel):
 
     def holds_attention(self, atom: AttEq | AttLess, world: str) -> bool:
         """Attention atoms compare against the agent's budget."""
+        if atom.agent not in self.attention:
+            raise FormulaValidationError(f"unknown agent {atom.agent!r}")
         budget = self.attention[atom.agent][world]
         return budget == atom.bound if isinstance(atom, AttEq) else budget < atom.bound
 
@@ -281,10 +285,10 @@ check_epistemic = check
 class _Labelling:
     """Extensions in ``s`` as bitmasks, bit k for ``s.worlds[k]``, built from
     the subformulas' (labelling model checking): ``Know`` keeps the blocks
-    inside its argument's extension.  The memo is keyed by node identity and
-    lives as long as the object, one update, so shared subformulas are
-    evaluated once; a longer-lived memo could meet a new formula at the
-    address of a collected one."""
+    inside its argument's extension, an agent's masks built at its first
+    ``Know``.  The memo, keyed by node identity, lives as long as the object,
+    one update, so shared subformulas are evaluated once; a longer-lived
+    memo could meet a new formula at the address of a collected one."""
 
     def __init__(self, s: _PartitionModel) -> None:
         self.s = s
@@ -298,8 +302,7 @@ class _Labelling:
             for atom in atoms:
                 if isinstance(atom, str):
                     self.atoms[atom] = self.atoms.get(atom, 0) | self.bit[w]
-        bit = self.bit.__getitem__
-        self.blocks = {a: [sum(map(bit, b)) for b in bs] for a, bs in s.partitions.items()}
+        self.blocks: dict[str, list[int]] = {}
 
     def holds(self, f: Formula, world: str) -> bool:
         return bool(self.extension(f) & self.bit[world])
@@ -319,7 +322,10 @@ class _Labelling:
             out = self.extension(f.left) & self.extension(f.right)
         elif isinstance(f, Know):
             if f.agent not in self.blocks:
-                raise FormulaValidationError(f"unknown agent {f.agent!r}")
+                blocks = self.s.partitions.get(f.agent)
+                if blocks is None:
+                    raise FormulaValidationError(f"unknown agent {f.agent!r}")
+                self.blocks[f.agent] = [sum(map(self.bit.__getitem__, b)) for b in blocks]
             inner = self.extension(f.sub)
             out = sum(b for b in self.blocks[f.agent] if b & inner == b)
         else:

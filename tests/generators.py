@@ -33,6 +33,7 @@ from attnplan.logic import (
     PropAtom,
     Signature,
     TOP,
+    and_all,
     entails,
 )
 from attnplan.models import AttentionState, EpistemicState
@@ -108,8 +109,11 @@ def rand_partition(rng: random.Random, items: tuple[str, ...]) -> tuple[frozense
     return tuple(blocks)
 
 
-def rand_state(rng: random.Random, sig: Signature, max_worlds: int = 4) -> AttentionState:
-    count = rng.randint(1, max_worlds)
+def rand_state(
+    rng: random.Random, sig: Signature, max_worlds: int = 4, min_worlds: int = 1
+) -> AttentionState:
+    """Each agent's budget is drawn per block, from 0 to the bound."""
+    count = rng.randint(min_worlds, max_worlds)
     worlds = tuple(f"w{j}" for j in range(count))
     partitions = {agent: rand_partition(rng, worlds) for agent in sig.agents}
     valuation = {
@@ -131,6 +135,55 @@ def rand_state(rng: random.Random, sig: Signature, max_worlds: int = 4) -> Atten
         attention=attention,
         actual=rng.choice(worlds),
     )
+
+
+def muddy_children(
+    rng: random.Random, n: int, budgets: dict[str, int] | None = None
+) -> tuple[AttentionState, AttentionAction]:
+    """n muddy children after the father's announcement, and ``attend``.
+
+    Worlds are the non-empty muddy sets; child ``ck`` cannot tell apart two
+    worlds that differ in its own bit ``mk``.  Every child but a seeded one
+    is muddy.  ``attend`` announces that nobody knows whether they are
+    muddy (event ``hear``, else ``miss``) and asks every child that at cost
+    1, with identity ``q`` and total ``qstar``.  Budgets default to n; with
+    them, n - 2 steps teach every muddy child that it is muddy.
+    """
+    children = tuple(f"c{k}" for k in range(n))
+    atoms = [PropAtom(f"m{k}") for k in range(n)]
+    sig = Signature(agents=children, attention_bound=n, prop_atoms=tuple(a.name for a in atoms))
+    masks = range(1, 2**n)
+
+    def name(mask: int) -> str:
+        return "".join("d" if mask >> k & 1 else "c" for k in range(n))
+
+    worlds = tuple(name(mask) for mask in masks)
+    clean = rng.randrange(n)
+    budgets = budgets or dict.fromkeys(children, n)
+    state = AttentionState(
+        sig=sig,
+        worlds=worlds,
+        partitions={
+            c: {frozenset({name(m), name(m ^ 1 << k) if m ^ 1 << k else name(m)}) for m in masks}
+            for k, c in enumerate(children)
+        },
+        valuation={name(m): {a.name for k, a in enumerate(atoms) if m >> k & 1} for m in masks},
+        attention={c: dict.fromkeys(worlds, budgets[c]) for c in children},
+        actual=name((2**n - 1) ^ 1 << clean),
+    )
+    nobody_knows = and_all(
+        And(Not(Know(c, a)), Not(Know(c, Not(a)))) for c, a in zip(children, atoms)
+    )
+    model = AttentionActionModel(
+        sig=sig,
+        events=("hear", "miss"),
+        q={},
+        qstar={c: (frozenset({"hear", "miss"}),) for c in children},
+        pre={"hear": nobody_knows, "miss": Not(nobody_knows)},
+        cost=CostTable(default=1),
+    )
+    questions = dict.fromkeys(children, nobody_knows)
+    return state, AttentionAction("attend", model, questions, "hear")
 
 
 def with_unreachable(s: AttentionState, extra: AttentionState, prefix: str) -> AttentionState:

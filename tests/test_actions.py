@@ -635,7 +635,7 @@ class TestAttentionUpdate:
     def test_costs_and_answers_are_derived_once_per_action(self, monkeypatch):
         calls = []
         kernel_calls = []
-        real_entails = actions.entails
+        real_entails = actions._entails
         real_branch_classes = actions.branch_classes
 
         def counting_entails(sig, f, g):
@@ -646,7 +646,7 @@ class TestAttentionUpdate:
             kernel_calls.append(agent)
             return real_branch_classes(model, agent, answers)
 
-        monkeypatch.setattr(actions, "entails", counting_entails)
+        monkeypatch.setattr(actions, "_entails", counting_entails)
         monkeypatch.setattr(actions, "branch_classes", counting_branch_classes)
         action = AttentionAction(
             name="x", model=two_event_model(), questions={"i": P}, actual="e"

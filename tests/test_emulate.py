@@ -23,11 +23,17 @@ from attnplan.emulate import (
     resolve_actual,
     to_post,
 )
-from attnplan.errors import AmbiguousActual, IllFormedResult, NotApplicable
+from attnplan.errors import (
+    AmbiguousActual,
+    FormulaValidationError,
+    IllFormedResult,
+    NotApplicable,
+)
 from attnplan.logic import (
     And,
     AttEq,
     AttLess,
+    Know,
     Not,
     PropAtom,
     Signature,
@@ -208,6 +214,23 @@ class TestResolveActual:
             actual_family=("e1", "e2"),
         )
         with pytest.raises(AmbiguousActual, match="'e1', 'e2'"):
+            resolve_actual(y, self.state(1))
+
+    @pytest.mark.parametrize(
+        "pre", [Know("zz", TOP), att_eq("zz", 0)], ids=["knowledge", "attention atom"]
+    )
+    def test_unknown_agent_in_a_guard_is_a_typed_error(self, pre):
+        """The epistemic gate does not walk formulas, so the guard is read
+        unvalidated; an agent outside the state is refused where it is met."""
+        y = EpistemicAction(
+            sig=SIG,
+            events=("e", "f"),
+            q={},
+            pre={"e": pre, "f": TOP},
+            actual="e",
+            actual_family=("e", "f"),
+        )
+        with pytest.raises(FormulaValidationError, match="unknown agent 'zz'"):
             resolve_actual(y, self.state(1))
 
 

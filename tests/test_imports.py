@@ -235,6 +235,7 @@ def test_only_the_interning_constructors_build_attention_atoms(kind: str):
 # reader evaluates what one of them has validated.  Imports name no site.
 VALIDATING_SITES = [
     "actions.py: AttentionAction._actual_pre",
+    "actions.py: AttentionAction._branches",
     "actions.py: validate_action",
     "logic.py: is_satisfiable",
     "logic.py: is_valid",

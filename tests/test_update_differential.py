@@ -9,6 +9,9 @@ IllFormedResult with the same agent and witness.  Every update that
 succeeds must also give a well-formed state, which ``attention_update``
 itself no longer checks.  Priced actions carry explicit cost entries, so
 the library's indexed price lookup meets the reference's scanning one.
+Along muddy-children plans and on states of 8 to 12 worlds the update must
+equal the reference field for field and in order, and one action applied
+to many states in turn shows that its tag table never goes stale.
 """
 
 import random
@@ -22,6 +25,7 @@ from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
     CostTable,
+    applicable,
     attention_update,
     branch_classes,
     product_update,
@@ -47,6 +51,7 @@ from attnplan.models import (
 
 from generators import (
     SIG2,
+    muddy_children,
     rand_applicable_pair,
     rand_attention_action,
     rand_epistemic_state,
@@ -343,6 +348,112 @@ def test_split_model_fails_only_when_attending():
     assert out.partitions["i"] == (frozenset({"w*e1", "v*e2", "v*e3"}),)
 
 
+SIG3 = Signature(agents=("a", "b", "c"), attention_bound=4, prop_atoms=("p", "q"))
+
+
+def in_order(s: AttentionState) -> tuple:
+    """Every field, with the order of each map's keys and of each agent's
+    blocks, which ``==`` ignores."""
+    return (
+        s.worlds,
+        list(s.partitions.items()),
+        list(s.valuation.items()),
+        [(agent, list(budgets.items())) for agent, budgets in s.attention.items()],
+        s.actual,
+    )
+
+
+def assert_same_fields(s: AttentionState, x: AttentionAction) -> object:
+    """The update equals the reference field for field and in order, or both
+    raise the same error, an IllFormedResult with the same witness."""
+    fast = outcome(attention_update, s, x)
+    slow = outcome(reference.attention_update, s, x)
+    if isinstance(slow, AttentionState):
+        assert isinstance(fast, AttentionState), fast
+        assert in_order(fast) == in_order(slow)
+    assert fast == slow
+    return slow
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_muddy_children_plans_match_the_reference(n):
+    """Every state along the plan, replayed uncontracted; then from budgets
+    drawn per child in 0..2, where some children cannot pay for the question
+    and the replay runs until ``attend`` is no longer applicable."""
+    rng = random.Random(5000 + n)
+    for budgets in (None, {f"c{k}": rng.randint(0, 2) for k in range(n)}):
+        state, attend = muddy_children(rng, n, budgets)
+        steps = 0
+        while steps < n + 1 and applicable(state, attend):
+            state = assert_same_fields(state, attend)
+            steps += 1
+        assert steps >= n - 2
+
+
+@pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["SIG2", "SIG3"])
+def test_large_states_match_the_reference(sig):
+    """8 to 12 worlds whose budgets differ from block to block, 0 included,
+    under well-formed and unfiltered actions."""
+    rng = random.Random(5101 if sig is SIG2 else 5102)
+    kinds = Counter()
+    for _ in range(80):
+        for make in (rand_attention_action, rand_unfiltered_action):
+            while True:
+                s = rand_state(rng, sig, max_worlds=12, min_worlds=8)
+                x = make(rng, sig)
+                if applicable(s, x):
+                    break
+            result = assert_same_fields(s, x)
+            kinds[result[0] if isinstance(result, tuple) else "ok"] += 1
+    assert kinds["ok"] >= 80
+    assert kinds["IllFormedResult"] >= 10
+
+
+def test_one_action_keeps_its_tags_exact_across_states():
+    """One action object, so its tag table is filled on some states and read
+    on others; every update still equals the reference's."""
+    rng = random.Random(5201)
+    for make in (rand_attention_action, rand_unfiltered_action):
+        states: list[AttentionState] = []
+        while len(states) < 40:  # an action whose actual event fires often
+            x = make(rng, SIG3)
+            drawn = [rand_state(rng, SIG3, max_worlds=12, min_worlds=8) for _ in range(100)]
+            states = [s for s in drawn if applicable(s, x)]
+        for s in states:
+            assert_same_fields(s, x)
+        assert all(len({b for b, _ in x._tags[a]}) >= 3 for a in SIG3.agents)
+
+
+def test_the_tag_table_holds_only_the_budgets_met():
+    """Bound 40, budgets 3 and 17: one entry per agent, budget met and event."""
+    sig = Signature(agents=("i",), attention_bound=40, prop_atoms=("p",))
+    model = AttentionActionModel(
+        sig=sig,
+        events=("e1", "e2"),
+        q={},
+        qstar={"i": (frozenset({"e1", "e2"}),)},
+        pre={"e1": P, "e2": TOP},
+        cost=CostTable(default=2),
+    )
+    x = AttentionAction("x", model, {"i": P}, "e1")
+
+    def state(budgets: tuple[int, ...]) -> AttentionState:
+        worlds = tuple(f"w{k}" for k in range(len(budgets)))
+        return AttentionState(
+            sig=sig,
+            worlds=worlds,
+            partitions={"i": tuple(frozenset({w}) for w in worlds)},
+            valuation=dict.fromkeys(worlds, frozenset({"p"})),
+            attention={"i": dict(zip(worlds, budgets))},
+            actual="w0",
+        )
+
+    assert_same_fields(state((3, 17, 3)), x)
+    assert sorted(x._tags["i"]) == [(b, e) for b in (3, 17) for e in model.events]
+    assert_same_fields(state((0,)), x)
+    assert len(x._tags["i"]) == 3 * len(model.events)
+
+
 def test_extension_sets_match_per_world_eval():
     rng = random.Random(4501)
     # A second stream keeps the attention states and formulas of the first.
@@ -361,6 +472,17 @@ def test_extension_sets_match_per_world_eval():
                     assert bool(mask >> k & 1) == truth
                     if isinstance(state, EpistemicState):
                         assert truth == reference.eval_epistemic(state, formula, w)
+
+
+def test_labelling_builds_masks_for_the_agents_it_meets():
+    s = rand_state(random.Random(4504), SIG3, max_worlds=6, min_worlds=6)
+    labels = _Labelling(s)
+    # Both formulas stay alive: the memo is keyed by node identity.
+    first, second = And(Know("b", P), Not(Know("b", Not(P)))), Know("c", Know("a", P))
+    labels.extension(first)
+    assert list(labels.blocks) == ["b"]
+    labels.extension(second)
+    assert sorted(labels.blocks) == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("sig", [SIG, SIG2], ids=["SIG", "SIG2"])
