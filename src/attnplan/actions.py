@@ -422,6 +422,13 @@ def validate_action(x: AttentionAction) -> list[Diagnostic]:
                 f"duplicate cost entry for agent {agent!r} on the component of {rep!r}",
                 "warning",
             )
+    if not any(d.severity == "error" for d in out):
+        # Conflicts and negative prices are reported above, so what is left
+        # to fail is an asked question that nothing prices.
+        try:
+            x._costs
+        except CostLookupError as exc:
+            report(str(exc))
     for agent in sig.agents:
         if branch_classes(model, agent)[0].witness is not None:
             report(

@@ -26,7 +26,7 @@ from .actions import (
     EpistemicAction,
     validate_action,
 )
-from .errors import AttnPlanError, TaskFileError
+from .errors import AttnPlanError, CostLookupError, TaskFileError
 from .logic import Formula, Signature, format_formula, parse_formula
 from .models import (
     AttentionState,
@@ -173,7 +173,7 @@ def _cost_table(
     return CostTable(entries=tuple(entries), agent_defaults=agent_defaults, default=default)
 
 
-def _model(sig: Signature, name: str, node: Any) -> AttentionActionModel:
+def _model(sig: Signature, name: str, node: Any, warnings: list[str]) -> AttentionActionModel:
     where = f"models.{name}"
     node = _expect(node, dict, where)
     events_node = _expect(node.get("events"), dict, f"{where}.events")
@@ -192,20 +192,17 @@ def _model(sig: Signature, name: str, node: Any) -> AttentionActionModel:
         pre=pre,
         cost=_cost_table(sig, events, node.get("costs"), f"{where}.costs"),
     )
-    # Checked as its question-free action, so a model no action names is
-    # checked too; warnings are left to the actions that use the model.
+    # Checked once, as its question-free action, so a model no action names
+    # is checked too; an action is checked only for what it adds.
     for diagnostic in validate_action(AttentionAction(name=name, model=model)):
         if diagnostic.severity == "error":
             raise TaskFileError(f"{where}: {diagnostic.message}")
+        warnings.append(f"{where}: {diagnostic.message}")
     return model
 
 
 def _action(
-    sig: Signature,
-    models: Mapping[str, AttentionActionModel],
-    name: str,
-    node: Any,
-    warnings: list[str],
+    sig: Signature, models: Mapping[str, AttentionActionModel], name: str, node: Any
 ) -> AttentionAction:
     where = f"actions.{name}"
     node = _expect(node, dict, where)
@@ -214,18 +211,21 @@ def _action(
         raise TaskFileError(f"{where}.model: unknown model {model_name!r}")
     model = models[model_name]
     questions_node = _expect(node.get("questions", {}), dict, f"{where}.questions")
-    questions = {
-        agent: _formula(sig, text, f"{where}.questions.{agent}")
-        for agent, text in questions_node.items()
-    }
+    questions: dict[str, Formula] = {}
+    for agent, text in questions_node.items():
+        if agent not in sig.agents:
+            raise TaskFileError(f"{where}.questions: unknown agent {agent!r}")
+        questions[agent] = _formula(sig, text, f"{where}.questions.{agent}")
     actual = _expect(node.get("actual"), str, f"{where}.actual")
     if actual not in model.events:
         raise TaskFileError(f"{where}.actual: unknown event {actual!r}")
     action = AttentionAction(name=name, model=model, questions=questions, actual=actual)
-    for diagnostic in validate_action(action):
-        if diagnostic.severity == "error":
-            raise TaskFileError(f"{where}: {diagnostic.message}")
-        warnings.append(f"{where}: {diagnostic.message}")
+    # ``_model`` checked the model and parsing fits each question to the
+    # signature; left are the prices, ``_costs``, which every update reuses.
+    try:
+        action._costs
+    except CostLookupError as exc:
+        raise TaskFileError(f"{where}: {exc}")
     return action
 
 
@@ -269,11 +269,11 @@ def loads(text: str) -> TaskDocument:
         for name, node in _expect(raw.get("states", {}), dict, "states").items()
     }
     models = {
-        name: _model(sig, name, node)
+        name: _model(sig, name, node, warnings)
         for name, node in _expect(raw.get("models", {}), dict, "models").items()
     }
     actions = {
-        name: _action(sig, models, name, node, warnings)
+        name: _action(sig, models, name, node)
         for name, node in _expect(raw.get("actions", {}), dict, "actions").items()
     }
     tasks = {

@@ -307,6 +307,27 @@ class TestValidation:
         )
 
 
+    def test_unpriced_question_is_an_error(self, two_facts_doc):
+        ask_p = two_facts_doc.actions["ask_p"]
+        unpriced = replace(ask_p, model=replace(ask_p.model, cost=CostTable()))
+        message = "no cost entry or default covers agent 'i' at event 'e_pq'"
+        assert [(d.severity, d.message) for d in validate_action(unpriced)] == [
+            ("error", message)
+        ]
+        with pytest.raises(CostLookupError) as info:
+            attention_update(two_facts_doc.states["init"], unpriced)
+        assert str(info.value) == message
+
+    def test_conflicting_price_of_an_asked_question_is_reported_once(self):
+        entries = (CostEntry("i", P, "e", 1), CostEntry("i", P, "f", 2))
+        action = AttentionAction(
+            name="x", model=two_event_model(CostTable(entries=entries)),
+            questions={"i": P}, actual="e",
+        )
+        assert [d.message for d in validate_action(action) if d.severity == "error"] == [
+            "conflicting costs for agent 'i' on the component of 'e': 1 vs 2"
+        ]
+
     def test_question_for_unknown_agent_is_an_error(self):
         action = AttentionAction(
             name="x", model=two_event_model(), questions={"zz": P}, actual="e"

@@ -21,7 +21,14 @@ from attnplan.taskfile import (
     state_document,
 )
 
-from test_taskfile import UNUSED_MODEL_FAULTS, with_spare_model
+from test_taskfile import (
+    INTRANSITIVE,
+    UNPRICED,
+    UNUSED_MODEL_FAULTS,
+    with_costs_emptied,
+    with_intransitive_facts,
+    with_spare_model,
+)
 
 TWO_FACTS = str(bundled_path("two_facts.task"))
 MUDDY = str(bundled_path("muddy_children.task"))
@@ -240,6 +247,21 @@ class TestCommands:
         path.write_text(with_spare_model(costs))
         assert run(["validate", "--task", str(path)]) == 2
         assert fault in capsys.readouterr().err
+
+    def test_unpriced_question_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "unpriced.task"
+        path.write_text(with_costs_emptied())
+        assert run(["validate", "--task", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {UNPRICED}\n"
+
+    def test_validate_prints_a_model_warning_once(self, capsys, tmp_path):
+        path = tmp_path / "intransitive.task"
+        path.write_text(with_intransitive_facts())
+        assert run(["validate", "--task", str(path)]) == 0
+        warnings = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")
+        ]
+        assert warnings == [f"warning: {INTRANSITIVE}"]
 
     def test_unexpected_exception_exits_two(self, capsys):
         # Parsing nests a 400-way disjunction deeper than the evaluator's

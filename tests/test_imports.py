@@ -5,7 +5,8 @@ in the package.  The trusted constructor ``AttentionState._normal``, which
 skips normalization, is named only by the functions that build their parts
 in normal form, ``validate_formula`` only by the entry points that
 validate formulas, and a cost table's ``entries`` only by the model's price
-index and the code that checks, copies or writes the table.  Only the
+index and the code that checks, copies or writes the table.  The loader
+calls ``validate_action`` once per model and nowhere else.  Only the
 interning constructors ``att_eq`` and ``att_lt`` call ``AttEq`` and
 ``AttLess``, so every attention atom the package builds is the shared one.
 The reference modules under ``tests/`` import no private name of the
@@ -229,6 +230,16 @@ INTERNING_SITES = {"AttEq": ["logic.py: att_eq"], "AttLess": ["logic.py: att_lt"
 def test_only_the_interning_constructors_build_attention_atoms(kind: str):
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, kind, called_names) == INTERNING_SITES[kind]
+
+
+# The loader checks each action model once, as its question-free action,
+# and checks an action only for what it adds to its model.
+VALIDATE_ACTION_SITES = ["taskfile.py: _model"]
+
+
+def test_the_loader_checks_each_model_once():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert naming_sites(sources, "validate_action", called_names) == VALIDATE_ACTION_SITES
 
 
 # The entry points that validate formulas against a signature; every other

@@ -2,7 +2,12 @@
 the task's initial state, reach the goal, and each state of its trace is
 bisimilar to the state the replay reaches after as many steps.  The search
 keeps the actions it took, not their names, so a task that declares two
-actions with one name still gets back the plan it searched."""
+actions with one name still gets back the plan it searched.
+
+Along the fixtures' plans and scaled muddy children, the replay also
+checks the paper's fragment claim: each attention update is, up to
+bisimulation, the product update of the state's rendition with the
+compiled action (``to_post``) resolved at that state."""
 
 from __future__ import annotations
 
@@ -11,12 +16,14 @@ import random
 
 import pytest
 
-from attnplan.actions import AttentionAction, attention_update
-from attnplan.bisim import BisimWitness, bisimilar
-from attnplan.models import check
+from attnplan.actions import AttentionAction, attention_update, product_update
+from attnplan.bisim import BisimWitness, bisimilar, kripke_bisimilar
+from attnplan.emulate import resolve_actual, to_post
+from attnplan.logic import Know, PropAtom, and_all
+from attnplan.models import check, kripke_rendition
 from attnplan.planner import PlanningTask, Solution, solve_bounded, solve_nfl
 
-from generators import SIG2, rand_task
+from generators import SIG2, muddy_children, rand_task
 
 
 def assert_replays(task: PlanningTask, out, steps: list[AttentionAction]) -> None:
@@ -31,6 +38,21 @@ def assert_replays(task: PlanningTask, out, steps: list[AttentionAction]) -> Non
         if k < len(steps):
             replayed = attention_update(replayed, steps[k])
     assert check(replayed, task.goal)
+
+
+def assert_in_fragment(task: PlanningTask, steps: list[AttentionAction]) -> None:
+    """At each state the replay of ``steps`` passes through, the compiled
+    step's product with the rendition is bisimilar to the rendition of the
+    attention update, and the goal holds on the rendition of the last."""
+    state = task.initial
+    for k, action in enumerate(steps):
+        rendition = kripke_rendition(state)
+        compiled = product_update(rendition, resolve_actual(to_post(action), rendition))
+        state = attention_update(state, action)
+        assert isinstance(
+            kripke_bisimilar(compiled, kripke_rendition(state)), BisimWitness
+        ), f"step {k}"
+    assert check(kripke_rendition(state), task.goal)
 
 
 def steps_by_name(task: PlanningTask, plan: tuple[str, ...]) -> list[AttentionAction]:
@@ -59,9 +81,25 @@ def test_fixture_solutions_replay(two_facts_doc, muddy_doc):
         for name, task in doc.tasks.items():
             out = solve_bounded(task, 3)
             if isinstance(out, Solution):
-                assert_replays(task, out, steps_by_name(task, out.plan))
+                steps = steps_by_name(task, out.plan)
+                assert_replays(task, out, steps)
+                assert_in_fragment(task, steps)
                 plans[name] = out.plan
     assert plans == {"main": ("ask_p", "ask_imp"), "siblings_learn": ("attend", "attend")}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_scaled_muddy_children_solutions_replay(n):
+    """n muddy children with budget n: n - 2 rounds of ``attend`` teach
+    every muddy child that it is muddy."""
+    initial, attend = muddy_children(random.Random(n), n)
+    muddy = initial.valuation[initial.actual]
+    goal = and_all(Know(f"c{k}", PropAtom(f"m{k}")) for k in range(n) if f"m{k}" in muddy)
+    task = PlanningTask(name=f"muddy{n}", initial=initial, actions=(attend,), goal=goal)
+    out = solve_nfl(task)
+    steps = [attend] * (n - 2)
+    assert_replays(task, out, steps)
+    assert_in_fragment(task, steps)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnplan import taskfile
 from attnplan.errors import AttnPlanError, TaskFileError
 from attnplan.taskfile import TaskDocument, bundled_path, loads
 
@@ -46,6 +47,65 @@ def test_a_model_no_action_names_is_checked(costs, fault):
     with pytest.raises(TaskFileError) as info:
         loads(with_spare_model(costs))
     assert str(info.value) == fault
+
+
+UNPRICED = "actions.ask_p: no cost entry or default covers agent 'i' at event 'e_pq'"
+INTRANSITIVE = (
+    "models.facts: q union qstar is not transitive for agent 'i'; "
+    "updates may raise IllFormedResult"
+)
+
+
+def with_costs_emptied() -> str:
+    """The bundled two-facts document with every cost table empty, so each
+    model prices only the trivial question, as JSON text."""
+    doc = copy.deepcopy(BASE)
+    for model in doc["models"].values():
+        model["costs"] = {}
+    return json.dumps(doc)
+
+
+def with_intransitive_facts() -> str:
+    """The bundled two-facts document whose ``facts`` model has a q union
+    qstar that is not transitive, named by the two actions ``ask_p`` and
+    ``ask_q``, as JSON text."""
+    doc = copy.deepcopy(BASE)
+    doc["models"]["facts"]["q"] = {"i": [["e_pq", "e_npq"]]}
+    doc["models"]["facts"]["qstar"] = {"i": [["e_npq", "e_pnq"]]}
+    del doc["actions"]["ask_pq"]
+    doc["tasks"]["main"]["actions"].remove("ask_pq")
+    return json.dumps(doc)
+
+
+def test_each_model_is_validated_once(monkeypatch):
+    calls, original = [], taskfile.validate_action
+
+    def counting(action):
+        calls.append(action.name)
+        return original(action)
+
+    monkeypatch.setattr(taskfile, "validate_action", counting)
+    doc = loads(json.dumps(BASE))
+    assert (len(doc.models), len(doc.actions)) == (2, 4)
+    assert calls == ["facts", "implication"]
+
+
+def test_an_unpriced_question_is_refused():
+    with pytest.raises(TaskFileError) as info:
+        loads(with_costs_emptied())
+    assert str(info.value) == UNPRICED
+
+
+def test_a_model_warns_once_under_its_own_name():
+    doc = loads(with_intransitive_facts())
+    assert sum(a.model is doc.models["facts"] for a in doc.actions.values()) == 2
+    assert doc.warnings == (INTRANSITIVE,)
+
+
+def test_a_question_for_an_unknown_agent_is_placed():
+    with pytest.raises(TaskFileError) as info:
+        loads(mutated(("actions", "ask_p", "questions", "zz"), "p"))
+    assert str(info.value) == "actions.ask_p.questions: unknown agent 'zz'"
 
 
 def nodes(node, path=()):
