@@ -40,7 +40,7 @@ shared subformulas once, not evaluated world by world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
@@ -314,8 +314,24 @@ class EpistemicAction:
     @cached_property
     def _resolved(self) -> dict[str, EpistemicAction]:
         """``emulate.resolve_actual``'s copy of this action for each family
-        member it has resolved to, each built (and gated) once."""
+        member it has resolved to, each built once (``_member``)."""
         return {}
+
+    def _member(self, actual: str) -> EpistemicAction:
+        """This action with ``actual``, a member of its actual family, as
+        its actual event.  The copy shares this action's maps, which this
+        action's gate has checked, so it skips ``__post_init__``, and its own
+        gate checks only that ``actual`` is one of the events gated."""
+        self._actual_pre  # the gate, over the actual event and its family
+        if actual not in (self.actual, *self.actual_family):
+            raise AttnPlanError(f"{actual!r} is not a member of the actual family")
+        member = object.__new__(EpistemicAction)
+        member.__dict__.update(
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            actual=actual,
+            _actual_pre=self.pre[actual],
+        )
+        return member
 
     def is_nopost(self) -> bool:
         return all(not mapping for mapping in self.post.values())
@@ -690,8 +706,12 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     """Standard product of an epistemic state with an epistemic action.
 
     A pair's valuation is its world's atoms minus the post map's keys plus
-    the keys whose formula's extension holds the world, by set operations
-    that reuse stored hashes.
+    the keys whose formula's extension holds the world.  Each distinct post
+    map (events may share one) has its keys grouped by extension once per
+    call, so a pair tests one bit per group and adds each group's atoms as
+    one set, by set operations that reuse stored hashes.  The result is
+    written in normal form: blocks in order of their first pair, maps in
+    agent and pair order.
 
     Raises SignatureMismatch, AttnPlanError when the action is no sound
     event model or writes an atom outside the signature (see
@@ -702,7 +722,7 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     labels, survivors, names = _product_prelude(k, y)
 
     partitions: dict[str, Partition] = {}
-    for agent in k.sig.agents:
+    for agent in sorted(k.sig.agents):
         grouped: dict[tuple[frozenset[str], int], list[str]] = {}
         source_blocks = k._blocks[agent]
         event_blocks = {e: i for i, block in enumerate(y.q[agent]) for e in block}
@@ -710,14 +730,27 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
             grouped.setdefault((source_blocks[w], event_blocks[e]), []).append(name)
         partitions[agent] = tuple(frozenset(ws) for ws in grouped.values())
 
-    valuation: dict[str, frozenset[Atom]] = {}
-    extension, bit = labels.extension, labels.bit
-    for name, (w, e) in zip(names, survivors):
-        post, here = y.post.get(e, {}), bit[w]
-        written = [atom for atom, formula in post.items() if extension(formula) & here]
-        valuation[name] = k.valuation[w].difference(post).union(written)
+    # Each survivor event's post keys grouped by extension, once per distinct
+    # map: every non-empty extension with the atoms it writes.
+    no_post: dict[Atom, Formula] = {}
+    tables: dict[int, list[tuple[int, frozenset[Atom]]]] = {}
+    written: dict[str, list[tuple[int, frozenset[Atom]]]] = {}
+    for e in dict.fromkeys(e for _, e in survivors):
+        post = y.post.get(e, no_post)
+        if id(post) not in tables:
+            keys: dict[int, list[Atom]] = {}
+            for atom, formula in post.items():
+                keys.setdefault(labels.extension(formula), []).append(atom)
+            tables[id(post)] = [(mask, frozenset(atoms)) for mask, atoms in keys.items() if mask]
+        written[e] = tables[id(post)]
 
-    return EpistemicState(
+    valuation: dict[str, frozenset[Atom]] = {}
+    bit = labels.bit
+    for name, (w, e) in zip(names, survivors):
+        groups = [atoms for mask, atoms in written[e] if mask & bit[w]]
+        valuation[name] = k.valuation[w].difference(y.post.get(e, no_post)).union(*groups)
+
+    return EpistemicState._normal(
         sig=k.sig,
         worlds=tuple(names),
         partitions=partitions,

@@ -18,7 +18,7 @@ compares the results up to bisimilarity of their atom-level renditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .actions import (
@@ -222,7 +222,7 @@ def resolve_actual(
             f"fire at world {s.actual!r}; their guards must be mutually exclusive"
         )
     if matches[0] not in y._resolved:
-        y._resolved[matches[0]] = replace(y, actual=matches[0])
+        y._resolved[matches[0]] = y._member(matches[0])
     return y._resolved[matches[0]]
 
 

@@ -9,10 +9,14 @@ formulas are equal iff their core ASTs are equal.
 Each attention atom has one shared object: the package builds ``AttEq``
 and ``AttLess`` only through the cached constructors ``att_eq`` and
 ``att_lt``, so set and dict lookups meet renditions' and compiled actions'
-atoms by identity before calling the dataclass ``__eq__``.  Equality and
-hashing stay structural, so an atom built directly, or before the tables'
+atoms by identity before calling the dataclass ``__eq__``.  Equality
+stays structural, so an atom built directly, or before the tables'
 ``cache_clear``, is equal to the shared one; no code tests ``is`` on a
-formula.  The tables keep one atom per agent and value asked for.
+formula.  The tables keep one atom per agent and value asked for.  Each
+atom stores its hash, that of its kind, agent and value, so the two kinds
+hash apart and a set holding both never compares one with the other; a
+pickle or deep copy rebuilds the atom through its constructor, since a
+stored hash holds only in the process that computed it.
 
 Validity and entailment are decided by a tableau over equivalence-class
 ("clique") relations: each agent's accessibility within a branch is a
@@ -91,20 +95,44 @@ class PropAtom(Formula):
     name: str
 
 
+class _AttentionAtom(Formula):
+    """What the two attention atoms share: a hash stored at construction and
+    tagged by kind, so that ``(att_i = n)`` and ``(att_i < n)`` hash apart.
+    A ``str`` hashes differently in each process, so a pickled or copied
+    atom is rebuilt through its shared constructor (``__reduce__``) and
+    never carries a stored hash over."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((type(self).__name__, self.agent, self.bound)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @dataclass(frozen=True)
-class AttEq(Formula):
+class AttEq(_AttentionAtom):
     """``(att_agent = bound)`` — the agent's attention is exactly ``bound``."""
 
     agent: str
     bound: int
+    __hash__ = _AttentionAtom.__hash__  # explicit, so ``dataclass`` keeps it
+
+    def __reduce__(self) -> tuple:
+        return att_eq, (self.agent, self.bound)
 
 
 @dataclass(frozen=True)
-class AttLess(Formula):
+class AttLess(_AttentionAtom):
     """``(att_agent < bound)`` — the agent's attention is below ``bound``."""
 
     agent: str
     bound: int
+    __hash__ = _AttentionAtom.__hash__
+
+    def __reduce__(self) -> tuple:
+        return att_lt, (self.agent, self.bound)
 
 
 @dataclass(frozen=True)

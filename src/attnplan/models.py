@@ -13,8 +13,10 @@ checked separately by :func:`validate_state`.  In normal form maps are keyed
 by agent in sorted order, then by world in ``worlds`` order, blocks come in
 order of their first world, valuations are frozensets and budgets ints.
 The planner's steps (``attention_update``, ``_generated`` and the merging
-``_quotient``) skip the pass through ``AttentionState._normal``: each reads
-a state in normal form and writes its parts in that order.
+``_quotient``) and the epistemic side of ``emulate.check_equivalent_on``
+(``kripke_rendition`` and ``product_update``) skip that pass through the
+trusted constructor ``_normal``: each reads a state in normal form and
+writes its parts in that order.
 
 Truth is defined here once for both kinds, which differ only in
 ``holds_attention``.  It comes in two shapes: ``_eval`` answers at one
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Hashable, Iterable, Mapping, TypeVar, Union
 
 from .errors import FormulaValidationError, SignatureMismatch, StateValidationError
 from .logic import (
@@ -118,12 +120,15 @@ def _partition_faults(items: tuple[str, ...], blocks: Partition, noun: str) -> l
     return out
 
 
+_Model = TypeVar("_Model", bound="_PartitionModel")
+
+
 class _PartitionModel:
     """What the two state kinds share: worlds, one partition per agent and a
-    valuation, normalized on construction, and the block index.  Subclasses
-    are frozen dataclasses with those fields; each says in
-    ``holds_attention`` how it reads an attention atom, the one place the
-    two semantics differ."""
+    valuation, normalized on construction (``_normal`` takes them as they
+    are), and the block index.  Subclasses are frozen dataclasses with those
+    fields; each says in ``holds_attention`` how it reads an attention atom,
+    the one place the two semantics differ."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "worlds", tuple(self.worlds))
@@ -134,6 +139,13 @@ class _PartitionModel:
         object.__setattr__(self, "partitions", {a: parts[a] for a in sorted(parts)})
         val = {w: frozenset(self.valuation.get(w, frozenset())) for w in self.worlds}
         object.__setattr__(self, "valuation", val)
+
+    @classmethod
+    def _normal(cls: type[_Model], **fields) -> _Model:
+        """The state with these fields, already in normal form, as they are."""
+        s = object.__new__(cls)
+        s.__dict__.update(fields)
+        return s
 
     @cached_property
     def _blocks(self) -> dict[str, dict[str, frozenset[str]]]:
@@ -166,13 +178,6 @@ class AttentionState(_PartitionModel):
             for agent, per_world in self.attention.items()
         }
         object.__setattr__(self, "attention", {a: att[a] for a in sorted(att)})
-
-    @classmethod
-    def _normal(cls, **fields) -> AttentionState:
-        """The state with these fields, already in normal form, as they are."""
-        s = object.__new__(cls)
-        s.__dict__.update(fields)
-        return s
 
     def att(self, agent: str, world: str) -> int:
         return self.attention[agent][world]
@@ -342,7 +347,8 @@ def kripke_rendition(s: AttentionState) -> EpistemicState:
     formulas the attention state does.  Each (agent, budget) pair's atoms
     are one frozenset of shared atoms (``logic.att_eq``/``att_lt``), built
     once per call; a world's valuation is the union of its own with one such
-    set per agent, which reuses the hashes the sets store.
+    set per agent, which reuses the hashes the sets store.  The state's
+    normal partitions pass on as they are.
     """
     bound = s.sig.attention_bound
     facts: dict[tuple[str, int], frozenset[Atom]] = {}
@@ -356,7 +362,7 @@ def kripke_rendition(s: AttentionState) -> EpistemicState:
                 facts[agent, budget] = frozenset((att_eq(agent, budget), *below))
             per_agent.append(facts[agent, budget])
         valuation[world] = s.valuation[world].union(*per_agent)
-    return EpistemicState(
+    return EpistemicState._normal(
         sig=s.sig,
         worlds=s.worlds,
         partitions=s.partitions,

@@ -122,7 +122,8 @@ def _state(sig: Signature, name: str, node: Any) -> AttentionState:
             )
     partitions = _relation_groups(sig, worlds, node.get("relations"), f"{where}.relations")
     for agent in sig.agents:
-        partitions.setdefault(agent, close_into_partition(worlds, []))
+        if agent not in partitions:  # no relation given: all worlds apart
+            partitions[agent] = close_into_partition(worlds, [])
     actual = _expect(node.get("actual"), str, f"{where}.actual")
     state = AttentionState(
         sig=sig,

@@ -446,6 +446,43 @@ def rand_nopost_action(
     )
 
 
+def rand_post_action(
+    rng: random.Random, sig: Signature, max_events: int = 4
+) -> EpistemicAction:
+    """A hand-built plain action with postconditions, unlike the ones
+    ``to_post`` writes: post formulas are compound (``Know``, ``And``,
+    ``Not``), keys are propositional and attention atoms (shared objects
+    and directly built ones), some events share a map and others have
+    their own or none, and in a map of three keys or more the first two
+    share one formula and the third an equivalent one."""
+    events = tuple(f"e{j}" for j in range(rng.randint(1, max_events)))
+    atoms = sig.prop_atoms + sig.attention_atoms()
+    maps = []
+    for _ in range(rng.randint(1, len(events))):
+        keys = [
+            type(atom)(atom.agent, atom.bound)
+            if not isinstance(atom, str) and rng.random() < 0.3
+            else atom
+            for atom in rng.sample(atoms, rng.randint(0, 5))
+        ]
+        post = {key: rand_formula(rng, sig, max_modal_depth=2, max_size=7) for key in keys}
+        if len(keys) >= 3:
+            post[keys[1]] = post[keys[0]]
+            post[keys[2]] = Not(Not(post[keys[0]]))
+        maps.append(post)
+    return EpistemicAction(
+        sig=sig,
+        events=events,
+        q={agent: rand_partition(rng, events) for agent in sig.agents},
+        pre={
+            e: TOP if rng.random() < 0.4 else rand_formula(rng, sig, max_size=5)
+            for e in events
+        },
+        post={e: rng.choice(maps) for e in events if rng.random() < 0.8},
+        actual=rng.choice(events),
+    )
+
+
 def rand_task(rng: random.Random, sig: Signature, max_worlds: int = 4) -> PlanningTask:
     actions = tuple(
         rand_nfl_action(rng, sig) for _ in range(rng.randint(1, 2))

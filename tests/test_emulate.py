@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from attnplan import actions
 from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
@@ -25,6 +26,7 @@ from attnplan.emulate import (
 )
 from attnplan.errors import (
     AmbiguousActual,
+    AttnPlanError,
     FormulaValidationError,
     IllFormedResult,
     NotApplicable,
@@ -174,6 +176,27 @@ class TestResolveActual:
         assert resolve_actual(y, self.state(1)) is first
         assert resolve_actual(y, self.state(0)) is not first
         assert first == replace(y, actual="e@1")
+
+    def test_members_share_the_checked_maps(self, monkeypatch):
+        """A member is no new action to check: it shares the parent's maps,
+        and its product passes the gate without another structural pass."""
+        y = to_post(paying_action(cost=1))
+        y._actual_pre  # the parent's gate, the one structural pass
+        checks = []
+
+        def counting(*args):
+            checks.append(args)
+            return []
+
+        monkeypatch.setattr(actions, "_event_model_faults", counting)
+        for budget in (2, 0):
+            member = resolve_actual(y, self.state(budget))
+            assert (member.q, member.pre, member.post) == (y.q, y.pre, y.post)
+            assert all(member.post[e] is y.post[e] for e in y.events)
+            product_update(kripke_rendition(self.state(budget)), member)
+        assert checks == []
+        with pytest.raises(AttnPlanError, match="'e@1' is not a member"):
+            replace(y, actual="e@0", actual_family=("e@0",))._member("e@1")
 
     def test_picks_the_same_member_on_the_rendition(self):
         rng = random.Random(44)

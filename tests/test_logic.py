@@ -1,5 +1,7 @@
 """Language core: signatures, ASTs, parsing/printing, and the prover."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -96,6 +98,31 @@ class TestSharedAtoms:
         for atom in SIG2.attention_atoms():
             constructor = att_eq if isinstance(atom, AttEq) else att_lt
             assert atom is constructor(atom.agent, atom.bound)
+
+    def test_the_two_kinds_hash_apart(self):
+        for atom in SIG2.attention_atoms():
+            assert hash(att_eq(atom.agent, atom.bound)) != hash(att_lt(atom.agent, atom.bound))
+
+    def test_a_direct_or_rebuilt_atom_is_equal_and_hashes_alike(self):
+        for atom in SIG2.attention_atoms():
+            constructor = att_eq if isinstance(atom, AttEq) else att_lt
+            direct = type(atom)(atom.agent, atom.bound)
+            assert direct is not atom and direct == atom and hash(direct) == hash(atom)
+            constructor.cache_clear()
+            rebuilt = constructor(atom.agent, atom.bound)
+            assert rebuilt is not atom and rebuilt == atom and hash(rebuilt) == hash(atom)
+            assert {atom: 1}[rebuilt] == 1 and direct in {rebuilt}
+
+    def test_pickle_and_deepcopy_give_the_shared_object(self):
+        """A stored hash holds only in the process that computed it, so no
+        copy carries one over: each rebuilds through the constructor."""
+        for atom in SIG2.attention_atoms():
+            shared = (att_eq if isinstance(atom, AttEq) else att_lt)(atom.agent, atom.bound)
+            direct = type(atom)(atom.agent, atom.bound)
+            for source in (shared, direct):
+                assert pickle.loads(pickle.dumps(source)) is shared
+                assert copy.deepcopy(source) is shared
+            assert copy.deepcopy(Know("a", And(direct, PropAtom("p")))).sub.left is shared
 
 
 class TestParsing:

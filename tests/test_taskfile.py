@@ -90,6 +90,27 @@ def test_each_model_is_validated_once(monkeypatch):
     assert calls == ["facts", "implication"]
 
 
+def test_a_state_partition_is_built_once_per_agent(monkeypatch):
+    """The closed relation for an agent with one, the all-singletons
+    default only for an agent without."""
+    worlds, built = tuple(BASE["states"]["init"]["worlds"]), []
+    original = taskfile.close_into_partition
+
+    def counting(items, groups):
+        groups = list(groups)
+        if items == worlds:
+            built.append(groups)
+        return original(items, groups)
+
+    monkeypatch.setattr(taskfile, "close_into_partition", counting)
+    loads(json.dumps(BASE))
+    assert built == [BASE["states"]["init"]["relations"]["i"]]
+    built.clear()
+    state = loads(mutated(("states", "init", "relations"), {})).states["init"]
+    assert built == [[]]
+    assert state.partitions["i"] == tuple(frozenset({w}) for w in worlds)
+
+
 def test_an_unpriced_question_is_refused():
     with pytest.raises(TaskFileError) as info:
         loads(with_costs_emptied())

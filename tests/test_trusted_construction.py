@@ -1,7 +1,8 @@
 """The trusted constructor's contract: every state built through
-``AttentionState._normal`` (by ``attention_update``, the planner's
-``_generated`` and the merging branch of ``bisim._quotient``) is already in
-the normal form the public constructor would give it.
+``_normal`` (by ``attention_update``, the planner's ``_generated``, the
+merging branch of ``bisim._quotient``, ``kripke_rendition`` and
+``product_update``) is already in the normal form the public constructor
+would give it.
 
 ``repr`` pins the order of every dict and every partition's blocks, which
 ``==`` ignores.  The actions are drawn without the transitivity filter, so
@@ -11,25 +12,35 @@ several blocks, the one path where blocks do not come out in order.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
-from attnplan.actions import AttentionAction, AttentionActionModel, CostTable, attention_update
+import pytest
+
+from attnplan.actions import (
+    AttentionAction,
+    AttentionActionModel,
+    CostTable,
+    attention_update,
+    product_update,
+)
 from attnplan.bisim import _quotient
+from attnplan.emulate import resolve_actual, to_post
 from attnplan.errors import IllFormedResult, NotApplicable
 from attnplan.logic import TOP, PropAtom, Signature
-from attnplan.models import AttentionState
+from attnplan.models import AttentionState, EpistemicState, kripke_rendition
 from attnplan.planner import _generated
 
-from generators import SIG2, rand_attention_action, rand_state
+from generators import SIG2, rand_attention_action, rand_post_action, rand_state
 
 
-def renormalized(s: AttentionState) -> AttentionState:
-    return AttentionState(**{f.name: getattr(s, f.name) for f in fields(s)})
+def renormalized(s: AttentionState | EpistemicState) -> AttentionState | EpistemicState:
+    return type(s)(**{f.name: getattr(s, f.name) for f in fields(s)})
 
 
-def assert_normal(s: AttentionState) -> None:
+def assert_normal(s: AttentionState | EpistemicState) -> None:
     assert repr(s) == repr(renormalized(s))
 
 
@@ -86,3 +97,29 @@ def test_every_trusted_site_builds_the_normal_form():
     assert min(seen[site] for site in (
         "update", "update with a witness", "generated", "merging quotient"
     )) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "sig", [SIG2, replace(SIG2, agents=("b", "a"))], ids=["SIG2", "agents-unsorted"]
+)
+def test_epistemic_sites_build_the_normal_form(sig):
+    """``kripke_rendition`` passes a state's partitions on; ``product_update``
+    writes its own, keyed by agent in sorted order whatever the signature's
+    order, for actions ``to_post`` compiles and for hand-built ones."""
+    rng = random.Random(16)
+    seen: Counter[str] = Counter()
+    for _ in range(300):
+        k = kripke_rendition(rand_state(rng, sig))
+        assert_normal(k)
+        plain = {"hand-built": rand_post_action(rng, sig)}
+        with contextlib.suppress(IllFormedResult):
+            action = rand_attention_action(rng, sig, max_events=4, total=False)
+            plain["compiled"] = to_post(action)
+        for site, y in plain.items():
+            try:
+                product = product_update(k, resolve_actual(y, k))
+            except NotApplicable:
+                continue
+            assert_normal(product)
+            seen[site] += 1
+    assert min(seen[site] for site in ("hand-built", "compiled")) > 0, seen

@@ -39,7 +39,7 @@ from attnplan.emulate import (
     to_post,
 )
 from attnplan.errors import AttnPlanError, CostLookupError, IllFormedResult, NotApplicable
-from attnplan.logic import And, Know, Not, PropAtom, Signature, TOP, entails
+from attnplan.logic import And, Know, Not, PropAtom, Signature, TOP, entails, subformulas
 from attnplan.models import (
     AttentionState,
     EpistemicState,
@@ -58,6 +58,7 @@ from generators import (
     rand_formula,
     rand_nfl_action,
     rand_partition,
+    rand_post_action,
     rand_propositional,
     rand_state,
 )
@@ -505,6 +506,52 @@ def test_product_update_matches_per_world_reference(sig):
             assert fast.partitions == slow.partitions
             assert fast.valuation == slow.valuation
             assert fast.actual == slow.actual
+
+
+def epistemic_in_order(k: EpistemicState) -> str:
+    """Every field as text, with the order of each map's keys and of each
+    agent's blocks; the members of a set, which have no order, sorted."""
+    return repr((
+        k.worlds,
+        [(agent, [sorted(block) for block in blocks]) for agent, blocks in k.partitions.items()],
+        [(w, sorted(map(repr, atoms))) for w, atoms in k.valuation.items()],
+        k.actual,
+    ))
+
+
+def test_hand_built_product_updates_match_the_reference():
+    """Plain actions ``to_post`` never writes: compound and propositional
+    postconditions, maps shared between events or not, and keys whose
+    formulas share an extension, on renditions and on epistemic states
+    that list arbitrary attention atoms."""
+    rng = random.Random(4603)
+    seen: Counter[str] = Counter()
+    for _ in range(300):
+        y = rand_post_action(rng, SIG2)
+        s = rand_state(rng, SIG2, max_worlds=5)
+        for k in (kripke_rendition(s), rand_epistemic_state(rng, SIG2, 5)):
+            try:
+                slow = reference.product_update(k, y)
+            except NotApplicable:
+                with pytest.raises(NotApplicable):
+                    product_update(k, y)
+                continue
+            fast = product_update(k, y)
+            assert epistemic_in_order(fast) == epistemic_in_order(slow)
+            assert fast == slow
+            seen["applied"] += 1
+            events = dict.fromkeys(name.split("*")[1] for name in fast.worlds)
+            maps = [y.post[e] for e in events if e in y.post]
+            formulas = [f for post in maps for f in post.values()]
+            nodes = {type(node).__name__ for f in formulas for node in subformulas(f)}
+            seen.update(kind for kind in ("Know", "And", "Not") if kind in nodes)
+            seen["propositional key"] += any(isinstance(a, str) for post in maps for a in post)
+            seen["shared map"] += len({id(post) for post in maps}) < len(maps)
+            labels = _Labelling(k)
+            seen["keys sharing an extension"] += any(
+                len({labels.extension(f) for f in post.values()}) < len(post) for post in maps
+            )
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
 
 
 def test_survivors_match_per_world_eval():
