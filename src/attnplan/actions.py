@@ -30,7 +30,9 @@ AttnPlanError for the first fault and, for an attention action,
 FormulaValidationError for a precondition outside the signature, so
 ``applicable`` (the one applicability test) and the updates evaluate
 preconditions unvalidated.  The update groups survivors by source block
-and (budget, event) tag instead of comparing them pairwise.
+and (budget, event) tag, worked out per call, instead of comparing them
+pairwise: readers never write into an action, whose cached properties are
+functions of its fields alone.
 
 Both updates read formulas through one ``models._Labelling`` per call: the
 attention update its preconditions, the product update its preconditions
@@ -254,12 +256,6 @@ class AttentionAction:
             for agent in sig.agents
         }
 
-    @cached_property
-    def _tags(self) -> dict[str, dict[tuple[int, str], tuple[int, int, int]]]:
-        """Per agent, the attending bit, branch class and budget left that each
-        (budget, event) pair fixes; ``attention_update`` adds each budget it meets."""
-        return {agent: {} for agent in self.sig.agents}
-
 
 @dataclass(frozen=True)
 class EpistemicAction:
@@ -310,12 +306,6 @@ class EpistemicAction:
                 names = ", ".join(sorted(map(repr, unknown)))
                 raise AttnPlanError(f"post of {event!r} writes unknown atoms: {names}")
         return self.pre[self.actual]
-
-    @cached_property
-    def _resolved(self) -> dict[str, EpistemicAction]:
-        """``emulate.resolve_actual``'s copy of this action for each family
-        member it has resolved to, each built once (``_member``)."""
-        return {}
 
     def _member(self, actual: str) -> EpistemicAction:
         """This action with ``actual``, a member of its actual family, as
@@ -595,23 +585,25 @@ def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
 
     Cost is constant on each q-union-qstar component and the budget on each
     source block, so one pass per agent groups the survivors by source block
-    and tag (``AttentionAction._tags``); with the tag's relation transitive,
-    each group is one block of the result.
+    and tag: the attending bit, branch class and budget left that a
+    (budget, event) pair fixes, worked out per call for the budgets ``s``
+    holds.  With the tag's relation transitive, each group is one block of
+    the result.
     """
     _, survivors, names = _product_prelude(s, x)
-    branches, costs, all_tags, events = x._branches, x._costs, x._tags, x.model.events
+    branches, costs, events = x._branches, x._costs, x.model.events
     worlds, kinds = zip(*survivors)
 
     partitions: dict[str, Partition] = {}
     attention: dict[str, dict[str, int]] = {}
     for agent in s.sig.agents:
-        relations, cost, tags = branches[agent], costs[agent], all_tags[agent]
+        relations, cost = branches[agent], costs[agent]
         source, budget = s._blocks[agent], s.attention[agent]
+        tags: dict[tuple[int, str], tuple[int, int, int]] = {}
         for b in set(budget.values()):
-            if (b, events[0]) not in tags:
-                for e in events:
-                    bit = int(cost[e] <= b)
-                    tags[b, e] = (bit, relations[bit].class_of[e], max(0, b - cost[e]))
+            for e in events:
+                bit = int(cost[e] <= b)
+                tags[b, e] = (bit, relations[bit].class_of[e], max(0, b - cost[e]))
         tagged = list(map(tags.__getitem__, zip(map(budget.__getitem__, worlds), kinds)))
         groups: dict[tuple[frozenset[str], tuple[int, int, int]], list[int]] = {}
         for k, key in enumerate(zip(map(source.__getitem__, worlds), tagged)):

@@ -111,22 +111,15 @@ def _attention_posts(
     return out
 
 
-def _attending_guard(agent: str, cost: int, bound: int) -> Formula | None:
-    """``att >= cost`` with out-of-range values rendered as constants."""
-    if cost <= 0:
-        return None  # always affordable: the guard is truth, drop it
-    if cost > bound:
-        return bot()
-    return att_geq(agent, cost)
-
-
-def _nonattending_guard(agent: str, cost: int, bound: int) -> Formula | None:
-    """``att < cost`` with out-of-range values rendered as constants."""
-    if cost <= 0:
-        return bot()  # a free question is always heard
-    if cost > bound:
-        return None  # every budget is below the cost, drop the guard
-    return att_lt(agent, cost)
+def _budget_guard(agent: str, cost: int, bound: int, attends: int) -> Formula | None:
+    """``att >= cost`` for an agent that attends, ``att < cost`` for one that
+    does not, with out-of-range values rendered as constants; None for a
+    guard that always holds, which is dropped."""
+    if cost <= 0:  # a free question is always heard
+        return None if attends else bot()
+    if cost > bound:  # no budget covers the cost
+        return bot() if attends else None
+    return att_geq(agent, cost) if attends else att_lt(agent, cost)
 
 
 def to_post(x: AttentionAction) -> EpistemicAction:
@@ -164,8 +157,7 @@ def to_post(x: AttentionAction) -> EpistemicAction:
             events.append(name)
             conjuncts: list[Formula] = [model.pre[event]]
             for bit, agent in zip(profile.bits, agents):
-                guard_for = _attending_guard if bit else _nonattending_guard
-                guard = guard_for(agent, costs[agent][event], bound)
+                guard = _budget_guard(agent, costs[agent][event], bound, bit)
                 if guard is not None:
                     conjuncts.append(guard)
             pre[name] = and_all(conjuncts)
@@ -206,8 +198,8 @@ def resolve_actual(
     the same member.  The profile guards of ``to_post`` are mutually
     exclusive, so at most one member fires; none firing means the action is
     not applicable at ``s``, and several (a hand-built family) raise
-    AmbiguousActual.  Each member's copy of ``y`` is built once and kept on
-    ``y``.
+    AmbiguousActual.  Each call builds the member afresh, which is cheap: it
+    shares ``y``'s checked maps (``EpistemicAction._member``).
     """
     y._actual_pre  # the gate
     family = y.actual_family or (y.actual,)
@@ -221,9 +213,7 @@ def resolve_actual(
             f"members {', '.join(map(repr, matches))} of the actual family all "
             f"fire at world {s.actual!r}; their guards must be mutually exclusive"
         )
-    if matches[0] not in y._resolved:
-        y._resolved[matches[0]] = y._member(matches[0])
-    return y._resolved[matches[0]]
+    return y._member(matches[0])
 
 
 @dataclass(frozen=True)

@@ -257,30 +257,34 @@ def _task(
 
 
 def loads(text: str) -> TaskDocument:
-    """Parse a task document from a JSON string."""
+    """Parse a task document from a JSON string.  A document nested deeper
+    than the interpreter's stack allows, in its JSON or in any formula, is
+    refused with TaskFileError like any other malformed one."""
+    warnings: list[str] = []
     try:
         raw = json.loads(text)
+        _expect(raw, dict, "document")
+        sig = _signature(raw)
+        states = {
+            name: _state(sig, name, node)
+            for name, node in _expect(raw.get("states", {}), dict, "states").items()
+        }
+        models = {
+            name: _model(sig, name, node, warnings)
+            for name, node in _expect(raw.get("models", {}), dict, "models").items()
+        }
+        actions = {
+            name: _action(sig, models, name, node)
+            for name, node in _expect(raw.get("actions", {}), dict, "actions").items()
+        }
+        tasks = {
+            name: _task(sig, states, actions, name, node)
+            for name, node in _expect(raw.get("tasks", {}), dict, "tasks").items()
+        }
     except json.JSONDecodeError as exc:
         raise TaskFileError(f"not valid JSON: {exc}")
-    _expect(raw, dict, "document")
-    sig = _signature(raw)
-    warnings: list[str] = []
-    states = {
-        name: _state(sig, name, node)
-        for name, node in _expect(raw.get("states", {}), dict, "states").items()
-    }
-    models = {
-        name: _model(sig, name, node, warnings)
-        for name, node in _expect(raw.get("models", {}), dict, "models").items()
-    }
-    actions = {
-        name: _action(sig, models, name, node)
-        for name, node in _expect(raw.get("actions", {}), dict, "actions").items()
-    }
-    tasks = {
-        name: _task(sig, states, actions, name, node)
-        for name, node in _expect(raw.get("tasks", {}), dict, "tasks").items()
-    }
+    except RecursionError:
+        raise TaskFileError("document: nested too deeply to read") from None
     return TaskDocument(
         sig=sig,
         states=states,

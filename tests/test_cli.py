@@ -1,19 +1,24 @@
 """Command-line surface and the task-document format."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attnplan
 from attnplan.cli import run
-from attnplan.errors import TaskFileError
-from attnplan.logic import parse_formula
+from attnplan.errors import AttnPlanError, TaskFileError
+from attnplan.logic import format_formula, parse_formula
 from attnplan.models import check
 from attnplan.taskfile import (
+    TaskDocument,
     bundled_path,
     export_dot,
     load_bundled,
@@ -22,9 +27,14 @@ from attnplan.taskfile import (
 )
 
 from test_taskfile import (
+    DEEP_DOCUMENTS,
     INTRANSITIVE,
+    NAMES,
+    NESTED_TOO_DEEPLY,
+    NODES,
     UNPRICED,
     UNUSED_MODEL_FAULTS,
+    mutated,
     with_costs_emptied,
     with_intransitive_facts,
     with_spare_model,
@@ -222,6 +232,13 @@ class TestCommands:
         assert run(["validate", "--task", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+    def test_a_document_nested_too_deeply_exits_two(self, capsys, tmp_path, name):
+        path = tmp_path / "deep.task"
+        path.write_text(DEEP_DOCUMENTS[name])
+        assert run(["validate", "--task", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {NESTED_TOO_DEEPLY}\n"
+
     @pytest.mark.parametrize(
         "costs,fault",
         [
@@ -321,3 +338,66 @@ class TestCommands:
         finally:
             os.close(write_end)
         assert done.returncode == 2, done.stderr
+
+
+def like(node):
+    """A value of ``node``'s JSON type, from the bundled two-facts document
+    where it can be: a key or string leaf for a string, a small integer for
+    an integer, another node for a list or object.  Such mutations often
+    still load."""
+    if isinstance(node, str):
+        return st.sampled_from(NAMES)
+    if isinstance(node, int):
+        return st.integers(-1, 20)
+    return st.sampled_from([other for _, other in NODES if type(other) is type(node)])
+
+
+loadable_mutations = st.sampled_from(NODES).flatmap(
+    lambda found: st.tuples(st.just(found[0]), like(found[1]))
+)
+# The commands that answer a yes/no question, and so may answer no (exit 1).
+ANSWERING = {"check", "bisim", "plan"}
+
+
+def contract_commands(doc: TaskDocument) -> list[list[str]]:
+    """Every command on every name of a loaded document, ``--task`` left
+    out; names go in ``--option=value`` form, so one starting with ``-``
+    stays a value."""
+    states, actions, tasks = list(doc.states), list(doc.actions), doc.tasks
+    goals = [format_formula(task.goal) for task in tasks.values()]
+    return (
+        [["validate"]]
+        + [["check", f"--state={s}", f"--formula={g}"] for s in states for g in goals]
+        + [["update", f"--state={s}", f"--actions={a}"] for s in states for a in actions]
+        + [["contract", f"--state={s}"] for s in states]
+        + [["bisim", f"--left={s}", f"--right={r}"] for s in states for r in states]
+        + [["emulate", "--direction=to-post", f"--action={a}"] for a in actions]
+        + [["render", f"--state={s}"] for s in states]
+        + [["plan", f"--name={t}", "--max-depth=2"] for t in tasks]
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(mutation=loadable_mutations)
+def test_every_command_on_a_loadable_mutation_keeps_the_exit_contract(fuzz_dir, mutation):
+    """Exit 0, 1 or 2 and no traceback, with exit 1 only for a command that
+    answered no."""
+    text = mutated(*mutation)
+    try:
+        doc = loads(text)
+    except AttnPlanError:
+        return
+    path = fuzz_dir / "mutated.task"
+    path.write_text(text)
+    for command in contract_commands(doc):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([command[0], f"--task={path}", *command[1:]])
+        assert code in (0, 1, 2), command
+        assert "Traceback" not in err.getvalue(), command
+        assert code != 1 or command[0] in ANSWERING, command

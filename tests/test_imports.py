@@ -10,7 +10,9 @@ calls ``validate_action`` once per model and nowhere else.  Only the
 interning constructors ``att_eq`` and ``att_lt`` call ``AttEq`` and
 ``AttLess``, so every attention atom the package builds is the shared one.
 The reference modules under ``tests/`` import no private name of the
-package, apart from one listed exception.
+package, apart from one listed exception.  No cached property hands out an
+empty table for code outside its class to fill, so every cached property
+is a function of its object's fields.
 
 No linter ships with the project, so this walks each module's syntax tree
 with ``ast``.  ``__init__.py`` is left out of the import check: its imports
@@ -322,3 +324,68 @@ def test_the_check_finds_a_private_package_import():
 def test_reference_imports_no_private_name(module: Path):
     allowed = PRIVATE_IMPORTS_ALLOWED.get(module.name, [])
     assert private_package_imports(module.read_text()) == allowed
+
+
+def is_empty_container(node: ast.AST) -> bool:
+    """``{}``, ``[]``, or a call of ``dict``, ``list`` or ``set`` with no
+    arguments."""
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "list", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def fillable_cached_properties(sources: dict[str, str]) -> list[str]:
+    """``module: Class.name`` for each cached property of a module-level
+    class that returns an empty container, or a comprehension whose
+    elements are empty containers: a table for its readers to fill."""
+    out = []
+    for module, source in sorted(sources.items()):
+        for statement in ast.parse(source).body:
+            if not isinstance(statement, ast.ClassDef):
+                continue
+            for member in statement.body:
+                if not isinstance(member, ast.FunctionDef) or not any(
+                    "cached_property" in referenced_names(d) for d in member.decorator_list
+                ):
+                    continue
+                for node in ast.walk(member):
+                    value = node.value if isinstance(node, ast.Return) else None
+                    if isinstance(value, ast.DictComp):
+                        value = value.value
+                    elif isinstance(value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                        value = value.elt
+                    if is_empty_container(value):
+                        out.append(f"{module}: {statement.name}.{member.name}")
+                        break
+    return out
+
+
+def test_the_check_finds_a_cached_property_handing_out_a_table():
+    source = (
+        "class A:\n"
+        "    @cached_property\n    def _table(self):\n        return {}\n\n"
+        "    @functools.cached_property\n"
+        "    def _per_agent(self):\n        return {a: set() for a in self.agents}\n\n"
+        "    @cached_property\n"
+        "    def _lists(self):\n        return [[] for _ in self.agents]\n\n"
+        "    @cached_property\n"
+        "    def _filled(self):\n        return {a: {a} for a in self.agents}\n\n"
+        "    @property\n    def _fresh(self):\n        return {}\n\n"
+        "    def plain(self):\n        return []\n"
+    )
+    assert fillable_cached_properties({"a.py": source}) == [
+        "a.py: A._table",
+        "a.py: A._per_agent",
+        "a.py: A._lists",
+    ]
+
+
+def test_no_cached_property_hands_out_a_table():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert fillable_cached_properties(sources) == []

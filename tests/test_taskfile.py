@@ -129,6 +129,26 @@ def test_a_question_for_an_unknown_agent_is_placed():
     assert str(info.value) == "actions.ask_p.questions: unknown agent 'zz'"
 
 
+DEEP = 10**5
+# Each overflows the interpreter's stack somewhere inside ``loads``: the JSON
+# decoder, the formula parser, or hashing a parsed cost-entry formula.
+DEEP_DOCUMENTS = {
+    "json": '{"signature": ' + "[" * DEEP + "]" * DEEP + "}",
+    "goal": mutated(("tasks", "main", "goal"), "~" * 3000 + "p"),
+    "cost-entry": mutated(
+        ("models", "facts", "costs", "entries", 0, "formula"), "~" * 800 + "p"
+    ),
+}
+NESTED_TOO_DEEPLY = "document: nested too deeply to read"
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+def test_a_document_nested_too_deeply_is_refused(name):
+    with pytest.raises(TaskFileError) as info:
+        loads(DEEP_DOCUMENTS[name])
+    assert str(info.value) == NESTED_TOO_DEEPLY
+
+
 def nodes(node, path=()):
     """Every node below ``node``, with its path."""
     children = node.items() if isinstance(node, dict) else enumerate(node)
