@@ -1,11 +1,12 @@
 """Bisimulation checks, quotienting, and distinguishing formulas.
 
 All of them run one colour-refinement loop, ``_refine``, over the disjoint
-union of the states they are given, starting from the colouring each state
-gives its worlds (``colour``): an attention state colours by propositional
-valuation plus the attention vector, an epistemic state by the full
-(propositional and attention-atom) valuation.  Each round reads every block
-once and adds the set of class numbers in it to the key of each member.
+union of the states they are given, worlds indexed by position, starting
+from each state's colour column (``colours``): an attention state colours
+by propositional valuation and one budget per agent, an epistemic state by
+the full (propositional and attention-atom) valuation.  Each round numbers
+the set of classes each block meets once; a world's next key is its class
+number and, per agent, the number of its block's set.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Hashable
 
-from .errors import SignatureMismatch
+from .errors import SignatureMismatch, StateValidationError
 from .logic import (
     Formula,
     Know,
@@ -47,53 +48,62 @@ def _refine(
 ) -> tuple[list[Node], list[list[int]], list[int]]:
     """Colour refinement over the disjoint union of ``states``.
 
-    Node ``(k, w)`` is world ``w`` of ``states[k]``.  Round 0 keys a node by
-    its ``colour``, each later round by its class number and, per agent, the
-    set of numbers in its block.  ``table`` numbers each key once for all
-    calls that share it.  Stops at the first round that splits no class;
-    returns the nodes, the earlier rounds' ids (0.. in node order) and the
-    stable round's numbers, aligned with the nodes.
+    Node ``(k, w)`` is world ``w`` of ``states[k]``, indexed by position in
+    the union; each agent's blocks are lists of positions.  Round 0 keys
+    nodes by the states' ``colours()``; each later round numbers each
+    block's set of class numbers (a sorted tuple) and keys a node by its
+    class number, then per agent its block's set number.  ``table`` numbers
+    keys once for all calls sharing it.  Colours hold a frozenset, round and
+    met-set keys only ints; met-set keys hold class numbers only, round keys
+    met-set numbers after the first entry, and a key keeps its number, so no
+    tuple is ever two kinds of key.  Stops at the first round that splits no
+    class; returns the nodes, the earlier rounds' ids (0.. in node order)
+    and the stable round's numbers.
     """
     sig = states[0].sig
     if any(s.sig != sig for s in states):
         raise SignatureMismatch("states are over different signatures")
     nodes = [(k, w) for k, s in enumerate(states) for w in s.worlds]
-    index = {node: n for n, node in enumerate(nodes)}
-    blocks = [
-        [index[(k, w)] for w in block]
-        for agent in sig.agents
-        for k, s in enumerate(states)
-        for block in s.partitions[agent]
-    ]
-    keys: list[Hashable] = [s.colour(w) for s in states for w in s.worlds]
+    blocks: list[list[list[int]]] = [[] for _ in sig.agents]
+    offset = 0
+    for s in states:
+        position = dict(zip(s.worlds, range(offset, offset + len(s.worlds))))
+        for agent, own in zip(sig.agents, blocks):
+            own.extend([position[w] for w in block] for block in s.partitions[agent])
+        offset += len(s.worlds)
+    keys: list[Hashable] = [colour for s in states for colour in s.colours()]
     rounds: list[list[int]] = []
-    count = 0
+    ids_of: dict[int, int] = {}  # the last round's id of each number
     while True:
         numbers = [table.setdefault(key, len(table)) for key in keys]
-        ids_of: dict[int, int] = {}
-        ids = [ids_of.setdefault(number, len(ids_of)) for number in numbers]
-        if len(ids_of) == count:
+        if len(set(numbers)) == len(ids_of):
             return nodes, rounds, numbers
-        rounds.append(ids)
-        count = len(ids_of)
-        signatures: list[list[Hashable]] = [[number] for number in numbers]
-        for block in blocks:
-            # A sorted tuple takes a third of a frozenset's memory in ``table``.
-            classes = tuple(sorted({numbers[n] for n in block}))
-            for n in block:
-                signatures[n].append(classes)
-        keys = [tuple(key) for key in signatures]
+        ids_of = {}
+        rounds.append([ids_of.setdefault(number, len(ids_of)) for number in numbers])
+        columns = [numbers]
+        for own in blocks:
+            columns.append([0] * offset)
+            for block in own:
+                # A sorted tuple takes a third of a frozenset's memory in ``table``.
+                met = table.setdefault(tuple(sorted({numbers[n] for n in block})), len(table))
+                for n in block:
+                    columns[-1][n] = met
+        keys = list(zip(*columns))
+
+
+def _actual_position(s) -> int:
+    """Where ``s.actual`` stands in ``s.worlds``; ``validate_state``'s error if nowhere."""
+    if s.actual not in s.worlds:
+        raise StateValidationError([f"actual world {s.actual!r} is not a world"])
+    return s.worlds.index(s.actual)
 
 
 def _separation(s1, s2) -> tuple[list[Node], list[list[int]], int, int | None]:
-    """``_refine``'s nodes and rounds for ``s1`` and ``s2``, the index of
-    ``s1``'s actual node and the first round that separates the actual
-    worlds (None if none does)."""
+    """``_refine``'s nodes and rounds for ``s1`` and ``s2``, the position of ``s1``'s
+    actual node and the first round that separates the actual worlds (None if none does)."""
     nodes, rounds, _ = _refine({}, s1, s2)
-    actual1, actual2 = nodes.index((0, s1.actual)), nodes.index((1, s2.actual))
-    separated = next(
-        (r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None
-    )
+    actual1, actual2 = _actual_position(s1), len(s1.worlds) + _actual_position(s2)
+    separated = next((r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None)
     return nodes, rounds, actual1, separated
 
 
@@ -102,13 +112,11 @@ def _compare(s1, s2) -> BisimWitness | NotBisimilar:
     if separated is not None:
         return NotBisimilar(round=separated)
     final, n1 = rounds[-1], len(s1.worlds)
-    pairs = frozenset(
-        (w1, w2)
-        for w1, c1 in zip(s1.worlds, final)
-        for w2, c2 in zip(s2.worlds, final[n1:])
-        if c1 == c2
-    )
-    return BisimWitness(pairs=pairs)
+    matched: dict[int, list[str]] = {}  # final class -> its worlds of s2
+    for w2, c2 in zip(s2.worlds, final[n1:]):
+        matched.setdefault(c2, []).append(w2)
+    pairs = zip(s1.worlds, final)
+    return BisimWitness(frozenset((w1, w2) for w1, c1 in pairs for w2 in matched.get(c1, ())))
 
 
 def bisimilar(s1: AttentionState, s2: AttentionState) -> BisimWitness | NotBisimilar:
@@ -133,12 +141,12 @@ def _quotient(
     It is complete when every world is reachable from the actual world, as
     bisimilar such states meet the same classes in every round."""
     _, _, stable = _refine(table, s)
-    key = (frozenset(stable), stable[s.worlds.index(s.actual)])
+    key = (frozenset(stable), stable[_actual_position(s)])
+    if len(key[0]) == len(s.worlds):
+        return s, key
     members: dict[int, list[str]] = {}
     for world, number in zip(s.worlds, stable):
         members.setdefault(number, []).append(world)
-    if len(members) == len(s.worlds):
-        return s, key
     rep: dict[str, str] = {}  # class name -> first member
     name_of: dict[str, str] = {}
     for group in members.values():

@@ -189,10 +189,10 @@ class AttentionState(_PartitionModel):
         budget = self.attention[atom.agent][world]
         return budget == atom.bound if isinstance(atom, AttEq) else budget < atom.bound
 
-    def colour(self, world: str) -> Hashable:
-        """What bisimilar worlds must agree on: atoms and budgets."""
-        budgets = tuple(self.attention[a][world] for a in self.sig.agents)
-        return (self.valuation[world], budgets)
+    def colours(self) -> list[Hashable]:
+        """Per world, the valuation zipped with each agent's budget, in signature order."""
+        budgets = [map(self.attention[a].__getitem__, self.worlds) for a in self.sig.agents]
+        return list(zip(map(self.valuation.__getitem__, self.worlds), *budgets))
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,9 @@ class EpistemicState(_PartitionModel):
         """Attention atoms are extensional facts: true iff listed."""
         return atom in self.valuation[world]
 
-    def colour(self, world: str) -> Hashable:
-        """What bisimilar worlds must agree on: the full valuation."""
-        return self.valuation[world]
+    def colours(self) -> list[Hashable]:
+        """What bisimilar worlds must agree on, per world: the full valuation."""
+        return list(map(self.valuation.__getitem__, self.worlds))
 
 
 def validate_state(s: AttentionState) -> list[str]:

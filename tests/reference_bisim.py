@@ -2,9 +2,11 @@
 
 This is the earlier implementation: a refinement loop driven by callbacks
 (a colouring and a ``block_of`` lookup per node) that rebuilds, every round
-and for every world, the list of its block-mates and their class set.  The
-differential suite compares the library's per-block ``_refine`` against it;
-nothing in the package imports this module.
+and for every world, the list of its block-mates and their class set.  It
+colours each world itself, from the state's fields (``colour``), rather than
+through the states' ``colours()`` columns.  The differential suite compares
+the library's per-block ``_refine`` against it; nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -16,6 +18,14 @@ from attnplan.errors import SignatureMismatch
 from attnplan.models import AttentionState, close_into_partition
 
 Node = tuple[int, str]
+
+
+def colour(s, world: str) -> Hashable:
+    """What bisimilar worlds must agree on: the valuation, followed for an
+    attention state by the budgets in the signature's agent order."""
+    if isinstance(s, AttentionState):
+        return (s.valuation[world], *(s.attention[a][world] for a in s.sig.agents))
+    return s.valuation[world]
 
 
 def refine(
@@ -60,9 +70,9 @@ def union_rounds(s1, s2) -> list[dict[Node, int]]:
     if s1.sig != s2.sig:
         raise SignatureMismatch("states are over different signatures")
 
-    def colour(node: Node) -> Hashable:
+    def colour_of(node: Node) -> Hashable:
         side, world = node
-        return (s1 if side == 0 else s2).colour(world)
+        return colour(s1 if side == 0 else s2, world)
 
     def block_of(agent: str, node: Node) -> list[Node]:
         side, world = node
@@ -70,7 +80,7 @@ def union_rounds(s1, s2) -> list[dict[Node, int]]:
         return [(side, v) for v in state.block_of(agent, world)]
 
     nodes = [(0, w) for w in s1.worlds] + [(1, w) for w in s2.worlds]
-    return refine(nodes, s1.sig.agents, colour, block_of)
+    return refine(nodes, s1.sig.agents, colour_of, block_of)
 
 
 def separation_round(s1, s2) -> int | None:
@@ -104,13 +114,13 @@ def contract(s: AttentionState) -> AttentionState:
     least member and kept in first-occurrence order."""
     sig = s.sig
 
-    def colour(node: Node) -> Hashable:
-        return s.colour(node[1])
+    def colour_of(node: Node) -> Hashable:
+        return colour(s, node[1])
 
     def block_of(agent: str, node: Node) -> list[Node]:
         return [(0, v) for v in s.block_of(agent, node[1])]
 
-    ids = refine([(0, w) for w in s.worlds], sig.agents, colour, block_of)[-1]
+    ids = refine([(0, w) for w in s.worlds], sig.agents, colour_of, block_of)[-1]
     members: dict[int, list[str]] = {}
     class_order: list[int] = []
     for world in s.worlds:

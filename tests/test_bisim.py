@@ -19,7 +19,7 @@ from attnplan.bisim import (
     distinguishing_formula,
     kripke_bisimilar,
 )
-from attnplan.errors import SignatureMismatch
+from attnplan.errors import SignatureMismatch, StateValidationError
 from attnplan.logic import Signature, format_formula, modal_depth
 from attnplan.models import (
     AttentionState,
@@ -427,3 +427,42 @@ class TestDistinguishingFormula:
             outputs.add(done.stdout)
         (text,) = outputs
         assert "q" in text and "s" in text
+
+
+class TestActualNotAWorld:
+    """Each entry refuses a state whose actual world is none of its worlds
+    with ``validate_state``'s message, on either side of a comparison."""
+
+    @pytest.fixture
+    def states(self, two_facts_doc):
+        good = two_facts_doc.states["init"]
+        bad = replace(good, actual="zz")
+        (message,) = [v for v in validate_state(bad) if "actual" in v]
+        assert message == "actual world 'zz' is not a world"
+        return good, bad, message
+
+    def assert_refused(self, call, message):
+        with pytest.raises(StateValidationError) as caught:
+            call()
+        assert caught.value.violations == [message]
+
+    def test_bisimilar(self, states):
+        good, bad, message = states
+        self.assert_refused(lambda: bisimilar(bad, good), message)
+        self.assert_refused(lambda: bisimilar(good, bad), message)
+
+    def test_kripke_bisimilar(self, states):
+        good, bad, message = states
+        k_good, k_bad = kripke_rendition(good), kripke_rendition(bad)
+        self.assert_refused(lambda: kripke_bisimilar(k_bad, k_good), message)
+        self.assert_refused(lambda: kripke_bisimilar(k_good, k_bad), message)
+
+    def test_contract(self, states):
+        _, bad, message = states
+        self.assert_refused(lambda: contract(bad), message)
+
+    def test_distinguishing_formula(self, states):
+        good, bad, message = states
+        k_good, k_bad = kripke_rendition(good), kripke_rendition(bad)
+        self.assert_refused(lambda: distinguishing_formula(k_bad, k_good), message)
+        self.assert_refused(lambda: distinguishing_formula(k_good, k_bad), message)

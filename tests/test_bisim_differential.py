@@ -111,6 +111,27 @@ def assert_attention_pair_agrees(s1: AttentionState, s2: AttentionState) -> None
     assert_distinguishing_round_agrees(k1, k2)
 
 
+def test_colour_columns_match_the_reference_colouring():
+    """``colours()`` lists each world's colour as the oracle reads it off
+    the fields, budgets in signature order, also when that order is not
+    the sorted one in which the state keys its budgets."""
+    rng = random.Random(505)
+    unsorted = Signature(agents=("c", "a", "b"), attention_bound=2, prop_atoms=("p", "q"))
+    order_matters = 0
+    for case in range(150):
+        sig = (SIG2, SIG3, unsorted)[case % 3]
+        s = rand_state(rng, sig)
+        for state in (s, kripke_rendition(s), rand_epistemic_state(rng, EPISTEMIC_SIGS[case % 3])):
+            assert state.colours() == [ref.colour(state, w) for w in state.worlds]
+        if sig is unsorted:
+            order_matters += any(
+                [s.attention[a][w] for a in sig.agents]
+                != [s.attention[a][w] for a in sorted(sig.agents)]
+                for w in s.worlds
+            )
+    assert order_matters >= 10
+
+
 def test_random_attention_pairs_match_reference():
     rng = random.Random(501)
     outcomes = set()

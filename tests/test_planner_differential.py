@@ -16,18 +16,28 @@ often than the list scan, and explores as many nodes.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import product
 
 import pytest
 
 import reference_planner as ref
-from attnplan import planner
+from attnplan import planner, taskfile
 from attnplan.actions import AttentionAction, AttentionActionModel, CostTable
-from attnplan.bisim import BisimWitness, NotBisimilar, bisimilar, contract
+from attnplan.bisim import BisimWitness, NotBisimilar, _quotient, bisimilar, contract
 from attnplan.logic import Know, Not, PropAtom, Signature, and_all, or_
 from attnplan.models import AttentionState, close_into_partition
-from attnplan.planner import NoSolution, PlanningTask, Solution, _generated, _search
+from attnplan.planner import (
+    NoneWithinBound,
+    NoSolution,
+    PlanningTask,
+    Solution,
+    _generated,
+    _search,
+    solve_bounded,
+    solve_nfl,
+)
 
 from generators import SIG2, rand_task
 
@@ -157,3 +167,85 @@ def test_refuted_key_hit_is_an_internal_error(monkeypatch):
     task = survey_task(3, 1, random.Random(813))
     with pytest.raises(RuntimeError, match="internal error: equal frontier keys"):
         _search(task, None)
+
+
+def copied_survey_document(facts: int, budget: int, copies: int, seed: int) -> str:
+    """The survey task as a task document, every world in ``copies``
+    same-valuation, same-budget copies, which one block holds together.
+    The seed picks the actual valuation and the question order, then the
+    copy that is actual; copy 0 keeps the plain name, which sorts first."""
+    rng = random.Random(seed)
+    atoms = [f"p{k}" for k in range(facts)]
+    actual = rng.randrange(2**facts)
+    order = rng.sample(range(facts), facts)
+    actual_copy = rng.randrange(copies)
+
+    def name(mask: int, copy: int) -> str:
+        bits = "w" + "".join(str(mask >> k & 1) for k in range(facts))
+        return bits + (f"_{copy}" if copy else "")
+
+    worlds = {
+        name(mask, copy): {
+            "atoms": [a for k, a in enumerate(atoms) if mask >> k & 1],
+            "attention": {"i": budget},
+        }
+        for mask in range(2**facts)
+        for copy in range(copies)
+    }
+    models = {
+        f"m_{atoms[k]}": {
+            "events": {"yes": {"pre": atoms[k]}, "no": {"pre": f"~{atoms[k]}"}},
+            "q": {},
+            "qstar": {"i": [["yes", "no"]]},
+            "costs": {"default": 1},
+        }
+        for k in order
+    }
+    actions = {
+        f"ask_{atoms[k]}": {
+            "model": f"m_{atoms[k]}",
+            "questions": {"i": atoms[k]},
+            "actual": "yes" if actual >> k & 1 else "no",
+        }
+        for k in order
+    }
+    goal = " & ".join(f"(K_i {a} | K_i ~{a})" for a in atoms)
+    doc = {
+        "signature": {"agents": ["i"], "attention_bound": budget, "atoms": atoms},
+        "states": {
+            "start": {
+                "worlds": worlds,
+                "relations": {"i": [list(worlds)]},
+                "actual": name(actual, actual_copy),
+            }
+        },
+        "models": models,
+        "actions": actions,
+        "tasks": {"survey": {"initial": "start", "actions": list(actions), "goal": goal}},
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("facts,budget", [(3, 2), (4, 2), (4, 3)])
+def test_contraction_merges_copies_without_changing_the_search(facts, budget):
+    """Copies of every world merge in the start's quotient, which is then
+    the plain start, and the searches agree with the plain document's:
+    ``NoSolution`` with as many nodes explored, and the same bounded
+    outcomes."""
+    for seed in range(2):
+        plain, *copied = (
+            taskfile.loads(copied_survey_document(facts, budget, copies, seed)).tasks["survey"]
+            for copies in (1, 2, 3)
+        )
+        assert _quotient(_generated(plain.initial), {})[0] == plain.initial
+        expected = solve_nfl(plain)
+        assert isinstance(expected, NoSolution) and expected.explored > 0
+        bounded = {depth: solve_bounded(plain, depth) for depth in (1, 2)}
+        assert all(isinstance(outcome, NoneWithinBound) for outcome in bounded.values())
+        for copies, task in zip((2, 3), copied):
+            start = _generated(task.initial)
+            assert len(start.worlds) == copies * 2**facts
+            assert _quotient(start, {})[0] == plain.initial
+            assert solve_nfl(task) == expected
+            for depth, outcome in bounded.items():
+                assert solve_bounded(task, depth) == outcome
