@@ -43,7 +43,7 @@ shared subformulas once, not evaluated world by world.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, cached_property
+from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
@@ -71,8 +71,10 @@ from .models import (
     Partition,
     _Labelling,
     _eval,
+    _known_atoms,
     _normalize_partition,
     _partition_faults,
+    _require_actual,
     close_into_partition,
     require_same_signature,
 )
@@ -327,14 +329,6 @@ class EpistemicAction:
         return all(not mapping for mapping in self.post.values())
 
 
-@cache
-def _known_atoms(sig: Signature) -> frozenset[Atom]:
-    """The atoms a valuation over ``sig`` may list: its propositional atoms
-    and its shared attention atoms, whose stored hashes a set difference
-    reuses."""
-    return frozenset(sig.prop_atoms + sig.attention_atoms())
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" or "warning"
@@ -535,6 +529,7 @@ def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
 def applicable(s: AttentionState, x: AttentionAction) -> bool:
     """Whether the actual event's precondition holds at the actual world."""
     require_same_signature(s.sig, x.sig)
+    _require_actual(s)
     return _eval(s, x._actual_pre, s.actual)
 
 
@@ -557,10 +552,12 @@ def _product_prelude(
     s: AttentionState | EpistemicState, x: AttentionAction | EpistemicAction
 ) -> tuple[_Labelling, list[tuple[str, str]], list[str]]:
     """What both updates do first, in ``applicable``'s order: check the
-    signatures, pass the gate, label ``s`` once, require the actual event's
-    precondition at the actual world, and name the pairs of each world with
-    the events whose preconditions hold there, in world then event order."""
+    signatures and that the actual world is a world, pass the gate, label
+    ``s`` once, require the actual event's precondition at the actual world,
+    and name the pairs of each world with the events whose preconditions
+    hold there, in world then event order."""
     require_same_signature(s.sig, x.sig)
+    _require_actual(s)
     actual_pre = x._actual_pre  # the gate
     y = x.model if isinstance(x, AttentionAction) else x
     labels = _Labelling(s)
@@ -578,10 +575,11 @@ def _product_prelude(
 def attention_update(s: AttentionState, x: AttentionAction) -> AttentionState:
     """Execute an attention action on a state (the product of the two).
 
-    Raises SignatureMismatch, the errors of the gate ``_actual_pre``,
-    NotApplicable when the actual event fails at the actual world and
-    IllFormedResult when some agent's updated relation is not transitive
-    (the one way it can fail to be an equivalence).
+    Raises SignatureMismatch, StateValidationError when the actual world is
+    not a world, the errors of the gate ``_actual_pre``, NotApplicable when
+    the actual event fails at the actual world and IllFormedResult when some
+    agent's updated relation is not transitive (the one way it can fail to
+    be an equivalence).
 
     Cost is constant on each q-union-qstar component and the budget on each
     source block, so one pass per agent groups the survivors by source block
@@ -705,11 +703,12 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     written in normal form: blocks in order of their first pair, maps in
     agent and pair order.
 
-    Raises SignatureMismatch, AttnPlanError when the action is no sound
-    event model or writes an atom outside the signature (see
-    ``EpistemicAction._actual_pre``), FormulaValidationError for a
-    knowledge operator of an unknown agent in a pre- or postcondition, and
-    NotApplicable when the actual event fails at the actual world.
+    Raises SignatureMismatch, StateValidationError when the actual world is
+    not a world, AttnPlanError when the action is no sound event model or
+    writes an atom outside the signature (see ``EpistemicAction._actual_pre``),
+    FormulaValidationError for a knowledge operator of an unknown agent in a
+    pre- or postcondition, and NotApplicable when the actual event fails at
+    the actual world.
     """
     labels, survivors, names = _product_prelude(k, y)
 

@@ -1,12 +1,15 @@
 """Bisimulation checks, quotienting, and distinguishing formulas.
 
 All of them run one colour-refinement loop, ``_refine``, over the disjoint
-union of the states they are given, worlds indexed by position, starting
-from each state's colour column (``colours``): an attention state colours
-by propositional valuation and one budget per agent, an epistemic state by
-the full (propositional and attention-atom) valuation.  Each round numbers
-the set of classes each block meets once; a world's next key is its class
-number and, per agent, the number of its block's set.
+union of the states they are given, starting from each state's colour
+column (``colours``): an attention state colours by propositional valuation
+and one budget per agent, an epistemic state by the full (propositional and
+attention-atom) valuation.  Each round numbers the set of classes each block
+meets once; a world's next key is its class number and, per agent, the
+number of its block's set.  ``_refine`` returns each round's numbers by
+world position; as no tuple is ever two kinds of key, a round's keys over a
+fresh table are new and its numbers come in order of first position, so the
+comparisons and ``distinguishing_formula`` read them as class labels.
 """
 
 from __future__ import annotations
@@ -15,18 +18,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Hashable
 
-from .errors import SignatureMismatch, StateValidationError
-from .logic import (
-    Formula,
-    Know,
-    Not,
-    PropAtom,
-    Signature,
-    and_all,
-)
-from .models import Atom, AttentionState, EpistemicState, _eval
-
-Node = tuple[int, str]  # (k, world): world of the k-th state in the disjoint union
+from .errors import SignatureMismatch
+from .logic import Formula, Know, Not, PropAtom, and_all
+from .models import AttentionState, EpistemicState, _eval, _known_atoms, _require_actual
 
 
 @dataclass(frozen=True)
@@ -43,27 +37,25 @@ class NotBisimilar:
     round: int
 
 
-def _refine(
-    table: dict[Hashable, int], *states
-) -> tuple[list[Node], list[list[int]], list[int]]:
+def _refine(table: dict[Hashable, int], *states) -> list[list[int]]:
     """Colour refinement over the disjoint union of ``states``.
 
-    Node ``(k, w)`` is world ``w`` of ``states[k]``, indexed by position in
-    the union; each agent's blocks are lists of positions.  Round 0 keys
-    nodes by the states' ``colours()``; each later round numbers each
-    block's set of class numbers (a sorted tuple) and keys a node by its
-    class number, then per agent its block's set number.  ``table`` numbers
-    keys once for all calls sharing it.  Colours hold a frozenset, round and
-    met-set keys only ints; met-set keys hold class numbers only, round keys
-    met-set numbers after the first entry, and a key keeps its number, so no
-    tuple is ever two kinds of key.  Stops at the first round that splits no
-    class; returns the nodes, the earlier rounds' ids (0.. in node order)
-    and the stable round's numbers.
+    Worlds are indexed by position in the union; each agent's blocks are
+    lists of positions.  Round 0 keys worlds by the states' ``colours()``;
+    each later round numbers each block's set of class numbers (a sorted
+    tuple) and keys a world by its class number, then per agent its block's
+    set number.  ``table`` numbers keys once for all calls sharing it.
+    Returns each round's numbers by position, ending with the first round
+    that splits no class.  Colours hold a frozenset, round and met-set keys
+    only ints; met-set keys hold class numbers only, round keys after their
+    first entry met-set numbers, which follow the round's class numbers, so
+    no tuple is ever two kinds of key.  Over a fresh table every round's keys
+    are thus new: its numbers come in order of first position and rank the
+    classes as ids numbered 0.. by first position would.
     """
     sig = states[0].sig
     if any(s.sig != sig for s in states):
         raise SignatureMismatch("states are over different signatures")
-    nodes = [(k, w) for k, s in enumerate(states) for w in s.worlds]
     blocks: list[list[list[int]]] = [[] for _ in sig.agents]
     offset = 0
     for s in states:
@@ -73,13 +65,13 @@ def _refine(
         offset += len(s.worlds)
     keys: list[Hashable] = [colour for s in states for colour in s.colours()]
     rounds: list[list[int]] = []
-    ids_of: dict[int, int] = {}  # the last round's id of each number
+    classes = 0  # in the previous round
     while True:
         numbers = [table.setdefault(key, len(table)) for key in keys]
-        if len(set(numbers)) == len(ids_of):
-            return nodes, rounds, numbers
-        ids_of = {}
-        rounds.append([ids_of.setdefault(number, len(ids_of)) for number in numbers])
+        rounds.append(numbers)
+        previous, classes = classes, len(set(numbers))
+        if classes == previous:
+            return rounds
         columns = [numbers]
         for own in blocks:
             columns.append([0] * offset)
@@ -93,22 +85,21 @@ def _refine(
 
 def _actual_position(s) -> int:
     """Where ``s.actual`` stands in ``s.worlds``; ``validate_state``'s error if nowhere."""
-    if s.actual not in s.worlds:
-        raise StateValidationError([f"actual world {s.actual!r} is not a world"])
+    _require_actual(s)
     return s.worlds.index(s.actual)
 
 
-def _separation(s1, s2) -> tuple[list[Node], list[list[int]], int, int | None]:
-    """``_refine``'s nodes and rounds for ``s1`` and ``s2``, the position of ``s1``'s
-    actual node and the first round that separates the actual worlds (None if none does)."""
-    nodes, rounds, _ = _refine({}, s1, s2)
+def _separation(s1, s2) -> tuple[list[list[int]], int, int | None]:
+    """``_refine``'s rounds for ``s1`` and ``s2`` over a fresh table, the position of
+    ``s1``'s actual world and the first round that separates the actual worlds, or None."""
+    rounds = _refine({}, s1, s2)
     actual1, actual2 = _actual_position(s1), len(s1.worlds) + _actual_position(s2)
     separated = next((r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None)
-    return nodes, rounds, actual1, separated
+    return rounds, actual1, separated
 
 
 def _compare(s1, s2) -> BisimWitness | NotBisimilar:
-    _, rounds, _, separated = _separation(s1, s2)
+    rounds, _, separated = _separation(s1, s2)
     if separated is not None:
         return NotBisimilar(round=separated)
     final, n1 = rounds[-1], len(s1.worlds)
@@ -140,7 +131,7 @@ def _quotient(
     of which holds one stable class, so equal numbers form a bisimulation.
     It is complete when every world is reachable from the actual world, as
     bisimilar such states meet the same classes in every round."""
-    _, _, stable = _refine(table, s)
+    stable = _refine(table, s)[-1]
     key = (frozenset(stable), stable[_actual_position(s)])
     if len(key[0]) == len(s.worlds):
         return s, key
@@ -165,17 +156,7 @@ def _quotient(
         )
         for agent, blocks in s.partitions.items()
     }
-    return AttentionState._normal(
-        sig=s.sig,
-        worlds=tuple(rep),
-        partitions=partitions,
-        valuation={name: s.valuation[w] for name, w in rep.items()},
-        attention={
-            agent: {name: per_world[w] for name, w in rep.items()}
-            for agent, per_world in s.attention.items()
-        },
-        actual=name_of[s.actual],
-    ), key
+    return s._read_off(rep, partitions, name_of[s.actual]), key
 
 
 def contract(s: AttentionState) -> AttentionState:
@@ -191,12 +172,6 @@ def contract(s: AttentionState) -> AttentionState:
     worlds survive as their own classes.
     """
     return _quotient(s, {})[0]
-
-
-def _known(sig: Signature, atom: Atom) -> bool:
-    if isinstance(atom, str):
-        return atom in sig.prop_atoms
-    return atom.agent in sig.agents and 0 <= atom.bound <= sig.attention_bound
 
 
 def distinguishing_formula(
@@ -216,18 +191,17 @@ def distinguishing_formula(
     disjunction of the classes met in a block, written ``~(~a & ~b)``.
     """
     states = (k1, k2)
-    nodes, rounds, actual1, separated = _separation(k1, k2)
+    rounds, actual1, separated = _separation(k1, k2)
     if separated is None or separated > max_rounds:
         return None
-    sig = k1.sig
+    sig, known = k1.sig, _known_atoms(k1.sig)
+    nodes = [(side, w) for side, s in enumerate(states) for w in s.worlds]
     index = {node: n for n, node in enumerate(nodes)}
     reps: dict[tuple[int, int], int] = {}
-    for r, ids in enumerate(rounds):
+    for r, ids in enumerate(rounds[: separated + 1]):
         for n, cid in enumerate(ids):
             reps.setdefault((r, cid), n)
-    valuations: dict[int, frozenset[Atom]] = {}
-    for (side, world), cid in zip(nodes, rounds[0]):
-        valuations.setdefault(cid, states[side].valuation[world])
+    valuations = dict(zip(rounds[0], k1.colours() + k2.colours()))  # colour = valuation
 
     def neg(f: Formula) -> Formula:
         return f.sub if isinstance(f, Not) else Not(f)
@@ -238,7 +212,7 @@ def distinguishing_formula(
         if r == 0:
             own = valuations[cid]
             for other in valuations.values():
-                differ = [atom for atom in own ^ other if _known(sig, atom)]
+                differ = [atom for atom in own ^ other if atom in known]
                 if differ:
                     atom = min(differ, key=repr)
                     f = PropAtom(atom) if isinstance(atom, str) else atom

@@ -33,7 +33,7 @@ from .actions import (
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
 from .errors import AmbiguousActual, IllFormedResult, NotApplicable
 from .logic import TOP, AttEq, AttLess, Formula, and_all, att_eq, att_geq, att_lt, bot
-from .models import AttentionState, EpistemicState, _eval, kripke_rendition
+from .models import AttentionState, EpistemicState, _eval, _require_actual, kripke_rendition
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,7 @@ def resolve_actual(
     shares ``y``'s checked maps (``EpistemicAction._member``).
     """
     y._actual_pre  # the gate
+    _require_actual(s)
     family = y.actual_family or (y.actual,)
     matches = [e for e in family if _eval(s, y.pre[e], s.actual)]
     if not matches:

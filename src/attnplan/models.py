@@ -12,11 +12,12 @@ regardless of how their parts were assembled; semantic well-formedness is
 checked separately by :func:`validate_state`.  In normal form maps are keyed
 by agent in sorted order, then by world in ``worlds`` order, blocks come in
 order of their first world, valuations are frozensets and budgets ints.
-The planner's steps (``attention_update``, ``_generated`` and the merging
-``_quotient``) and the epistemic side of ``emulate.check_equivalent_on``
-(``kripke_rendition`` and ``product_update``) skip that pass through the
-trusted constructor ``_normal``: each reads a state in normal form and
-writes its parts in that order.
+Four trusted sites skip that pass through the constructor ``_normal``, each
+reading a state in normal form and writing its parts in that order:
+``attention_update``; ``AttentionState._read_off``, the one builder of the
+planner's cut-down states (``_generated`` and the merging ``_quotient``);
+and, on the epistemic side of ``emulate.check_equivalent_on``,
+``kripke_rendition`` and ``product_update``.
 
 Truth is defined here once for both kinds, which differ only in
 ``holds_attention``.  It comes in two shapes: ``_eval`` answers at one
@@ -30,7 +31,7 @@ where building a labelling costs more than it saves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Hashable, Iterable, Mapping, TypeVar, Union
 
 from .errors import FormulaValidationError, SignatureMismatch, StateValidationError
@@ -51,6 +52,14 @@ from .logic import (
 
 Atom = Union[str, AttEq, AttLess]
 Partition = tuple[frozenset[str], ...]
+
+
+@cache
+def _known_atoms(sig: Signature) -> frozenset[Atom]:
+    """The atoms a valuation over ``sig`` may list: its propositional atoms
+    and its shared attention atoms, whose stored hashes a set difference
+    reuses."""
+    return frozenset(sig.prop_atoms + sig.attention_atoms())
 
 
 def close_into_partition(items: tuple[str, ...], groups: Iterable[Iterable[str]]) -> Partition:
@@ -182,6 +191,24 @@ class AttentionState(_PartitionModel):
     def att(self, agent: str, world: str) -> int:
         return self.attention[agent][world]
 
+    def _read_off(
+        self, rep: Mapping[str, str], partitions: Mapping[str, Partition], actual: str
+    ) -> AttentionState:
+        """Worlds ``rep``'s keys, each with the valuation and budgets of world
+        ``rep[name]`` here, and ``partitions`` and ``actual`` as given, all in
+        normal form: the one builder of the planner's cut-down states."""
+        return AttentionState._normal(
+            sig=self.sig,
+            worlds=tuple(rep),
+            partitions=partitions,
+            valuation={name: self.valuation[w] for name, w in rep.items()},
+            attention={
+                agent: {name: per_world[w] for name, w in rep.items()}
+                for agent, per_world in self.attention.items()
+            },
+            actual=actual,
+        )
+
     def holds_attention(self, atom: AttEq | AttLess, world: str) -> bool:
         """Attention atoms compare against the agent's budget."""
         if atom.agent not in self.attention:
@@ -254,6 +281,12 @@ def validate_state(s: AttentionState) -> list[str]:
                     f"{sorted(block)}: {sorted(values)}"
                 )
     return out
+
+
+def _require_actual(s: _PartitionModel) -> None:
+    """``validate_state``'s error when ``s.actual`` is not a world of ``s``."""
+    if s.actual not in s.valuation:
+        raise StateValidationError([f"actual world {s.actual!r} is not a world"])
 
 
 def _eval(s: _PartitionModel, f: Formula, world: str) -> bool:

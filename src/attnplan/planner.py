@@ -2,7 +2,8 @@
 
 After every step the search keeps only the worlds reachable from the actual
 world (``_generated``), which a pointed model is bisimilar to, and then
-contracts them.  States are pruned against the states already visited up
+contracts them (``_quotient``); ``AttentionState._read_off`` builds both
+cut-down states.  States are pruned against the states already visited up
 to bisimilarity, which keeps the search space finite for the
 planning-friendly action class: questions keep draining budgets only
 finitely often, after which updates behave like announcements and the
@@ -38,7 +39,7 @@ from .actions import (
 from .bisim import BisimWitness, _quotient, bisimilar
 from .errors import NotNfl
 from .logic import Formula, validate_formula
-from .models import AttentionState, _eval
+from .models import AttentionState, _eval, _require_actual
 
 
 @dataclass(frozen=True)
@@ -92,21 +93,11 @@ def _generated(s: AttentionState) -> AttentionState:
                 reached |= block
     if len(reached) == len(s.worlds):
         return s
-    worlds = tuple(w for w in s.worlds if w in reached)
-    return AttentionState._normal(
-        sig=s.sig,
-        worlds=worlds,
-        partitions={
-            agent: tuple(block for block in blocks if block in visited)
-            for agent, blocks in s.partitions.items()
-        },
-        valuation={w: s.valuation[w] for w in worlds},
-        attention={
-            agent: {w: per_world[w] for w in worlds}
-            for agent, per_world in s.attention.items()
-        },
-        actual=s.actual,
-    )
+    partitions = {
+        agent: tuple(block for block in blocks if block in visited)
+        for agent, blocks in s.partitions.items()
+    }
+    return s._read_off({w: w for w in s.worlds if w in reached}, partitions, s.actual)
 
 
 def _verified_solution(
@@ -127,6 +118,7 @@ def _search(
     task: PlanningTask, max_depth: int | None
 ) -> Solution | NoSolution | NoneWithinBound:
     table: dict[Hashable, int] = {}
+    _require_actual(task.initial)  # later states come from updates
     start, key = _quotient(_generated(task.initial), table)
     validate_formula(start.sig, task.goal)
     if _eval(start, task.goal, start.actual):

@@ -5,17 +5,20 @@ This is the earlier implementation: a refinement loop driven by callbacks
 and for every world, the list of its block-mates and their class set.  It
 colours each world itself, from the state's fields (``colour``), rather than
 through the states' ``colours()`` columns.  The differential suite compares
-the library's per-block ``_refine`` against it; nothing in the package
-imports this module.
+the library's per-block ``_refine`` against it, and the printed
+distinguishing formulas against ``distinguishing_formula`` here, which
+builds them from these ids; nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Hashable, Sequence
 
 from attnplan.bisim import BisimWitness, NotBisimilar
 from attnplan.errors import SignatureMismatch
-from attnplan.models import AttentionState, close_into_partition
+from attnplan.logic import Formula, Know, Not, PropAtom, and_all
+from attnplan.models import AttentionState, EpistemicState, check, close_into_partition
 
 Node = tuple[int, str]
 
@@ -107,6 +110,62 @@ def compare(s1, s2) -> BisimWitness | NotBisimilar:
         (w1, w2) for w1 in s1.worlds for w2 in s2.worlds if final[(0, w1)] == final[(1, w2)]
     )
     return BisimWitness(pairs=pairs)
+
+
+def distinguishing_formula(
+    k1: EpistemicState, k2: EpistemicState, max_rounds: int = 2
+) -> Formula | None:
+    """The library's algorithm over ``union_rounds``' ids, numbered from 0 in
+    node order each round: a round-0 class gets one literal per other
+    round-0 class, on the least (by ``repr``) atom of the signature the two
+    valuations disagree on; a later class its previous class and, per agent,
+    what its block meets, in id order."""
+    rounds, separated = union_rounds(k1, k2), separation_round(k1, k2)
+    if separated is None or separated > max_rounds:
+        return None
+    sig, states = k1.sig, (k1, k2)
+
+    def known(atom) -> bool:
+        if isinstance(atom, str):
+            return atom in sig.prop_atoms
+        return atom.agent in sig.agents and 0 <= atom.bound <= sig.attention_bound
+
+    def neg(f: Formula) -> Formula:
+        return f.sub if isinstance(f, Not) else Not(f)
+
+    reps: dict[tuple[int, int], Node] = {}
+    for r, ids in enumerate(rounds):
+        for node, cid in ids.items():
+            reps.setdefault((r, cid), node)
+    valuations = {}
+    for (side, world), cid in rounds[0].items():
+        valuations.setdefault(cid, states[side].valuation[world])
+
+    @cache
+    def chi(r: int, cid: int) -> Formula:
+        parts: list[Formula] = []
+        if r == 0:
+            for other in valuations.values():
+                differ = [atom for atom in valuations[cid] ^ other if known(atom)]
+                if differ:
+                    atom = min(differ, key=repr)
+                    f = PropAtom(atom) if isinstance(atom, str) else atom
+                    parts.append(f if atom in valuations[cid] else Not(f))
+            return and_all(dict.fromkeys(parts))
+        side, world = reps[(r, cid)]
+        prev = rounds[r - 1]
+        parts.append(chi(r - 1, prev[(side, world)]))
+        for agent in sig.agents:
+            block = states[side].block_of(agent, world)
+            touched = [chi(r - 1, c) for c in sorted({prev[(side, v)] for v in block})]
+            parts.append(Know(agent, neg(and_all(map(neg, touched)))))
+            parts.extend(Not(Know(agent, neg(sub))) for sub in touched)
+        return and_all(parts)
+
+    formula = chi(separated, rounds[separated][(0, k1.actual)])
+    if check(k1, formula) and not check(k2, formula):
+        return formula
+    return None
 
 
 def contract(s: AttentionState) -> AttentionState:

@@ -10,6 +10,7 @@ the round that separates them.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import reference_bisim as ref
@@ -21,7 +22,7 @@ from attnplan.bisim import (
     distinguishing_formula,
     kripke_bisimilar,
 )
-from attnplan.logic import Signature, modal_depth
+from attnplan.logic import Signature, att_eq, format_formula, modal_depth
 from attnplan.models import AttentionState, EpistemicState, check, kripke_rendition
 
 from generators import SIG2, rand_epistemic_state, rand_partition, rand_state
@@ -80,11 +81,17 @@ def with_disjoint_copy(rng: random.Random, s: AttentionState) -> AttentionState:
     )
 
 
+def by_first_position(numbers: list[int]) -> list[int]:
+    ids: dict[int, int] = {}
+    return [ids.setdefault(number, len(ids)) for number in numbers]
+
+
 def assert_refinement_agrees(s1, s2) -> None:
-    nodes, rounds, _ = _refine({}, s1, s2)
+    *rounds, stable = _refine({}, s1, s2)
     expected = ref.union_rounds(s1, s2)
-    assert nodes == list(expected[0])
-    assert rounds == [[ids[node] for node in nodes] for ids in expected]
+    nodes = [(0, w) for w in s1.worlds] + [(1, w) for w in s2.worlds]
+    assert list(map(by_first_position, rounds)) == [[ids[n] for n in nodes] for ids in expected]
+    assert by_first_position(stable) == by_first_position(rounds[-1])
     compare = bisimilar if isinstance(s1, AttentionState) else kripke_bisimilar
     assert compare(s1, s2) == ref.compare(s1, s2)
 
@@ -178,3 +185,42 @@ def test_disjoint_copies_match_reference():
         assert contract(doubled) == ref.contract(doubled)
         assert_attention_pair_agrees(s, doubled)
         assert isinstance(bisimilar(s, doubled), BisimWitness)
+
+
+def test_distinguishing_formulas_print_as_the_reference_builds_them():
+    """At ``max_rounds=10`` the formula prints as the oracle's, whose classes
+    are ids numbered from 0 by first position, so the order in which a
+    block's classes are written shows.  Cases are renditions, epistemic
+    states listing arbitrary attention atoms, and renditions with their
+    relations redrawn (which separate at later rounds), some with a world
+    listing atoms the signature does not know; two signatures list their
+    agents out of sorted order."""
+    rng = random.Random(506)
+    sigs = (
+        SIG2,
+        SIG3,
+        Signature(agents=("c", "a", "b"), attention_bound=2, prop_atoms=("p", "q")),
+        Signature(agents=("b", "a"), attention_bound=0, prop_atoms=("p",)),
+    )
+    depths: Counter[int | None] = Counter()
+    for case in range(1200):
+        sig = sigs[case // 4 % 4]
+        if case % 2 == 0:
+            k1 = kripke_rendition(rand_state(rng, sig, max_worlds=6))
+            partitions = {agent: rand_partition(rng, k1.worlds) for agent in sig.agents}
+            k2 = replace(k1, partitions=partitions, actual=rng.choice(k1.worlds))
+        elif case % 4 == 1:
+            k1, k2 = rand_epistemic_state(rng, sig), rand_epistemic_state(rng, sig)
+        else:
+            k1, k2 = (kripke_rendition(rand_state(rng, sig)) for _ in range(2))
+        if case % 5 == 0:
+            world = rng.choice(k2.worlds)
+            extra = {"zz", att_eq(sig.agents[0], sig.attention_bound + 1)}
+            k2 = replace(k2, valuation={**k2.valuation, world: k2.valuation[world] | extra})
+        expected = ref.distinguishing_formula(k1, k2, max_rounds=10)
+        f = distinguishing_formula(k1, k2, max_rounds=10)
+        assert (f is None) == (expected is None)
+        if f is not None:
+            assert format_formula(f) == format_formula(expected)
+        depths[None if f is None else modal_depth(f)] += 1
+    assert min(depths[depth] for depth in (None, 0, 1)) >= 50 and depths[2] >= 10, depths

@@ -1,10 +1,13 @@
 """States: construction, validation, evaluation, and the budget-atom view."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 import reference_models as ref
+from attnplan.actions import applicable, apply_sequence, attention_update, product_update
+from attnplan.emulate import check_equivalent_on, resolve_actual, to_post
 from attnplan.errors import SignatureMismatch, StateValidationError
 from attnplan.logic import (
     And,
@@ -30,6 +33,7 @@ from attnplan.models import (
     require_same_signature,
     validate_state,
 )
+from attnplan.planner import solve_bounded, solve_nfl
 
 from generators import SIG2, rand_formula, rand_state
 
@@ -152,6 +156,34 @@ class TestValidation:
             actual="w",
         )
         assert validate_state(s) != []
+
+
+# Each entry that takes a state, called with the two_facts document and a
+# copy of its ``init`` whose actual world is none of its worlds.
+ACTUAL_ENTRIES = {
+    "applicable": lambda doc, bad: applicable(bad, doc.actions["ask_p"]),
+    "attention_update": lambda doc, bad: attention_update(bad, doc.actions["ask_p"]),
+    "apply_sequence": lambda doc, bad: apply_sequence(bad, [doc.actions["ask_p"]]),
+    "product_update": lambda doc, bad: product_update(
+        kripke_rendition(bad), resolve_actual(to_post(doc.actions["ask_p"]), doc.states["init"])
+    ),
+    "resolve_actual": lambda doc, bad: resolve_actual(to_post(doc.actions["ask_p"]), bad),
+    "check_equivalent_on": lambda doc, bad: check_equivalent_on(
+        doc.actions["ask_p"], to_post(doc.actions["ask_p"]), [bad]
+    ),
+    "solve_nfl": lambda doc, bad: solve_nfl(replace(doc.tasks["main"], initial=bad)),
+    "solve_bounded": lambda doc, bad: solve_bounded(replace(doc.tasks["main"], initial=bad), 2),
+}
+
+
+@pytest.mark.parametrize("entry", list(ACTUAL_ENTRIES))
+def test_actual_not_a_world_is_refused_at_every_entry(two_facts_doc, entry):
+    """Each entry raises ``validate_state``'s message as a ``StateValidationError``."""
+    bad = replace(two_facts_doc.states["init"], actual="zz")
+    with pytest.raises(StateValidationError) as caught:
+        ACTUAL_ENTRIES[entry](two_facts_doc, bad)
+    expected = [v for v in validate_state(bad) if "actual" in v]
+    assert caught.value.violations == expected == ["actual world 'zz' is not a world"]
 
 
 class TestEvaluation:
