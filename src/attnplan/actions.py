@@ -36,8 +36,10 @@ functions of its fields alone.
 
 Both updates read formulas through one ``models._Labelling`` per call: the
 attention update its preconditions, the product update its preconditions
-and postconditions, each labelled bottom-up over the whole state with
-shared subformulas once, not evaluated world by world.
+and the postconditions that are not bare atoms, each labelled bottom-up
+over the whole state with shared subformulas once, not evaluated world by
+world.  A bare atom needs no labelling: it holds at a world iff the
+world's valuation lists it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     AttnPlanError,
@@ -56,7 +58,10 @@ from .errors import (
     NotApplicable,
 )
 from .logic import (
+    AttEq,
+    AttLess,
     Formula,
+    PropAtom,
     Signature,
     Top,
     TOP,
@@ -259,6 +264,34 @@ class AttentionAction:
         }
 
 
+class _Reading(NamedTuple):
+    """A post map as ``product_update`` reads it: its ``keys``; ``read``, the
+    atoms that its atom-valued entries copy, as a valuation lists them (the
+    name for a ``PropAtom``, the atom itself for an attention atom), with
+    ``writes`` giving the keys each one sets; and its other entries' keys
+    grouped by formula.  The sets are frozensets, whose algebra reuses the
+    hashes they store."""
+
+    keys: frozenset[Atom]
+    read: frozenset[Atom]
+    writes: dict[Atom, frozenset[Atom]]
+    groups: dict[Formula, frozenset[Atom]]
+
+
+def _read_post(post: Mapping[Atom, Formula]) -> _Reading:
+    writes: dict[Atom, list[Atom]] = {}
+    groups: dict[Formula, list[Atom]] = {}
+    for key, formula in post.items():
+        if isinstance(formula, PropAtom):
+            writes.setdefault(formula.name, []).append(key)
+        elif isinstance(formula, (AttEq, AttLess)):
+            writes.setdefault(formula, []).append(key)
+        else:
+            groups.setdefault(formula, []).append(key)
+    frozen = ({k: frozenset(keys) for k, keys in table.items()} for table in (writes, groups))
+    return _Reading(frozenset(post), frozenset(writes), *frozen)
+
+
 @dataclass(frozen=True)
 class EpistemicAction:
     """A plain action model: events, one relation per agent, pre and post.
@@ -309,11 +342,23 @@ class EpistemicAction:
                 raise AttnPlanError(f"post of {event!r} writes unknown atoms: {names}")
         return self.pre[self.actual]
 
+    @cached_property
+    def _readings(self) -> dict[str, _Reading]:
+        """Each event's post map (empty for an event with none) as
+        ``product_update`` reads it, derived once per distinct map: events
+        that share a map share its reading."""
+        maps = {e: self.post.get(e, {}) for e in self.events}
+        distinct = {id(m): m for m in maps.values()}
+        readings = {key: _read_post(m) for key, m in distinct.items()}
+        return {e: readings[id(m)] for e, m in maps.items()}
+
     def _member(self, actual: str) -> EpistemicAction:
         """This action with ``actual``, a member of its actual family, as
         its actual event.  The copy shares this action's maps, which this
-        action's gate has checked, so it skips ``__post_init__``, and its own
-        gate checks only that ``actual`` is one of the events gated."""
+        action's gate has checked, and their readings, so it skips
+        ``__post_init__``; its own gate checks only that ``actual`` is one of
+        the events gated, and the readings are derived once for the whole
+        family, however many members ``resolve_actual`` builds."""
         self._actual_pre  # the gate, over the actual event and its family
         if actual not in (self.actual, *self.actual_family):
             raise AttnPlanError(f"{actual!r} is not a member of the actual family")
@@ -322,6 +367,7 @@ class EpistemicAction:
             {f.name: getattr(self, f.name) for f in fields(self)},
             actual=actual,
             _actual_pre=self.pre[actual],
+            _readings=self._readings,
         )
         return member
 
@@ -696,12 +742,15 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     """Standard product of an epistemic state with an epistemic action.
 
     A pair's valuation is its world's atoms minus the post map's keys plus
-    the keys whose formula's extension holds the world.  Each distinct post
-    map (events may share one) has its keys grouped by extension once per
-    call, so a pair tests one bit per group and adds each group's atoms as
-    one set, by set operations that reuse stored hashes.  The result is
-    written in normal form: blocks in order of their first pair, maps in
-    agent and pair order.
+    the keys whose formula holds at the world.  Each distinct map is read
+    through its reading (``EpistemicAction._readings``, derived once per
+    action).  A formula that is a bare atom holds at the world iff the
+    world's valuation lists it (a propositional atom by name, an attention
+    atom as itself), so one frozenset intersection with the reading's
+    ``read`` picks, exactly, the atom-valued entries that fire; each other
+    formula (``T``, ``~T``, compound ones) gets one ``extension`` per call,
+    and a pair tests one bit for it.  The result is written in normal form:
+    blocks in order of their first pair, maps in agent and pair order.
 
     Raises SignatureMismatch, StateValidationError when the actual world is
     not a world, AttnPlanError when the action is no sound event model or
@@ -721,25 +770,23 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
             grouped.setdefault((source_blocks[w], event_blocks[e]), []).append(name)
         partitions[agent] = tuple(frozenset(ws) for ws in grouped.values())
 
-    # Each survivor event's post keys grouped by extension, once per distinct
-    # map: every non-empty extension with the atoms it writes.
-    no_post: dict[Atom, Formula] = {}
+    # Per distinct reading, its formula groups that hold somewhere, by extension.
+    readings = y._readings
     tables: dict[int, list[tuple[int, frozenset[Atom]]]] = {}
-    written: dict[str, list[tuple[int, frozenset[Atom]]]] = {}
     for e in dict.fromkeys(e for _, e in survivors):
-        post = y.post.get(e, no_post)
-        if id(post) not in tables:
-            keys: dict[int, list[Atom]] = {}
-            for atom, formula in post.items():
-                keys.setdefault(labels.extension(formula), []).append(atom)
-            tables[id(post)] = [(mask, frozenset(atoms)) for mask, atoms in keys.items() if mask]
-        written[e] = tables[id(post)]
+        groups = readings[e].groups
+        if id(groups) not in tables:
+            extensions = zip(map(labels.extension, groups), groups.values())
+            tables[id(groups)] = [(mask, atoms) for mask, atoms in extensions if mask]
 
     valuation: dict[str, frozenset[Atom]] = {}
     bit = labels.bit
     for name, (w, e) in zip(names, survivors):
-        groups = [atoms for mask, atoms in written[e] if mask & bit[w]]
-        valuation[name] = k.valuation[w].difference(y.post.get(e, no_post)).union(*groups)
+        keys, read, writes, groups = readings[e]
+        held = k.valuation[w]
+        parts = [writes[atom] for atom in read & held]
+        parts += [atoms for mask, atoms in tables[id(groups)] if mask & bit[w]]
+        valuation[name] = held.difference(keys).union(*parts)
 
     return EpistemicState._normal(
         sig=k.sig,

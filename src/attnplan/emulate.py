@@ -11,7 +11,9 @@ A charge c >= 1 leaves ``max(0, before - c)``, so every attention atom's
 postcondition is one atom or a constant: ``(att = 0)`` becomes
 ``(att < c + 1)``, ``(att = n)`` becomes ``(att = n + c)`` and ``(att < n)``
 becomes ``(att < n + c)``, with out-of-range atoms read as constants (see
-``_attention_posts``).
+``_attention_posts``).  A variant's post map depends only on what its event
+charges each agent, so events whose charges agree share one map object, and
+the product update reads each distinct map once per compiled action.
 ``check_equivalent_on`` replays both presentations over given states and
 compares the results up to bisimilarity of their atom-level renditions.
 """
@@ -128,10 +130,12 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     Every event is copied once per attention profile; the profile's guards
     decide which copy fires on a given state, and only the matching copies
     of the original actual event are executable, so the actual is a family
-    resolved per state (see ``resolve_actual``).  Raises AttnPlanError for
-    an inconsistent action, as the update does, and IllFormedResult if some
-    agent's branch relations are not transitive, in which case no
-    partition-form result exists.
+    resolved per state (see ``resolve_actual``).  Variants of events whose
+    charges agree hold one shared post map, the union of the agents'
+    ``_attention_posts``; ``EpistemicAction`` keeps shared maps shared.
+    Raises AttnPlanError for an inconsistent action, as the update does, and
+    IllFormedResult if some agent's branch relations are not transitive, in
+    which case no partition-form result exists.
     """
     model = x.model
     sig = model.sig
@@ -142,26 +146,29 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     x._actual_pre  # the gate
     branches, costs = x._branches, x._costs
 
-    def variant(event: str, profile: AttentionProfile) -> str:
-        return f"{event}@{profile.tag()}"
-
+    # Each (event, profile) variant's name, by event in profile order.
+    variants = {e: [f"{e}@{profile.tag()}" for profile in profiles] for e in model.events}
+    shared: dict[tuple[int, ...], dict] = {}  # post maps by charges
     events: list[str] = []
     pre: dict[str, Formula] = {}
     post: dict[str, dict] = {}
     for event in model.events:
-        base_posts: dict = {}
-        for agent in agents:
-            base_posts.update(_attention_posts(agent, costs[agent][event], bound))
-        for profile in profiles:
-            name = variant(event, profile)
+        charges = tuple(costs[agent][event] for agent in agents)
+        if charges not in shared:
+            shared[charges] = {
+                atom: formula
+                for agent, cost in zip(agents, charges)
+                for atom, formula in _attention_posts(agent, cost, bound).items()
+            }
+        for profile, name in zip(profiles, variants[event]):
             events.append(name)
             conjuncts: list[Formula] = [model.pre[event]]
-            for bit, agent in zip(profile.bits, agents):
-                guard = _budget_guard(agent, costs[agent][event], bound, bit)
+            for bit, agent, cost in zip(profile.bits, agents, charges):
+                guard = _budget_guard(agent, cost, bound, bit)
                 if guard is not None:
                     conjuncts.append(guard)
             pre[name] = and_all(conjuncts)
-            post[name] = base_posts  # EpistemicAction copies each event's map
+            post[name] = shared[charges]  # EpistemicAction copies each map once
 
     q: dict[str, tuple[frozenset[str], ...]] = {}
     for k, agent in enumerate(agents):
@@ -169,14 +176,14 @@ def to_post(x: AttentionAction) -> EpistemicAction:
         for bit, relation in enumerate(branches[agent]):
             if relation.witness is not None:
                 raise IllFormedResult(agent, relation.witness)
-            tagged = [profile for profile in profiles if profile.bits[k] == bit]
+            tagged = [j for j, profile in enumerate(profiles) if profile.bits[k] == bit]
             blocks.extend(
-                frozenset(variant(e, profile) for e in group for profile in tagged)
+                frozenset(variants[e][j] for e in group for j in tagged)
                 for group in relation.classes
             )
         q[agent] = tuple(blocks)
 
-    family = tuple(variant(x.actual, profile) for profile in profiles)
+    family = tuple(variants[x.actual])
     return EpistemicAction(
         sig=sig,
         events=tuple(events),
@@ -199,7 +206,7 @@ def resolve_actual(
     exclusive, so at most one member fires; none firing means the action is
     not applicable at ``s``, and several (a hand-built family) raise
     AmbiguousActual.  Each call builds the member afresh, which is cheap: it
-    shares ``y``'s checked maps (``EpistemicAction._member``).
+    shares ``y``'s checked maps and their readings (``EpistemicAction._member``).
     """
     y._actual_pre  # the gate
     _require_actual(s)

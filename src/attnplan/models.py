@@ -309,12 +309,16 @@ def check(s: _PartitionModel, f: Formula, world: str | None = None) -> bool:
     """Truth of ``f`` at ``world`` (default: the actual world).
 
     Either state kind; in an epistemic state attention atoms are extensional.
+    Raises StateValidationError when the default actual world is not a
+    world, and ValueError for a given ``world`` that is not one.
     """
     validate_formula(s.sig, f)
-    target = s.actual if world is None else world
-    if target not in s.valuation:
-        raise ValueError(f"unknown world {target!r}")
-    return _eval(s, f, target)
+    if world is None:
+        _require_actual(s)
+        world = s.actual
+    elif world not in s.valuation:
+        raise ValueError(f"unknown world {world!r}")
+    return _eval(s, f, world)
 
 
 check_epistemic = check
@@ -381,8 +385,10 @@ def kripke_rendition(s: AttentionState) -> EpistemicState:
     are one frozenset of shared atoms (``logic.att_eq``/``att_lt``), built
     once per call; a world's valuation is the union of its own with one such
     set per agent, which reuses the hashes the sets store.  The state's
-    normal partitions pass on as they are.
+    normal partitions pass on as they are.  Raises StateValidationError
+    when the actual world is not a world.
     """
+    _require_actual(s)
     bound = s.sig.attention_bound
     facts: dict[tuple[str, int], frozenset[Atom]] = {}
     valuation: dict[str, frozenset[Atom]] = {}

@@ -483,6 +483,69 @@ def rand_post_action(
     )
 
 
+def as_formula(atom: str | AttEq | AttLess) -> Formula:
+    """The formula that reads ``atom`` as a valuation lists it."""
+    return PropAtom(atom) if isinstance(atom, str) else atom
+
+
+def rand_atom_post_action(
+    rng: random.Random, sig: Signature, max_events: int = 4
+) -> EpistemicAction:
+    """A hand-built plain action whose post formulas are mostly bare atoms:
+    propositional ones, shared attention atoms and directly built equal
+    ones, attention atoms above the bound (which no rendition lists) and
+    keys of the same map (which must be read before they are written),
+    mixed with ``T``, ``~T`` and compound formulas.  Keys are propositional
+    and attention atoms, some built directly; events share maps as in
+    ``rand_post_action``."""
+    events = tuple(f"e{j}" for j in range(rng.randint(1, max_events)))
+    attention = sig.attention_atoms()
+    atoms = sig.prop_atoms + attention
+
+    def value(keys: list) -> Formula:
+        kind = rng.choice(
+            ["prop", "shared", "direct", "above", "key", "key", "top", "bottom", "compound"]
+        )
+        if kind == "prop":
+            return PropAtom(rng.choice(sig.prop_atoms))
+        if kind == "shared":
+            return rng.choice(attention)
+        if kind == "direct":
+            atom = rng.choice(attention)
+            return type(atom)(atom.agent, atom.bound)
+        if kind == "above":
+            kind_of = rng.choice((AttEq, AttLess))
+            return kind_of(rng.choice(sig.agents), sig.attention_bound + rng.randint(1, 2))
+        if kind == "key":
+            return as_formula(rng.choice(keys))
+        if kind == "top":
+            return TOP
+        if kind == "bottom":
+            return Not(TOP)
+        return rand_formula(rng, sig, max_modal_depth=1, max_size=5)
+
+    maps = []
+    for _ in range(rng.randint(1, len(events))):
+        keys = [
+            type(atom)(atom.agent, atom.bound)
+            if not isinstance(atom, str) and rng.random() < 0.3
+            else atom
+            for atom in rng.sample(atoms, rng.randint(1, 6))
+        ]
+        maps.append({key: value(keys) for key in keys})
+    return EpistemicAction(
+        sig=sig,
+        events=events,
+        q={agent: rand_partition(rng, events) for agent in sig.agents},
+        pre={
+            e: TOP if rng.random() < 0.5 else rand_formula(rng, sig, max_size=4)
+            for e in events
+        },
+        post={e: rng.choice(maps) for e in events if rng.random() < 0.8},
+        actual=rng.choice(events),
+    )
+
+
 def rand_task(rng: random.Random, sig: Signature, max_worlds: int = 4) -> PlanningTask:
     actions = tuple(
         rand_nfl_action(rng, sig) for _ in range(rng.randint(1, 2))

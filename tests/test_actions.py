@@ -487,6 +487,89 @@ class TestValidation:
             outcomes[bool(errors)] += 1
         assert min(outcomes[False], outcomes[True]) > 50, outcomes
 
+    def test_a_clean_validation_means_no_structural_failure(self):
+        """One-field mutations of seeded actions, priced ones and ones whose
+        branch relations may be intransitive among them: whenever ``validate_action`` reports no error, the gate, the prices,
+        the branch relations, the update of a valid state and ``to_post``
+        with the equivalence check raise nothing but NotApplicable or
+        IllFormedResult, and every verdict holds."""
+        rng = random.Random(14)
+        stray = (PropAtom("zz"), Know("zz", TOP), AttEq("zz", 0))
+        outcomes = Counter()
+        for _ in range(600):
+            sound = rand_attention_action(
+                rng, SIG2, total=rng.random() < 0.3, priced=rng.random() < 0.5
+            )
+            model, events, agents = sound.model, sound.model.events, SIG2.agents
+            questions, actual = dict(sound.questions), sound.actual
+            field = rng.choice(
+                ("events", "pre", "q", "qstar", "actual", "questions", "cost")
+            )
+            if field == "events":
+                mutated = rng.choice((events[:-1], events + events[:1], events + ("zz",)))
+                model = replace(model, events=mutated)
+            elif field == "pre":
+                pre = dict(model.pre)
+                roll = rng.random()
+                if roll < 0.3:
+                    del pre[rng.choice(events)]
+                elif roll < 0.5:
+                    pre["zz"] = TOP
+                else:
+                    pre[rng.choice(events)] = rng.choice(stray + (TOP, P, Not(P)))
+                model = replace(model, pre=pre)
+            elif field in ("q", "qstar"):
+                relation = dict(getattr(model, field))
+                agent = rng.choice(agents)
+                if rng.random() < 0.3:
+                    del relation[agent]  # filled with singletons
+                else:
+                    pool = events + ("zz",)
+                    relation[agent] = [
+                        frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                model = replace(model, **{field: relation})
+            elif field == "actual":
+                actual = rng.choice(events + ("zz", ""))
+            elif field == "questions":
+                agent = rng.choice(agents + ("zz",))
+                questions[agent] = rng.choice(stray + (TOP, P, Not(P), Know("a", P)))
+            else:
+                cost, agent = model.cost, rng.choice(agents + ("zz",))
+                price = rng.choice((-1, 0, 1, SIG2.attention_bound + 1))
+                cost = rng.choice((
+                    replace(cost, default=rng.choice((None, price))),
+                    replace(cost, agent_defaults=dict(cost.agent_defaults) | {agent: price}),
+                    replace(cost, entries=cost.entries + (
+                        CostEntry(
+                            agent,
+                            rng.choice(stray + (TOP, P, questions.get(agent, TOP))),
+                            rng.choice(events + ("zz",)),
+                            price,
+                        ),
+                    )),
+                ))
+                model = replace(model, cost=cost)
+            action = AttentionAction(name="x", model=model, questions=questions, actual=actual)
+            if any(d.severity == "error" for d in validate_action(action)):
+                outcomes["refused"] += 1
+                continue
+            s = rand_state(rng, SIG2)
+            action._actual_pre, action._costs, action._branches
+            try:
+                attention_update(s, action)
+                outcomes["updated"] += 1
+            except (NotApplicable, IllFormedResult) as exc:
+                outcomes[type(exc).__name__] += 1
+            try:
+                verdicts = check_equivalent_on(action, to_post(action), [s])
+            except IllFormedResult:
+                continue
+            assert all(v.equivalent for v in verdicts), verdicts
+            outcomes["checked"] += 1
+        assert min(outcomes.values()) >= 10 and len(outcomes) == 5, outcomes
+
 
 class TestClassification:
     def test_starred_total_with_positive_prices(self):

@@ -453,7 +453,9 @@ class TestActualNotAWorld:
 
     def test_kripke_bisimilar(self, states):
         good, bad, message = states
-        k_good, k_bad = kripke_rendition(good), kripke_rendition(bad)
+        # The rendition refuses ``bad``: give the good one its stray actual.
+        k_good = kripke_rendition(good)
+        k_bad = replace(k_good, actual=bad.actual)
         self.assert_refused(lambda: kripke_bisimilar(k_bad, k_good), message)
         self.assert_refused(lambda: kripke_bisimilar(k_good, k_bad), message)
 
@@ -463,6 +465,8 @@ class TestActualNotAWorld:
 
     def test_distinguishing_formula(self, states):
         good, bad, message = states
-        k_good, k_bad = kripke_rendition(good), kripke_rendition(bad)
+        # The rendition refuses ``bad``: give the good one its stray actual.
+        k_good = kripke_rendition(good)
+        k_bad = replace(k_good, actual=bad.actual)
         self.assert_refused(lambda: distinguishing_formula(k_bad, k_good), message)
         self.assert_refused(lambda: distinguishing_formula(k_good, k_bad), message)

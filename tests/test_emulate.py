@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from attnplan.actions import (
 from attnplan.bisim import BisimWitness, kripke_bisimilar
 from attnplan.emulate import (
     AttentionProfile,
+    _attention_posts,
     check_equivalent_on,
     from_nopost,
     profiles_for,
@@ -27,6 +29,7 @@ from attnplan.emulate import (
 from attnplan.errors import (
     AmbiguousActual,
     AttnPlanError,
+    CostLookupError,
     FormulaValidationError,
     IllFormedResult,
     NotApplicable,
@@ -121,6 +124,33 @@ class TestToPost:
         y = to_post(action)
         assert all(not entries for entries in y.post.values())
 
+    def test_events_with_equal_charges_share_one_post_map(self):
+        """Each variant's map is the union of its agents' ``_attention_posts``
+        for its event's charges, and two variants hold one map object exactly
+        when their events charge every agent alike."""
+        rng = random.Random(45)
+        seen = {"shared across events": 0, "apart": 0}
+        for _ in range(80):
+            # Explicit prices make events of one action charge differently.
+            x = rand_attention_action(rng, SIG2, priced=True)
+            try:
+                y = to_post(x)
+            except CostLookupError:
+                continue
+            charges = {e: tuple(x._costs[a][e] for a in SIG2.agents) for e in x.model.events}
+            event_of = {name: name.rsplit("@", 1)[0] for name in y.events}
+            for name, event in event_of.items():
+                expected = {}
+                for agent, cost in zip(SIG2.agents, charges[event]):
+                    expected.update(_attention_posts(agent, cost, SIG2.attention_bound))
+                assert y.post[name] == expected
+            for first, second in combinations(y.events, 2):
+                alike = charges[event_of[first]] == charges[event_of[second]]
+                assert (y.post[first] is y.post[second]) == alike
+                seen["shared across events"] += alike and event_of[first] != event_of[second]
+                seen["apart"] += not alike
+        assert min(seen.values()) >= 20, seen
+
     def test_relation_blocks_respect_bit_and_component(self):
         y = to_post(paying_action())
         block_of = {}
@@ -197,6 +227,22 @@ class TestResolveActual:
         assert checks == []
         with pytest.raises(AttnPlanError, match="'e@1' is not a member"):
             replace(y, actual="e@0", actual_family=("e@0",))._member("e@1")
+
+    def test_members_share_the_parent_reading(self, monkeypatch):
+        """The product update's reading of each distinct post map is derived
+        once per compiled action, however many members ``resolve_actual``
+        builds; a non-member is still refused."""
+        y = to_post(paying_action(cost=1))
+        derived = []
+        read_post = actions._read_post
+        monkeypatch.setattr(actions, "_read_post", lambda post: derived.append(post) or read_post(post))
+        for budget in (2, 0, 1):
+            member = resolve_actual(y, self.state(budget))
+            assert member._readings is y._readings
+            product_update(kripke_rendition(self.state(budget)), member)
+        assert derived == [y.post["e@1"]]  # every variant charges alike: one map
+        with pytest.raises(AttnPlanError, match="'zz' is not a member"):
+            y._member("zz")
 
     def test_picks_the_same_member_on_the_rendition(self):
         rng = random.Random(44)

@@ -158,15 +158,25 @@ class TestValidation:
         assert validate_state(s) != []
 
 
+def bad_rendition(doc):
+    """The rendition of two_facts' ``init`` with an actual world that is none
+    of its worlds."""
+    return replace(kripke_rendition(doc.states["init"]), actual="zz")
+
+
 # Each entry that takes a state, called with the two_facts document and a
-# copy of its ``init`` whose actual world is none of its worlds.
+# copy of its ``init`` whose actual world is none of its worlds (or, at the
+# entries that take an epistemic state, its rendition with that actual).
 ACTUAL_ENTRIES = {
     "applicable": lambda doc, bad: applicable(bad, doc.actions["ask_p"]),
     "attention_update": lambda doc, bad: attention_update(bad, doc.actions["ask_p"]),
     "apply_sequence": lambda doc, bad: apply_sequence(bad, [doc.actions["ask_p"]]),
     "product_update": lambda doc, bad: product_update(
-        kripke_rendition(bad), resolve_actual(to_post(doc.actions["ask_p"]), doc.states["init"])
+        bad_rendition(doc), resolve_actual(to_post(doc.actions["ask_p"]), doc.states["init"])
     ),
+    "kripke_rendition": lambda doc, bad: kripke_rendition(bad),
+    "check": lambda doc, bad: check(bad, PropAtom("p")),
+    "check_epistemic": lambda doc, bad: check_epistemic(bad_rendition(doc), PropAtom("p")),
     "resolve_actual": lambda doc, bad: resolve_actual(to_post(doc.actions["ask_p"]), bad),
     "check_equivalent_on": lambda doc, bad: check_equivalent_on(
         doc.actions["ask_p"], to_post(doc.actions["ask_p"]), [bad]
@@ -184,6 +194,15 @@ def test_actual_not_a_world_is_refused_at_every_entry(two_facts_doc, entry):
         ACTUAL_ENTRIES[entry](two_facts_doc, bad)
     expected = [v for v in validate_state(bad) if "actual" in v]
     assert caught.value.violations == expected == ["actual world 'zz' is not a world"]
+
+
+def test_check_refuses_a_given_unknown_world_with_a_value_error(two_facts_doc):
+    """Only the default world is the state's fault; a given one is the caller's."""
+    init = two_facts_doc.states["init"]
+    for s in (init, kripke_rendition(init), replace(init, actual="zz")):
+        with pytest.raises(ValueError, match="unknown world 'yy'") as caught:
+            check(s, PropAtom("p"), world="yy")
+        assert not isinstance(caught.value, StateValidationError)
 
 
 class TestEvaluation:

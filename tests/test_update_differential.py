@@ -39,7 +39,21 @@ from attnplan.emulate import (
     to_post,
 )
 from attnplan.errors import AttnPlanError, CostLookupError, IllFormedResult, NotApplicable
-from attnplan.logic import And, Know, Not, PropAtom, Signature, TOP, entails, subformulas
+from attnplan.logic import (
+    And,
+    AttEq,
+    AttLess,
+    Know,
+    Not,
+    PropAtom,
+    Signature,
+    TOP,
+    Top,
+    att_eq,
+    att_lt,
+    entails,
+    subformulas,
+)
 from attnplan.models import (
     AttentionState,
     EpistemicState,
@@ -56,6 +70,7 @@ from generators import (
     rand_attention_action,
     rand_epistemic_state,
     rand_formula,
+    rand_atom_post_action,
     rand_nfl_action,
     rand_partition,
     rand_post_action,
@@ -550,6 +565,64 @@ def test_hand_built_product_updates_match_the_reference():
                 len({labels.extension(f) for f in post.values()}) < len(post) for post in maps
             )
     assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
+def entry_kind(sig: Signature, post: dict, formula) -> str:
+    """Which way ``product_update`` reads a post entry's formula."""
+    if isinstance(formula, Top):
+        return "T"
+    if formula == Not(TOP):
+        return "~T"
+    if isinstance(formula, PropAtom):
+        atom = formula.name
+    elif isinstance(formula, (AttEq, AttLess)):
+        atom = formula
+    else:
+        return "compound"
+    if atom in post:
+        return "reads a key of its map"
+    if isinstance(atom, str):
+        return "propositional atom"
+    if atom.bound > sig.attention_bound:
+        return "above the bound"
+    shared = (att_eq if isinstance(atom, AttEq) else att_lt)(atom.agent, atom.bound)
+    return "shared attention atom" if atom is shared else "directly built attention atom"
+
+
+def test_atom_valued_post_entries_match_the_reference():
+    """Post formulas that are bare atoms are read by membership in the
+    source world's valuation, the others by their extensions; either way
+    the product equals the per-world reference, field by field and in
+    order.  Every atom kind holds at some survivors and fails at others;
+    ``T`` holds and ``~T`` and the atoms above the bound fail everywhere."""
+    rng = random.Random(4604)
+    seen: Counter[tuple[str, str]] = Counter()
+    for _ in range(300):
+        y = rand_atom_post_action(rng, SIG2)
+        s = rand_state(rng, SIG2, max_worlds=5)
+        for k in (kripke_rendition(s), rand_epistemic_state(rng, SIG2, 5)):
+            try:
+                slow = reference.product_update(k, y)
+            except NotApplicable:
+                with pytest.raises(NotApplicable):
+                    product_update(k, y)
+                continue
+            fast = product_update(k, y)
+            assert epistemic_in_order(fast) == epistemic_in_order(slow)
+            assert fast == slow
+            pairs = [name.split("*") for name in fast.worlds]
+            for post in {id(m): m for m in y.post.values()}.values():
+                sources = [w for w, e in pairs if y.post.get(e) is post]
+                for formula in post.values() if sources else ():
+                    kind = entry_kind(SIG2, post, formula)
+                    truths = {reference.eval_epistemic(k, formula, w) for w in sources}
+                    outcome = "mixed" if len(truths) == 2 else ("fails", "holds")[truths.pop()]
+                    seen[kind, outcome] += 1
+    constant = {"T": "holds", "~T": "fails", "above the bound": "fails"}
+    varying = {kind for kind, _ in seen} - set(constant)
+    assert len(varying) == 5 and all(seen[kind, "mixed"] >= 20 for kind in varying), seen
+    assert all(seen[kind, outcome] >= 20 for kind, outcome in constant.items()), seen
+    assert all(outcome == constant.get(kind, outcome) for kind, outcome in seen), seen
 
 
 def test_survivors_match_per_world_eval():
