@@ -34,7 +34,7 @@ from .actions import (
 )
 from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
 from .errors import AmbiguousActual, IllFormedResult, NotApplicable
-from .logic import TOP, AttEq, AttLess, Formula, and_all, att_eq, att_geq, att_lt, bot
+from .logic import TOP, And, AttEq, AttLess, Formula, att_eq, att_geq, att_lt, bot
 from .models import AttentionState, EpistemicState, _eval, _require_actual, kripke_rendition
 
 
@@ -130,9 +130,12 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     Every event is copied once per attention profile; the profile's guards
     decide which copy fires on a given state, and only the matching copies
     of the original actual event are executable, so the actual is a family
-    resolved per state (see ``resolve_actual``).  Variants of events whose
-    charges agree hold one shared post map, the union of the agents'
-    ``_attention_posts``; ``EpistemicAction`` keeps shared maps shared.
+    resolved per state (see ``resolve_actual``).  An event's variants share
+    their guards and the prefixes of their left-associated preconditions,
+    so a labelling, whose memo is keyed by node, reads each once.  Variants
+    of events whose charges agree hold one shared post map, the union of
+    the agents' ``_attention_posts``; ``EpistemicAction`` keeps shared maps
+    shared.
     Raises AttnPlanError for an inconsistent action, as the update does, and
     IllFormedResult if some agent's branch relations are not transitive, in
     which case no partition-form result exists.
@@ -160,14 +163,19 @@ def to_post(x: AttentionAction) -> EpistemicAction:
                 for agent, cost in zip(agents, charges)
                 for atom, formula in _attention_posts(agent, cost, bound).items()
             }
+        # Each profile prefix's conjunction, one agent's guard further per
+        # round; the keys end in profile order.
+        chains: dict[tuple[int, ...], Formula] = {(): model.pre[event]}
+        for agent, cost in zip(agents, charges):
+            guards = [_budget_guard(agent, cost, bound, bit) for bit in (0, 1)]
+            chains = {
+                bits + (bit,): chain if guard is None else And(chain, guard)
+                for bits, chain in chains.items()
+                for bit, guard in enumerate(guards)
+            }
         for profile, name in zip(profiles, variants[event]):
             events.append(name)
-            conjuncts: list[Formula] = [model.pre[event]]
-            for bit, agent, cost in zip(profile.bits, agents, charges):
-                guard = _budget_guard(agent, cost, bound, bit)
-                if guard is not None:
-                    conjuncts.append(guard)
-            pre[name] = and_all(conjuncts)
+            pre[name] = chains[profile.bits]
             post[name] = shared[charges]  # EpistemicAction copies each map once
 
     q: dict[str, tuple[frozenset[str], ...]] = {}

@@ -442,8 +442,16 @@ class _Parser:
 
 
 def parse_formula(sig: Signature, text: str) -> Formula:
-    """Parse ``text`` against ``sig``; sugar normalizes to the core AST."""
-    return _Parser(sig, _tokenize(text)).parse()
+    """Parse ``text`` against ``sig``; sugar normalizes to the core AST.
+
+    Input nested deeper than the interpreter's stack can descend raises
+    FormulaSyntaxError at the token where the descent stopped.
+    """
+    parser = _Parser(sig, _tokenize(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise FormulaSyntaxError("nested too deeply to read", parser.peek().pos) from None
 
 
 # ---------------------------------------------------------------------------

@@ -328,22 +328,21 @@ class _Labelling:
     """Extensions in ``s`` as bitmasks, bit k for ``s.worlds[k]``, built from
     the subformulas' (labelling model checking): ``Know`` keeps the blocks
     inside its argument's extension, an agent's masks built at its first
-    ``Know``.  The memo, keyed by node identity, lives as long as the object,
-    one update, so shared subformulas are evaluated once; a longer-lived
-    memo could meet a new formula at the address of a collected one."""
+    ``Know``, and a propositional atom's mask at the first node that names
+    it.  Atom masks are kept by name, since a parsed formula gives each
+    occurrence of an atom its own node; nothing indexes the valuation up
+    front, because a rendition lists many attention atoms per world and a
+    formula reads few atoms.  The node memo, keyed by identity, lives as
+    long as the object, one update, so shared subformulas are evaluated
+    once; a longer-lived memo could meet a new formula at the address of a
+    collected one."""
 
     def __init__(self, s: _PartitionModel) -> None:
         self.s = s
         self.bit = {w: 1 << k for k, w in enumerate(s.worlds)}
         self.full = (1 << len(s.worlds)) - 1
         self.memo: dict[int, int] = {}
-        # Propositional atoms only: a rendition lists many attention atoms
-        # per world, and a formula reads few of them.
         self.atoms: dict[str, int] = {}
-        for w, atoms in s.valuation.items():
-            for atom in atoms:
-                if isinstance(atom, str):
-                    self.atoms[atom] = self.atoms.get(atom, 0) | self.bit[w]
         self.blocks: dict[str, list[int]] = {}
 
     def holds(self, f: Formula, world: str) -> bool:
@@ -355,7 +354,11 @@ class _Labelling:
         if isinstance(f, Top):
             out = self.full
         elif isinstance(f, PropAtom):
-            out = self.atoms.get(f.name, 0)
+            out = self.atoms.get(f.name)
+            if out is None:
+                val = self.s.valuation
+                out = sum(b for w, b in self.bit.items() if f.name in val[w])
+                self.atoms[f.name] = out
         elif isinstance(f, (AttEq, AttLess)):
             out = sum(b for w, b in self.bit.items() if self.s.holds_attention(f, w))
         elif isinstance(f, Not):

@@ -15,9 +15,17 @@ search's one intern table.  The key is exact and, on point-generated
 states, complete, so each key holds one state; ``bisimilar`` confirms every
 key hit, and a hit it refutes is an internal error.
 
-The goal is validated once per search, then evaluated without validating
-again.  Each step asks ``applicable``, whose gate checks an action and all
-its preconditions once, when the search first tests that action.
+Each successor is tested in this order: its key against the frontier, the
+confirming ``bisimilar`` on a key hit, and only then, on a new key, the
+goal.  A key hit can never meet the goal: every state in the frontier
+failed it (the start is tested first, every later state before it is
+kept), the hit is bisimilar to such a state, and the goal is a formula,
+on which bisimilar states agree.  So the goal is read on the start and on
+new keys only, and the plan and ``explored`` are those of testing the goal
+first.  It is validated once per search, then evaluated without
+validating again.  Each step asks ``applicable``, whose gate checks an
+action and all its preconditions once, when the search first tests that
+action.
 
 Plans come back shortest first, ties broken by the order actions were
 declared in the task (a consequence of in-order expansion).
@@ -139,9 +147,6 @@ def _search(
             successor, key = _quotient(
                 _generated(attention_update(state, action)), table
             )
-            path = (steps + (action,), trace + (successor,))
-            if _eval(successor, task.goal, successor.actual):
-                return _verified_solution(task, *path)
             if key in visited:
                 if not isinstance(bisimilar(successor, visited[key]), BisimWitness):
                     raise RuntimeError(
@@ -149,6 +154,9 @@ def _search(
                         " on states that are not bisimilar"
                     )
                 continue
+            path = (steps + (action,), trace + (successor,))
+            if _eval(successor, task.goal, successor.actual):
+                return _verified_solution(task, *path)
             visited[key] = successor
             queue.append(path)
     if max_depth is None:

@@ -7,6 +7,12 @@ valuations) matches.  It replays each plan it finds and builds its
 ``Solution`` itself, naming no private part of the planner.  The
 differential suite compares the library's hashed frontier against it;
 nothing in the package imports this module.
+
+``search_del`` is the same breadth-first search in plain dynamic epistemic
+logic, the paper's fragment claim run over whole searches: its states are
+renditions, a step is the product update with the compiled action
+resolved at the state, and duplicates are found by a list scan with
+``kripke_bisimilar``.
 """
 
 from __future__ import annotations
@@ -14,9 +20,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable
 
-from attnplan.actions import AttentionAction, applicable, apply_sequence, attention_update
-from attnplan.bisim import BisimWitness, bisimilar, contract
-from attnplan.models import AttentionState, check
+from attnplan.actions import (
+    AttentionAction,
+    applicable,
+    apply_sequence,
+    attention_update,
+    product_update,
+)
+from attnplan.bisim import BisimWitness, bisimilar, contract, kripke_bisimilar
+from attnplan.emulate import resolve_actual, to_post
+from attnplan.errors import NotApplicable
+from attnplan.models import AttentionState, EpistemicState, check, kripke_rendition
 from attnplan.planner import NoneWithinBound, NoSolution, PlanningTask, Solution
 
 
@@ -82,4 +96,41 @@ def search(
             queue.append(longer)
     if max_depth is None:
         return NoSolution(explored=explored)
+    return NoneWithinBound(bound=max_depth, explored=explored)
+
+
+def search_del(task: PlanningTask, max_depth: int) -> Solution | NoneWithinBound:
+    """Breadth-first search to ``max_depth`` steps over epistemic states.
+
+    It starts from ``kripke_rendition(task.initial)``; a step takes
+    ``product_update(k, resolve_actual(to_post(x), k))`` for each action
+    ``x`` in declared order, skipping actions whose actual family does not
+    fire; a state bisimilar to one already seen is dropped.  A solution's
+    ``trace`` holds the epistemic states along its plan, uncontracted.
+    """
+    compiled = [(action, to_post(action)) for action in task.actions]
+    start = kripke_rendition(task.initial)
+    if check(start, task.goal):
+        return Solution(plan=(), trace=(start,))
+    visited = [start]
+    queue: deque[tuple[tuple[str, ...], tuple[EpistemicState, ...]]] = deque([((), (start,))])
+    explored = 0
+    while queue:
+        plan, trace = queue.popleft()
+        if len(plan) >= max_depth:
+            continue
+        for action, y in compiled:
+            try:
+                resolved = resolve_actual(y, trace[-1])
+            except NotApplicable:
+                continue
+            explored += 1
+            successor = product_update(trace[-1], resolved)
+            path = (plan + (action.name,), trace + (successor,))
+            if check(successor, task.goal):
+                return Solution(*path)
+            if any(isinstance(kripke_bisimilar(successor, seen), BisimWitness) for seen in visited):
+                continue
+            visited.append(successor)
+            queue.append(path)
     return NoneWithinBound(bound=max_depth, explored=explored)

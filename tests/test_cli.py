@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -27,10 +28,10 @@ from attnplan.taskfile import (
 )
 
 from test_taskfile import (
+    DEEP_COMPLAINTS,
     DEEP_DOCUMENTS,
     INTRANSITIVE,
     NAMES,
-    NESTED_TOO_DEEPLY,
     NODES,
     UNPRICED,
     UNUSED_MODEL_FAULTS,
@@ -226,6 +227,15 @@ class TestCommands:
                     "--formula", "(att_i = 99)"]) == 2
         assert "exceeds the bound 15" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["~" * 2000 + "p", "(" * 2000 + "p" + ")" * 2000],
+                             ids=["negations", "parentheses"])
+    def test_formula_nested_too_deeply_exits_two(self, capsys, text):
+        assert run(["check", "--task", TWO_FACTS, "--state", "init",
+                    "--formula", text]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: nested too deeply to read \(at position \d+\)\n", err)
+        assert "RecursionError" not in err
+
     def test_unreadable_document_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.task"
         bad.write_text("not json")
@@ -237,7 +247,7 @@ class TestCommands:
         path = tmp_path / "deep.task"
         path.write_text(DEEP_DOCUMENTS[name])
         assert run(["validate", "--task", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {NESTED_TOO_DEEPLY}\n"
+        assert re.fullmatch(f"error: {DEEP_COMPLAINTS[name]}\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "costs,fault",

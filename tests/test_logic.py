@@ -214,6 +214,13 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError):
             parse_formula(SIG, "(att_i < 4)")
 
+    @pytest.mark.parametrize("text", ["~" * 2000 + "p", "(" * 2000 + "p" + ")" * 2000],
+                             ids=["negations", "parentheses"])
+    def test_rejects_nesting_too_deep_to_read(self, text):
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply to read") as info:
+            parse_formula(SIG, text)
+        assert 0 < info.value.position < len(text)
+
     def test_error_carries_position(self):
         with pytest.raises(FormulaSyntaxError) as info:
             parse_formula(SIG, "p & r")

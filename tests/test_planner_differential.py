@@ -11,7 +11,9 @@ to its reachable part and contracted, and reaches every one of its worlds
 from the actual world.  A survey task, where many orders of the same
 questions lead to bisimilar states, also checks that the frontier only
 calls ``bisimilar`` on states that turn out to be bisimilar, never more
-often than the list scan, and explores as many nodes.
+often than the list scan, and explores as many nodes.  The search reads
+the goal on the start and on new keys only, and no key hit meets the goal,
+which is what makes that order safe.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from attnplan import planner, taskfile
 from attnplan.actions import AttentionAction, AttentionActionModel, CostTable
 from attnplan.bisim import BisimWitness, NotBisimilar, _quotient, bisimilar, contract
 from attnplan.logic import Know, Not, PropAtom, Signature, and_all, or_
-from attnplan.models import AttentionState, close_into_partition
+from attnplan.models import AttentionState, _eval, check, close_into_partition
 from attnplan.planner import (
     NoneWithinBound,
     NoSolution,
@@ -159,6 +161,56 @@ def test_survey_dedups_with_hits_only(monkeypatch, facts, budget):
         assert counted.calls == counted.hits
         assert counted.hits == oracle.hits
         assert counted.calls <= oracle.calls
+
+
+@pytest.mark.parametrize("facts,explored,keys", [(5, 380, 76), (6, 1122, 187)])
+def test_goal_is_read_on_the_start_and_new_keys_only(monkeypatch, facts, explored, keys):
+    """Once per distinct key: the start's and each new successor's.  Reading
+    the goal first, as the list scan does, read it on every node explored
+    and on the start."""
+    for seed in range(2):
+        task = survey_task(facts, facts - 1, random.Random(814 + seed))
+        goal_reads, seen = 0, set()
+
+        def counting_eval(s, f, world):
+            nonlocal goal_reads
+            goal_reads += f is task.goal
+            return _eval(s, f, world)
+
+        def recording_quotient(s, table):
+            state, key = _quotient(s, table)
+            seen.add(key)
+            return state, key
+
+        monkeypatch.setattr(planner, "_eval", counting_eval)
+        monkeypatch.setattr(planner, "_quotient", recording_quotient)
+        assert solve_nfl(task) == NoSolution(explored=explored)
+        assert goal_reads == len(seen) == keys
+
+
+@pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["two_agents", "three_agents"])
+def test_no_key_hit_meets_the_goal(monkeypatch, sig):
+    """What reading the goal on new keys only rests on: a successor whose key
+    the search has met before fails the goal."""
+    rng = random.Random(804 if sig is SIG2 else 805)
+    hits = 0
+    for _ in range(60):
+        task = rand_task(rng, sig)
+        for max_depth in (None, 3):
+            seen = set()
+
+            def checking_quotient(s, table):
+                nonlocal hits
+                state, key = _quotient(s, table)
+                if key in seen:
+                    hits += 1
+                    assert not check(state, task.goal)
+                seen.add(key)
+                return state, key
+
+            monkeypatch.setattr(planner, "_quotient", checking_quotient)
+            _search(task, max_depth)
+    assert hits > 0
 
 
 def test_refuted_key_hit_is_an_internal_error(monkeypatch):

@@ -7,7 +7,10 @@ actions with one name still gets back the plan it searched.
 Along the fixtures' plans and scaled muddy children, the replay also
 checks the paper's fragment claim: each attention update is, up to
 bisimulation, the product update of the state's rendition with the
-compiled action (``to_post``) resolved at that state."""
+compiled action (``to_post``) resolved at that state.  Over whole searches,
+failed ones included, the claim is checked against
+``reference_planner.search_del``, the same search in plain dynamic
+epistemic logic."""
 
 from __future__ import annotations
 
@@ -19,11 +22,14 @@ import pytest
 from attnplan.actions import AttentionAction, attention_update, product_update
 from attnplan.bisim import BisimWitness, bisimilar, kripke_bisimilar
 from attnplan.emulate import resolve_actual, to_post
-from attnplan.logic import Know, PropAtom, and_all
+from attnplan.logic import Know, PropAtom, Signature, and_all
 from attnplan.models import check, kripke_rendition
 from attnplan.planner import PlanningTask, Solution, solve_bounded, solve_nfl
 
 from generators import SIG2, muddy_children, rand_task
+from reference_planner import search_del
+
+SIG3 = Signature(agents=("a", "b", "c"), attention_bound=2, prop_atoms=("p", "q"))
 
 
 def assert_replays(task: PlanningTask, out, steps: list[AttentionAction]) -> None:
@@ -88,14 +94,21 @@ def test_fixture_solutions_replay(two_facts_doc, muddy_doc):
     assert plans == {"main": ("ask_p", "ask_imp"), "siblings_learn": ("attend", "attend")}
 
 
+def muddy_task(n: int) -> PlanningTask:
+    """n muddy children with budget n, and the goal that every muddy child
+    knows it is muddy."""
+    initial, attend = muddy_children(random.Random(n), n)
+    muddy = initial.valuation[initial.actual]
+    goal = and_all(Know(f"c{k}", PropAtom(f"m{k}")) for k in range(n) if f"m{k}" in muddy)
+    return PlanningTask(name=f"muddy{n}", initial=initial, actions=(attend,), goal=goal)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_scaled_muddy_children_solutions_replay(n):
     """n muddy children with budget n: n - 2 rounds of ``attend`` teach
     every muddy child that it is muddy."""
-    initial, attend = muddy_children(random.Random(n), n)
-    muddy = initial.valuation[initial.actual]
-    goal = and_all(Know(f"c{k}", PropAtom(f"m{k}")) for k in range(n) if f"m{k}" in muddy)
-    task = PlanningTask(name=f"muddy{n}", initial=initial, actions=(attend,), goal=goal)
+    task = muddy_task(n)
+    (attend,) = task.actions
     out = solve_nfl(task)
     steps = [attend] * (n - 2)
     assert_replays(task, out, steps)
@@ -119,3 +132,46 @@ def test_actions_sharing_a_name_keep_the_plan_searched(shared_name_task, solve):
     out = solve(shared_name_task)
     assert out.plan == ("ask_p", "ask_imp")
     assert_replays(shared_name_task, out, [ask_p, ask_imp])
+
+
+def assert_search_in_fragment(task: PlanningTask, max_depth: int) -> str:
+    """The search over epistemic states agrees with ``solve_bounded``: the
+    same outcome type, the same nodes explored when no plan is found, and
+    otherwise the same plan, each state bisimilar to the rendition of the
+    planner's and the goal true at the last.  Returns the outcome's type
+    name."""
+    expected, outcome = solve_bounded(task, max_depth), search_del(task, max_depth)
+    assert type(outcome) is type(expected)
+    if not isinstance(expected, Solution):
+        assert outcome == expected
+        return type(expected).__name__
+    assert outcome.plan == expected.plan
+    for k, (state, seen) in enumerate(zip(outcome.trace, expected.trace, strict=True)):
+        assert isinstance(kripke_bisimilar(state, kripke_rendition(seen)), BisimWitness), f"step {k}"
+    assert check(outcome.trace[-1], task.goal) and check(expected.trace[-1], task.goal)
+    return "Solution"
+
+
+@pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["two_agents", "three_agents"])
+def test_random_searches_stay_in_the_fragment(sig):
+    rng = random.Random(1702 if sig is SIG2 else 1703)
+    outcomes = set()
+    for _ in range(60):
+        task = rand_task(rng, sig)
+        for max_depth in (1, 2, 3):
+            outcomes.add(assert_search_in_fragment(task, max_depth))
+    assert outcomes == {"Solution", "NoneWithinBound"}
+
+
+def test_fixture_searches_stay_in_the_fragment(two_facts_doc, muddy_doc):
+    outcomes = [
+        assert_search_in_fragment(task, 3)
+        for doc in (two_facts_doc, muddy_doc)
+        for task in doc.tasks.values()
+    ]
+    assert sorted(outcomes) == ["NoneWithinBound", "Solution", "Solution"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_muddy_children_searches_stay_in_the_fragment(n):
+    assert assert_search_in_fragment(muddy_task(n), n) == "Solution"

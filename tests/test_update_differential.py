@@ -52,6 +52,8 @@ from attnplan.logic import (
     att_eq,
     att_lt,
     entails,
+    format_formula,
+    parse_formula,
     subformulas,
 )
 from attnplan.models import (
@@ -486,6 +488,52 @@ def test_extension_sets_match_per_world_eval():
                     assert bool(mask >> k & 1) == truth
                     if isinstance(state, EpistemicState):
                         assert truth == reference.eval_epistemic(state, formula, w)
+
+
+def test_atom_masks_on_demand_match_per_world_eval():
+    """Atom masks are built when a formula first names an atom and kept by
+    name: formulas that repeat an atom in separate nodes, atoms that no
+    world lists, on attention states, their renditions and epistemic states
+    whose worlds list attention atoms."""
+    sig = Signature(agents=("a", "b"), attention_bound=2, prop_atoms=("p", "q", "r"))
+    rng = random.Random(4505)
+    seen: Counter[str] = Counter()
+    for _ in range(300):
+        s = rand_state(rng, sig, max_worlds=5)
+        k = rand_epistemic_state(rng, sig, max_worlds=5)
+        if rng.random() < 0.5:  # no world lists r
+            s = replace(s, valuation={w: v - {"r"} for w, v in s.valuation.items()})
+            k = replace(k, valuation={w: v - {"r"} for w, v in k.valuation.items()})
+        f = rand_formula(rng, sig, max_modal_depth=2, max_size=9)
+        copy = parse_formula(sig, format_formula(f))  # new nodes, same names
+        formulas = (
+            f,
+            copy,
+            And(Not(copy), Know("b", f)),
+            *map(PropAtom, sig.prop_atoms),
+        )
+        for state in (s, kripke_rendition(s), k):
+            labels = _Labelling(state)
+            for formula in formulas:
+                mask = labels.extension(formula)
+                for j, w in enumerate(state.worlds):
+                    assert bool(mask >> j & 1) == _eval(state, formula, w)
+            listed = set().union(*state.valuation.values())
+            seen["unlisted atom"] += any(a not in listed for a in sig.prop_atoms)
+            seen["attention atoms listed"] += any(not isinstance(a, str) for a in listed)
+        seen["repeated name"] += any(isinstance(node, PropAtom) for node in subformulas(f))
+    assert min(seen.values()) >= 100 and len(seen) == 3, seen
+
+
+def test_labelling_builds_atom_masks_by_name_when_asked():
+    s = rand_state(random.Random(4506), SIG2, max_worlds=6, min_worlds=6)
+    labels = _Labelling(s)
+    assert labels.atoms == {}
+    # The formulas stay alive: the memo is keyed by node identity.
+    formulas = And(PropAtom("p"), Not(PropAtom("p"))), Know("b", PropAtom("p")), PropAtom("q")
+    for formula, atoms in zip(formulas, (["p"], ["p"], ["p", "q"])):
+        labels.extension(formula)
+        assert list(labels.atoms) == atoms
 
 
 def test_labelling_builds_masks_for_the_agents_it_meets():
