@@ -28,18 +28,20 @@ one set of structural rules, ``_event_model_faults``; every reader of an
 action first passes its cached gate ``_actual_pre``, which raises
 AttnPlanError for the first fault and, for an attention action,
 FormulaValidationError for a precondition outside the signature, so
-``applicable`` (the one applicability test) and the updates evaluate
-preconditions unvalidated.  The update groups survivors by source block
-and (budget, event) tag, worked out per call, instead of comparing them
-pairwise: readers never write into an action, whose cached properties are
-functions of its fields alone.
+preconditions are evaluated unvalidated.  ``applicable``, the one reader of
+the gate's value, is the one applicability test: both updates ask it first
+and raise NotApplicable when it says no, and the planner asks the update.
+The update groups survivors by source block and (budget, event) tag, worked
+out per call, instead of comparing them pairwise: readers never write into
+an action, whose cached properties are functions of its fields alone.
 
-Both updates read formulas through one ``models._Labelling`` per call: the
-attention update its preconditions, the product update its preconditions
-and the postconditions that are not bare atoms, each labelled bottom-up
-over the whole state with shared subformulas once, not evaluated world by
-world.  A bare atom needs no labelling: it holds at a world iff the
-world's valuation lists it.
+Past that test, which reads the actual world alone, both updates read
+formulas through one ``models._Labelling`` per call: the attention update
+its preconditions, the product update its preconditions and the
+postconditions that are not bare atoms, each labelled bottom-up over the
+whole state with shared subformulas once, not evaluated world by world.  A
+bare atom needs no labelling: it holds at a world iff the world's
+valuation lists it.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ class AttentionAction:
         from the preconditions.  Passes the gate and prices first, so a missing
         price is reported before a bad question, then validates each once."""
         model, sig, questions = self.model, self.sig, self.questions
-        self._actual_pre
+        self._actual_pre  # the gate
         self._costs
         for agent in sig.agents:
             validate_formula(sig, questions[agent])
@@ -572,8 +574,12 @@ def is_nfl(x: AttentionAction, relaxed: bool = False) -> bool:
     return all(e.cost > 0 for e in model.cost.entries if not isinstance(e.formula, Top))
 
 
-def applicable(s: AttentionState, x: AttentionAction) -> bool:
-    """Whether the actual event's precondition holds at the actual world."""
+def applicable(
+    s: AttentionState | EpistemicState, x: AttentionAction | EpistemicAction
+) -> bool:
+    """Whether the actual event's precondition holds at the actual world, for
+    either state kind and either action kind: the one applicability test,
+    which both updates ask first."""
     require_same_signature(s.sig, x.sig)
     _require_actual(s)
     return _eval(s, x._actual_pre, s.actual)
@@ -597,20 +603,16 @@ def _pair_names(pairs: list[tuple[str, str]]) -> list[str]:
 def _product_prelude(
     s: AttentionState | EpistemicState, x: AttentionAction | EpistemicAction
 ) -> tuple[_Labelling, list[tuple[str, str]], list[str]]:
-    """What both updates do first, in ``applicable``'s order: check the
-    signatures and that the actual world is a world, pass the gate, label
-    ``s`` once, require the actual event's precondition at the actual world,
-    and name the pairs of each world with the events whose preconditions
-    hold there, in world then event order."""
-    require_same_signature(s.sig, x.sig)
-    _require_actual(s)
-    actual_pre = x._actual_pre  # the gate
-    y = x.model if isinstance(x, AttentionAction) else x
-    labels = _Labelling(s)
-    if not labels.holds(actual_pre, s.actual):
+    """What both updates do first: ask ``applicable``, raising NotApplicable
+    when it says no, then label ``s`` once and name the pairs of each world
+    with the events whose preconditions hold there, in world then event
+    order."""
+    if not applicable(s, x):
         raise NotApplicable(
             f"pre of actual event {x.actual!r} fails at actual world {s.actual!r}"
         )
+    y = x.model if isinstance(x, AttentionAction) else x
+    labels = _Labelling(s)
     extension = {e: labels.extension(y.pre[e]) for e in y.events}
     survivors = [
         (w, e) for k, w in enumerate(s.worlds) for e in y.events if extension[e] >> k & 1

@@ -504,7 +504,7 @@ class _Branch:
         self.clique: dict[tuple[str, int], int] = {}
         self.members: dict[int, list[int]] = {}
         self.boxes: dict[int, list[_Nnf]] = {}
-        self.att: dict[int, set[int]] = {}
+        self.att: dict[int, tuple[int, int, frozenset[int]]] = {}
         self.lits: dict[tuple[int, str], bool] = {}
         self.seen: set[tuple[int, _Nnf]] = set()
         self.todo: list[tuple[int, _Nnf]] = []
@@ -518,7 +518,7 @@ class _Branch:
         other.clique = dict(self.clique)
         other.members = {k: list(v) for k, v in self.members.items()}
         other.boxes = {k: list(v) for k, v in self.boxes.items()}
-        other.att = {k: set(v) for k, v in self.att.items()}
+        other.att = dict(self.att)
         other.lits = dict(self.lits)
         other.seen = set(self.seen)
         other.todo = list(self.todo)
@@ -560,13 +560,18 @@ def _expand(branch: _Branch) -> bool:
         elif kind in ("atteq", "attless"):
             _, agent, n, polarity = node
             cid = branch.clique_of(agent, world)
-            values = branch.att.setdefault(cid, set(range(branch.bound + 1)))
-            if kind == "atteq":
-                allowed = values & {n} if polarity else values - {n}
+            # The clique's budget lies in [low, high] and outside excluded.
+            low, high, excluded = branch.att.get(cid, (0, branch.bound, frozenset()))
+            if kind == "atteq" and polarity:
+                low, high = max(low, n), min(high, n)
+            elif kind == "atteq":
+                excluded |= {n}
+            elif polarity:
+                high = min(high, n - 1)
             else:
-                allowed = {v for v in values if (v < n) == polarity}
-            branch.att[cid] = allowed
-            if not allowed:
+                low = max(low, n)
+            branch.att[cid] = (low, high, excluded)
+            if sum(low <= v <= high for v in excluded) > high - low:
                 return False
         elif kind == "and":
             branch.push(world, node[1])

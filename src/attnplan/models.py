@@ -345,9 +345,6 @@ class _Labelling:
         self.atoms: dict[str, int] = {}
         self.blocks: dict[str, list[int]] = {}
 
-    def holds(self, f: Formula, world: str) -> bool:
-        return bool(self.extension(f) & self.bit[world])
-
     def extension(self, f: Formula) -> int:
         if id(f) in self.memo:
             return self.memo[id(f)]

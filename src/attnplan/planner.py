@@ -23,9 +23,10 @@ kept), the hit is bisimilar to such a state, and the goal is a formula,
 on which bisimilar states agree.  So the goal is read on the start and on
 new keys only, and the plan and ``explored`` are those of testing the goal
 first.  It is validated once per search, then evaluated without
-validating again.  Each step asks ``applicable``, whose gate checks an
-action and all its preconditions once, when the search first tests that
-action.
+validating again.  Each step asks the update, which asks ``applicable``
+and raises NotApplicable where the action does not apply, so ``explored``
+counts the applicable actions; the gate checks an action and all its
+preconditions once, when the search first tries that action.
 
 Plans come back shortest first, ties broken by the order actions were
 declared in the task (a consequence of in-order expansion).
@@ -37,15 +38,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable
 
-from .actions import (
-    AttentionAction,
-    applicable,
-    apply_sequence,
-    attention_update,
-    is_nfl,
-)
+from .actions import AttentionAction, apply_sequence, attention_update, is_nfl
 from .bisim import BisimWitness, _quotient, bisimilar
-from .errors import NotNfl
+from .errors import NotApplicable, NotNfl
 from .logic import Formula, validate_formula
 from .models import AttentionState, _eval, _require_actual
 
@@ -141,12 +136,12 @@ def _search(
             continue
         state = trace[-1]
         for action in task.actions:
-            if not applicable(state, action):
+            try:
+                updated = attention_update(state, action)
+            except NotApplicable:
                 continue
             explored += 1
-            successor, key = _quotient(
-                _generated(attention_update(state, action)), table
-            )
+            successor, key = _quotient(_generated(updated), table)
             if key in visited:
                 if not isinstance(bisimilar(successor, visited[key]), BisimWitness):
                     raise RuntimeError(

@@ -897,6 +897,22 @@ class TestProductUpdate:
         with pytest.raises(FormulaValidationError, match="unknown agent 'zz'"):
             product_update(kripke_rendition(one_world_state()), y)
 
+    def test_unknown_agent_past_a_false_conjunct_is_not_met(self):
+        """``applicable`` evaluates the actual precondition at the actual
+        world only as far as its answer needs, as the per-world reference
+        does, so the update refuses before it meets the unknown agent."""
+        y = EpistemicAction(
+            sig=SIG,
+            events=("e", "f"),
+            q={"i": (frozenset({"e", "f"}),)},
+            pre={"e": And(Not(TOP), Know("zz", TOP)), "f": TOP},
+            actual="e",
+        )
+        k = kripke_rendition(one_world_state())
+        assert not applicable(k, y)
+        with pytest.raises(NotApplicable):
+            product_update(k, y)
+
     @pytest.mark.parametrize(
         "atom",
         ["zz", AttEq("zz", 0), AttEq("i", 3), AttLess("i", 9), Not(P)],

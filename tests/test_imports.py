@@ -9,6 +9,8 @@ index and the code that checks, copies or writes the table.  The loader
 calls ``validate_action`` once per model and nowhere else.  Only the
 interning constructors ``att_eq`` and ``att_lt`` call ``AttEq`` and
 ``AttLess``, so every attention atom the package builds is the shared one.
+Only ``applicable`` reads the value of an action's gate ``_actual_pre``;
+every other site passes the gate as a marked bare statement.
 The reference modules under ``tests/`` import no private name of the
 package, apart from one listed exception.  No cached property hands out an
 empty table for code outside its class to fill, so every cached property
@@ -174,24 +176,32 @@ def called_names(node: ast.AST) -> set[str]:
     }
 
 
+def sites(source: str) -> list[tuple[str, ast.AST]]:
+    """Each module-level function as ``function``, each method as
+    ``Class.method``, each other member of a class as ``Class.<body>`` and
+    each other top-level statement as ``<module>``, with its node."""
+    out: list[tuple[str, ast.AST]] = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.ClassDef):
+            out.extend(
+                (f"{statement.name}.{getattr(m, 'name', '<body>')}", m) for m in statement.body
+            )
+        elif isinstance(statement, ast.FunctionDef):
+            out.append((statement.name, statement))
+        else:
+            out.append(("<module>", statement))
+    return out
+
+
 def naming_sites(sources: dict[str, str], name: str, names_in=referenced_names) -> list[str]:
-    """``module: function`` for each module-level function, ``module:
-    Class.method`` for each method and ``module: <module>`` for each other
-    top-level statement that names ``name`` (or, with ``called_names``,
-    calls it); defining it does not count."""
-    out = []
-    for module, source in sorted(sources.items()):
-        for statement in ast.parse(source).body:
-            if isinstance(statement, ast.ClassDef):
-                parts = [
-                    (f"{statement.name}.{getattr(m, 'name', '<body>')}", m)
-                    for m in statement.body
-                ]
-            elif isinstance(statement, ast.FunctionDef):
-                parts = [(statement.name, statement)]
-            else:
-                parts = [("<module>", statement)]
-            out.extend(f"{module}: {label}" for label, node in parts if name in names_in(node))
+    """``module: site`` (see ``sites``) for each site that names ``name``
+    (or, with ``called_names``, calls it); defining it does not count."""
+    out = [
+        f"{module}: {label}"
+        for module, source in sorted(sources.items())
+        for label, node in sites(source)
+        if name in names_in(node)
+    ]
     return list(dict.fromkeys(out))
 
 
@@ -247,6 +257,60 @@ VALIDATE_ACTION_SITES = ["taskfile.py: _model"]
 def test_the_loader_checks_each_model_once():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, "validate_action", called_names) == VALIDATE_ACTION_SITES
+
+
+# The gate's value, the actual event's precondition, has one reader: the one
+# applicability test, which both updates ask.
+GATE_SITES = ["actions.py: EpistemicAction._member prefills", "actions.py: applicable reads"]
+
+
+def gate_sites(sources: dict[str, str]) -> list[str]:
+    """``module: site kind`` (see ``sites``) for each mention of
+    ``_actual_pre`` other than its definition and a bare statement marked
+    ``# the gate``, which passes the gate and drops its value: ``reads`` for
+    a read of the value, ``prefills`` for a keyword that sets it and
+    ``passes unmarked`` for a bare statement without the mark."""
+    out = []
+    for module, source in sorted(sources.items()):
+        lines = source.splitlines()
+        for label, node in sites(source):
+            bare = {
+                id(sub.value): "# the gate" in lines[sub.lineno - 1]
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Expr)
+            }
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.keyword) and sub.arg == "_actual_pre":
+                    out.append(f"{module}: {label} prefills")
+                elif isinstance(sub, ast.Attribute) and sub.attr == "_actual_pre":
+                    if id(sub) not in bare:
+                        out.append(f"{module}: {label} reads")
+                    elif not bare[id(sub)]:
+                        out.append(f"{module}: {label} passes unmarked")
+    return list(dict.fromkeys(out))
+
+
+def test_the_check_finds_every_use_of_the_gate_value():
+    source = (
+        "class A:\n"
+        "    @cached_property\n    def _actual_pre(self):\n        return self.pre\n\n"
+        "    def _member(self):\n        self._actual_pre  # the gate\n"
+        "        return A(_actual_pre=self.pre)\n\n"
+        "def applicable(s, x):\n    return s.holds(x._actual_pre)\n\n"
+        "def prelude(s, x):\n    pre = x._actual_pre  # the gate\n    return s.holds(pre)\n\n"
+        "def update(s, x):\n    x._actual_pre\n    return s\n"
+    )
+    assert gate_sites({"a.py": source}) == [
+        "a.py: A._member prefills",
+        "a.py: applicable reads",
+        "a.py: prelude reads",
+        "a.py: update passes unmarked",
+    ]
+
+
+def test_only_applicable_reads_the_gate_value():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert gate_sites(sources) == GATE_SITES
 
 
 # The entry points that validate formulas against a signature; every other

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from attnplan.logic import (
     subformulas,
     validate_formula,
 )
+from attnplan.models import AttentionState, check
 
 import reference_logic
 from generators import SIG2, rand_formula
@@ -336,3 +338,52 @@ class TestProver:
         f = Know("a", or_(Know("b", p), Not(Know("b", p))))
         assert is_valid(SIG2, f)
         assert is_satisfiable(SIG2, And(Know("a", p), Not(Know("b", p))))
+
+    @pytest.mark.parametrize("bound", [0, 1, 4])
+    def test_budget_atoms_match_a_scan_of_the_budgets(self, bound):
+        """Boolean combinations of one agent's attention atoms are satisfiable
+        exactly when some budget from 0 to the bound makes them true."""
+        sig = Signature(agents=("i",), attention_bound=bound, prop_atoms=("p",))
+        rng = random.Random(920 + bound)
+
+        def rand_budget_formula(size: int):
+            if size <= 1:
+                return rng.choice((att_eq, att_lt))("i", rng.randint(0, bound))
+            left = rng.randint(1, size - 1)
+            parts = rand_budget_formula(left), rand_budget_formula(size - left)
+            return rng.choice((And, or_))(*parts) if rng.random() < 0.7 else Not(parts[0])
+
+        def at_budget(budget: int) -> AttentionState:
+            return AttentionState(
+                sig=sig,
+                worlds=("w",),
+                partitions={"i": (frozenset({"w"}),)},
+                valuation={"w": frozenset()},
+                attention={"i": {"w": budget}},
+                actual="w",
+            )
+
+        states = [at_budget(v) for v in range(bound + 1)]
+        answers = []
+        for _ in range(300):
+            f = rand_budget_formula(rng.randint(1, 6))
+            answers.append(is_satisfiable(sig, f))
+            assert answers[-1] == any(check(s, f) for s in states)
+        assert answers.count(True) >= 60 and answers.count(False) >= 30
+
+    def test_cost_does_not_grow_with_the_bound(self):
+        """A clique's budget is kept as an interval less some excluded
+        values, never as the set of values left, so a bound of a million
+        costs the prover no more memory than a bound of three."""
+        bound = 10**6
+        sig = Signature(agents=("i",), attention_bound=bound, prop_atoms=("p",))
+        tracemalloc.start()
+        try:
+            assert is_valid(sig, implies(att_lt("i", 12), Not(att_eq("i", 12))))
+            assert is_satisfiable(sig, att_eq("i", bound))
+            assert not is_satisfiable(sig, att_gt("i", bound))
+            assert not is_satisfiable(sig, att_lt("i", 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000

@@ -13,7 +13,8 @@ questions lead to bisimilar states, also checks that the frontier only
 calls ``bisimilar`` on states that turn out to be bisimilar, never more
 often than the list scan, and explores as many nodes.  The search reads
 the goal on the start and on new keys only, and no key hit meets the goal,
-which is what makes that order safe.
+which is what makes that order safe.  The search skips an action whose
+update raises NotApplicable, and the random tasks do meet such actions.
 """
 
 from __future__ import annotations
@@ -26,8 +27,14 @@ import pytest
 
 import reference_planner as ref
 from attnplan import planner, taskfile
-from attnplan.actions import AttentionAction, AttentionActionModel, CostTable
+from attnplan.actions import (
+    AttentionAction,
+    AttentionActionModel,
+    CostTable,
+    attention_update,
+)
 from attnplan.bisim import BisimWitness, NotBisimilar, _quotient, bisimilar, contract
+from attnplan.errors import NotApplicable
 from attnplan.logic import Know, Not, PropAtom, Signature, and_all, or_
 from attnplan.models import AttentionState, _eval, check, close_into_partition
 from attnplan.planner import (
@@ -132,8 +139,21 @@ class CountingBisimilar:
 
 @pytest.mark.parametrize("sig", [SIG2, SIG3], ids=["two_agents", "three_agents"])
 def test_random_tasks_match_the_list_scan(monkeypatch, sig):
+    """The search skips an action whose update refuses it, as the list scan
+    skips one that ``applicable`` refuses, and the cases do refuse."""
     counted = CountingBisimilar(bisimilar)
     monkeypatch.setattr(planner, "bisimilar", counted)
+    refused = 0
+
+    def counting_update(s, x):
+        nonlocal refused
+        try:
+            return attention_update(s, x)
+        except NotApplicable:
+            refused += 1
+            raise
+
+    monkeypatch.setattr(planner, "attention_update", counting_update)
     rng = random.Random(801 if sig is SIG2 else 802)
     outcomes = set()
     for _ in range(60):
@@ -144,6 +164,7 @@ def test_random_tasks_match_the_list_scan(monkeypatch, sig):
             outcomes.add(type(outcome).__name__)
     assert outcomes == {"Solution", "NoSolution", "NoneWithinBound"}
     assert counted.hits > 0  # the cases do prune bisimilar states
+    assert refused >= 40
 
 
 @pytest.mark.parametrize("facts,budget", [(3, 1), (3, 2), (4, 2), (4, 3)])

@@ -1,8 +1,8 @@
 """The trusted constructor's contract: every state built through
-``_normal`` (by ``attention_update``, the planner's ``_generated``, the
-merging branch of ``bisim._quotient``, ``kripke_rendition`` and
-``product_update``) is already in the normal form the public constructor
-would give it.
+``_normal`` (by ``attention_update``, ``AttentionState._read_off``, which
+writes the states the planner's ``_generated`` and the merging branch of
+``bisim._quotient`` cut down, ``kripke_rendition`` and ``product_update``)
+is already in the normal form the public constructor would give it.
 
 ``repr`` pins the order of every dict and every partition's blocks, which
 ``==`` ignores.  The actions are drawn without the transitivity filter, so

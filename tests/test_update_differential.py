@@ -584,20 +584,25 @@ def test_hand_built_product_updates_match_the_reference():
     """Plain actions ``to_post`` never writes: compound and propositional
     postconditions, maps shared between events or not, and keys whose
     formulas share an extension, on renditions and on epistemic states
-    that list arbitrary attention atoms."""
+    that list arbitrary attention atoms.  The update refuses exactly where
+    ``applicable`` says no."""
     rng = random.Random(4603)
     seen: Counter[str] = Counter()
     for _ in range(300):
         y = rand_post_action(rng, SIG2)
         s = rand_state(rng, SIG2, max_worlds=5)
         for k in (kripke_rendition(s), rand_epistemic_state(rng, SIG2, 5)):
+            applies = applicable(k, y)
             try:
                 slow = reference.product_update(k, y)
             except NotApplicable:
                 with pytest.raises(NotApplicable):
                     product_update(k, y)
+                assert not applies
+                seen["refused"] += 1
                 continue
             fast = product_update(k, y)
+            assert applies
             assert epistemic_in_order(fast) == epistemic_in_order(slow)
             assert fast == slow
             seen["applied"] += 1
@@ -612,7 +617,30 @@ def test_hand_built_product_updates_match_the_reference():
             seen["keys sharing an extension"] += any(
                 len({labels.extension(f) for f in post.values()}) < len(post) for post in maps
             )
-    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+    assert min(seen.values()) >= 20 and len(seen) == 8, seen
+
+
+@pytest.mark.parametrize("sig", [SIG, SIG2], ids=["SIG", "SIG2"])
+def test_updates_refuse_exactly_where_applicable_says_no(sig):
+    """On unfiltered pairs, each update raises NotApplicable exactly when
+    ``applicable`` returns False: attention actions on attention states,
+    and each member of their ``to_post`` families on renditions and on
+    epistemic states that list arbitrary attention atoms."""
+    rng = random.Random(4801 if sig is SIG else 4802)
+    seen: Counter[tuple[str, bool]] = Counter()
+    for _ in range(150):
+        s = rand_state(rng, sig, max_worlds=5)
+        x = rand_attention_action(rng, sig)
+        applies = applicable(s, x)
+        assert (outcome(attention_update, s, x) == ("NotApplicable",)) is not applies
+        seen["attention", applies] += 1
+        compiled = to_post(x)
+        for k in (kripke_rendition(s), rand_epistemic_state(rng, sig, 5)):
+            for y in map(compiled._member, compiled.actual_family):
+                applies = applicable(k, y)
+                assert (outcome(product_update, k, y) == ("NotApplicable",)) is not applies
+                seen["epistemic", applies] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 30, seen
 
 
 def entry_kind(sig: Signature, post: dict, formula) -> str:
