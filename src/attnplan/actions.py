@@ -250,19 +250,20 @@ class AttentionAction:
     def _branches(self) -> dict[str, tuple[BranchRelation, BranchRelation]]:
         """Each agent's branch relations under the answers its question gets
         from the preconditions.  Passes the gate and prices first, so a missing
-        price is reported before a bad question, then validates each once."""
+        price is reported before a bad question, then validates each once.
+        The prover answers each distinct (precondition, question) pair once,
+        by node identity, exact while the action holds every formula."""
         model, sig, questions = self.model, self.sig, self.questions
         self._actual_pre  # the gate
         self._costs
         for agent in sig.agents:
             validate_formula(sig, questions[agent])
+        pre, asked = model.pre, {agent: questions[agent] for agent in sig.agents}
+        pairs = {(id(pre[e]), id(q)): (pre[e], q) for q in asked.values() for e in model.events}
+        answers = {key: _entails(sig, *pair) for key, pair in pairs.items()}
         return {
-            agent: branch_classes(
-                model,
-                agent,
-                {e: _entails(sig, model.pre[e], questions[agent]) for e in model.events},
-            )
-            for agent in sig.agents
+            a: branch_classes(model, a, {e: answers[id(pre[e]), id(q)] for e in model.events})
+            for a, q in asked.items()
         }
 
 

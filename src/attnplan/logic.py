@@ -18,6 +18,10 @@ hash apart and a set holding both never compares one with the other; a
 pickle or deep copy rebuilds the atom through its constructor, since a
 stored hash holds only in the process that computed it.
 
+``subformulas`` and the fold ``_fold`` (``format_formula``, ``modal_depth``,
+the loader's hash-consing ``_intern``) walk on an explicit stack, so they
+read a formula of any depth; the parser, ``_to_nnf`` and evaluators recurse.
+
 Validity and entailment are decided by a tableau over equivalence-class
 ("clique") relations: each agent's accessibility within a branch is a
 partition of the branch's worlds grown by diamond witnesses, and each
@@ -31,9 +35,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import FormulaSyntaxError, FormulaValidationError
+
+_T = TypeVar("_T")
 
 # ---------------------------------------------------------------------------
 # Signature
@@ -221,17 +227,59 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             stack.append(f.sub)
 
 
+def _fold(f: Formula, node: Callable[[Formula, list[_T]], _T]) -> _T:
+    """``node(g, values)`` for each node ``g`` of ``f``, children first, where
+    ``values`` holds what ``node`` gave ``g``'s children, in order.  On an
+    explicit stack (no recursion), each distinct node, by identity, once."""
+    done: dict[int, _T] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        if isinstance(g, And):
+            kids: tuple[Formula, ...] = (g.left, g.right)
+        else:
+            kids = (g.sub,) if isinstance(g, (Not, Know)) else ()
+        todo = [k for k in kids if id(k) not in done]
+        if todo:
+            stack += reversed(todo)
+        else:
+            stack.pop()
+            done[id(g)] = node(g, [done[id(k)] for k in kids])
+    return done[id(f)]
+
+
+def _depth(g: Formula, kids: list[int]) -> int:
+    if isinstance(g, Know):
+        return 1 + kids[0]
+    if isinstance(g, (Not, And)):
+        return max(kids)
+    if isinstance(g, (Top, PropAtom, AttEq, AttLess)):
+        return 0
+    raise ValueError(f"not a formula node: {g!r}")
+
+
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of knowledge modalities."""
-    if isinstance(f, (Top, PropAtom, AttEq, AttLess)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Know):
-        return 1 + modal_depth(f.sub)
-    raise ValueError(f"not a formula node: {f!r}")
+    return _fold(f, _depth)
+
+
+def _intern(f: Formula, nodes: dict[Hashable, Formula]) -> Formula:
+    """``f`` built from ``nodes``' one node per distinct subformula, adding new
+    ones (hash-consing): a leaf keyed by itself, an inner node by its kind,
+    agent and interned children's identities, which ``nodes`` keeps alive."""
+
+    def node(g: Formula, kids: list[Formula]) -> Formula:
+        if not kids:
+            return nodes.setdefault(g, g)
+        key = (type(g), getattr(g, "agent", None), *map(id, kids))
+        if key not in nodes:
+            nodes[key] = Know(g.agent, *kids) if isinstance(g, Know) else type(g)(*kids)
+        return nodes[key]
+
+    return _fold(f, node)
 
 
 def validate_formula(sig: Signature, f: Formula) -> None:
@@ -258,23 +306,27 @@ def validate_formula(sig: Signature, f: Formula) -> None:
 # Printing
 
 
+def _text(g: Formula, kids: list[str]) -> str:
+    if isinstance(g, Top):
+        return "T"
+    if isinstance(g, PropAtom):
+        return g.name
+    if isinstance(g, AttEq):
+        return f"(att_{g.agent} = {g.bound})"
+    if isinstance(g, AttLess):
+        return f"(att_{g.agent} < {g.bound})"
+    if isinstance(g, Not):
+        return "~" + kids[0]
+    if isinstance(g, And):
+        return f"({kids[0]} & {kids[1]})"
+    if isinstance(g, Know):
+        return f"K_{g.agent} {kids[0]}"
+    raise ValueError(f"not a formula node: {g!r}")
+
+
 def format_formula(f: Formula) -> str:
     """Render a core AST; parses back to the same AST."""
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, PropAtom):
-        return f.name
-    if isinstance(f, AttEq):
-        return f"(att_{f.agent} = {f.bound})"
-    if isinstance(f, AttLess):
-        return f"(att_{f.agent} < {f.bound})"
-    if isinstance(f, Not):
-        return "~" + format_formula(f.sub)
-    if isinstance(f, And):
-        return f"({format_formula(f.left)} & {format_formula(f.right)})"
-    if isinstance(f, Know):
-        return f"K_{f.agent} {format_formula(f.sub)}"
-    raise ValueError(f"not a formula node: {f!r}")
+    return _fold(f, _text)
 
 
 # ---------------------------------------------------------------------------

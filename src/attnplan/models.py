@@ -12,8 +12,8 @@ regardless of how their parts were assembled; semantic well-formedness is
 checked separately by :func:`validate_state`.  In normal form maps are keyed
 by agent in sorted order, then by world in ``worlds`` order, blocks come in
 order of their first world, valuations are frozensets and budgets ints.
-Four trusted sites skip that pass through the constructor ``_normal``, each
-reading a state in normal form and writing its parts in that order:
+Five trusted sites skip that pass through the constructor ``_normal``, each
+writing its parts in that order: the loader's ``taskfile._state``;
 ``attention_update``; ``AttentionState._read_off``, the one builder of the
 planner's cut-down states (``_generated`` and the merging ``_quotient``);
 and, on the epistemic side of ``emulate.check_equivalent_on``,
@@ -329,13 +329,14 @@ class _Labelling:
     the subformulas' (labelling model checking): ``Know`` keeps the blocks
     inside its argument's extension, an agent's masks built at its first
     ``Know``, and a propositional atom's mask at the first node that names
-    it.  Atom masks are kept by name, since a parsed formula gives each
+    it.  Atom masks are kept by name, since ``parse_formula`` gives each
     occurrence of an atom its own node; nothing indexes the valuation up
     front, because a rendition lists many attention atoms per world and a
     formula reads few atoms.  The node memo, keyed by identity, lives as
     long as the object, one update, so shared subformulas are evaluated
-    once; a longer-lived memo could meet a new formula at the address of a
-    collected one."""
+    once; a loaded document's equal formulas are one node, so a negated
+    precondition costs one ``Not``.  A longer-lived memo could meet a new
+    formula at the address of a collected one."""
 
     def __init__(self, s: _PartitionModel) -> None:
         self.s = s

@@ -4,7 +4,9 @@ One document carries a signature and four named-object sections.  Formulas
 are stored as strings in the surface syntax, relations as lists of groups
 (closed into partitions on load; unmentioned worlds or events become
 singletons), and world order is the JSON key order, so a document reloads
-to exactly the same objects.
+to exactly the same objects.  A loaded document's equal formulas are one
+node (``_Formulas``), so the labelling and the prover, which key by node,
+read each once; its states are built once, already in normal form.
 
 ``state_document``/``action_document`` produce reloadable documents from
 in-memory objects, and ``export_dot`` renders a state for graphviz.
@@ -16,7 +18,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Hashable, Mapping
 
 from .actions import (
     AttentionAction,
@@ -27,7 +29,7 @@ from .actions import (
     validate_action,
 )
 from .errors import AttnPlanError, CostLookupError, TaskFileError
-from .logic import Formula, Signature, format_formula, parse_formula
+from .logic import Formula, Signature, _intern, format_formula, parse_formula
 from .models import (
     AttentionState,
     close_into_partition,
@@ -58,12 +60,28 @@ def _strings(node: Any, where: str) -> list[str]:
     return [_expect(x, str, where) for x in _expect(node, list, where)]
 
 
-def _formula(sig: Signature, text: Any, where: str) -> Formula:
-    _expect(text, str, where)
-    try:
-        return parse_formula(sig, text)
-    except AttnPlanError as exc:
-        raise TaskFileError(f"{where}: {exc}")
+class _Formulas:
+    """One document's formulas: each distinct text parsed once and interned
+    into one node table (``logic._intern``), so equal subformulas are one node."""
+
+    def __init__(self, sig: Signature) -> None:
+        self.sig = sig
+        self.texts: dict[str, Formula] = {}
+        self.nodes: dict[Hashable, Formula] = {}
+
+    def __call__(self, text: Any, where: str, hashed: bool = False) -> Formula:
+        """The formula at ``where``; ``hashed`` hashes a future dict key here."""
+        _expect(text, str, where)
+        try:
+            if text not in self.texts:
+                self.texts[text] = _intern(parse_formula(self.sig, text), self.nodes)
+            if hashed:
+                hash(self.texts[text])
+        except AttnPlanError as exc:
+            raise TaskFileError(f"{where}: {exc}")
+        except RecursionError:
+            raise TaskFileError(f"{where}: nested too deeply to read") from None
+        return self.texts[text]
 
 
 def _signature(raw: Mapping[str, Any]) -> Signature:
@@ -104,7 +122,7 @@ def _state(sig: Signature, name: str, node: Any) -> AttentionState:
     worlds_node = _expect(node.get("worlds"), dict, f"{where}.worlds")
     worlds = tuple(worlds_node)
     valuation: dict[str, frozenset[str]] = {}
-    attention: dict[str, dict[str, int]] = {agent: {} for agent in sig.agents}
+    attention: dict[str, dict[str, int]] = {agent: {} for agent in sorted(sig.agents)}
     for world, world_node in worlds_node.items():
         world_node = _expect(world_node, dict, f"{where}.worlds.{world}")
         atoms = _strings(world_node.get("atoms", []), f"{where}.worlds.{world}.atoms")
@@ -120,15 +138,18 @@ def _state(sig: Signature, name: str, node: Any) -> AttentionState:
             attention[agent][world] = _expect(
                 value, int, f"{where}.worlds.{world}.attention.{agent}"
             )
-    partitions = _relation_groups(sig, worlds, node.get("relations"), f"{where}.relations")
-    for agent in sig.agents:
-        if agent not in partitions:  # no relation given: all worlds apart
-            partitions[agent] = close_into_partition(worlds, [])
+    given = _relation_groups(sig, worlds, node.get("relations"), f"{where}.relations")
     actual = _expect(node.get("actual"), str, f"{where}.actual")
-    state = AttentionState(
+    # Built once, in normal form: maps keyed in sorted agent order, worlds in
+    # document order and ``close_into_partition``'s blocks in the order of
+    # their first world; an agent with no relation given has all worlds apart.
+    state = AttentionState._normal(
         sig=sig,
         worlds=worlds,
-        partitions=partitions,
+        partitions={
+            agent: given[agent] if agent in given else close_into_partition(worlds, [])
+            for agent in sorted(sig.agents)
+        },
         valuation=valuation,
         attention=attention,
         actual=actual,
@@ -140,8 +161,9 @@ def _state(sig: Signature, name: str, node: Any) -> AttentionState:
 
 
 def _cost_table(
-    sig: Signature, events: tuple[str, ...], node: Any, where: str
+    formula: _Formulas, events: tuple[str, ...], node: Any, where: str
 ) -> CostTable:
+    sig = formula.sig
     node = _expect(node if node is not None else {}, dict, where)
     default = node.get("default")
     if default is not None:
@@ -164,8 +186,8 @@ def _cost_table(
         entries.append(
             CostEntry(
                 agent=agent,
-                formula=_formula(
-                    sig, entry_node.get("formula"), f"{where}.entries[{k}].formula"
+                formula=formula(
+                    entry_node.get("formula"), f"{where}.entries[{k}].formula", hashed=True
                 ),
                 event=event,
                 cost=_expect(entry_node.get("cost"), int, f"{where}.entries[{k}].cost"),
@@ -174,7 +196,8 @@ def _cost_table(
     return CostTable(entries=tuple(entries), agent_defaults=agent_defaults, default=default)
 
 
-def _model(sig: Signature, name: str, node: Any, warnings: list[str]) -> AttentionActionModel:
+def _model(formula: _Formulas, name: str, node: Any, warnings: list[str]) -> AttentionActionModel:
+    sig = formula.sig
     where = f"models.{name}"
     node = _expect(node, dict, where)
     events_node = _expect(node.get("events"), dict, f"{where}.events")
@@ -184,14 +207,14 @@ def _model(sig: Signature, name: str, node: Any, warnings: list[str]) -> Attenti
     pre: dict[str, Formula] = {}
     for event, event_node in events_node.items():
         event_node = _expect(event_node, dict, f"{where}.events.{event}")
-        pre[event] = _formula(sig, event_node.get("pre"), f"{where}.events.{event}.pre")
+        pre[event] = formula(event_node.get("pre"), f"{where}.events.{event}.pre")
     model = AttentionActionModel(
         sig=sig,
         events=events,
         q=_relation_groups(sig, events, node.get("q"), f"{where}.q"),
         qstar=_relation_groups(sig, events, node.get("qstar"), f"{where}.qstar"),
         pre=pre,
-        cost=_cost_table(sig, events, node.get("costs"), f"{where}.costs"),
+        cost=_cost_table(formula, events, node.get("costs"), f"{where}.costs"),
     )
     # Checked once, as its question-free action, so a model no action names
     # is checked too; an action is checked only for what it adds.
@@ -203,8 +226,9 @@ def _model(sig: Signature, name: str, node: Any, warnings: list[str]) -> Attenti
 
 
 def _action(
-    sig: Signature, models: Mapping[str, AttentionActionModel], name: str, node: Any
+    formula: _Formulas, models: Mapping[str, AttentionActionModel], name: str, node: Any
 ) -> AttentionAction:
+    sig = formula.sig
     where = f"actions.{name}"
     node = _expect(node, dict, where)
     model_name = _expect(node.get("model"), str, f"{where}.model")
@@ -216,7 +240,7 @@ def _action(
     for agent, text in questions_node.items():
         if agent not in sig.agents:
             raise TaskFileError(f"{where}.questions: unknown agent {agent!r}")
-        questions[agent] = _formula(sig, text, f"{where}.questions.{agent}")
+        questions[agent] = formula(text, f"{where}.questions.{agent}", hashed=True)
     actual = _expect(node.get("actual"), str, f"{where}.actual")
     if actual not in model.events:
         raise TaskFileError(f"{where}.actual: unknown event {actual!r}")
@@ -231,7 +255,7 @@ def _action(
 
 
 def _task(
-    sig: Signature,
+    formula: _Formulas,
     states: Mapping[str, AttentionState],
     actions: Mapping[str, AttentionAction],
     name: str,
@@ -252,33 +276,35 @@ def _task(
         name=name,
         initial=states[initial_name],
         actions=tuple(chosen),
-        goal=_formula(sig, node.get("goal"), f"{where}.goal"),
+        goal=formula(node.get("goal"), f"{where}.goal"),
     )
 
 
 def loads(text: str) -> TaskDocument:
     """Parse a task document from a JSON string.  A document nested deeper
     than the interpreter's stack allows, in its JSON or in any formula, is
-    refused with TaskFileError like any other malformed one."""
+    refused with TaskFileError like any other malformed one: a formula at
+    its place, the JSON for the whole document."""
     warnings: list[str] = []
     try:
         raw = json.loads(text)
         _expect(raw, dict, "document")
         sig = _signature(raw)
+        formula = _Formulas(sig)
         states = {
             name: _state(sig, name, node)
             for name, node in _expect(raw.get("states", {}), dict, "states").items()
         }
         models = {
-            name: _model(sig, name, node, warnings)
+            name: _model(formula, name, node, warnings)
             for name, node in _expect(raw.get("models", {}), dict, "models").items()
         }
         actions = {
-            name: _action(sig, models, name, node)
+            name: _action(formula, models, name, node)
             for name, node in _expect(raw.get("actions", {}), dict, "actions").items()
         }
         tasks = {
-            name: _task(sig, states, actions, name, node)
+            name: _task(formula, states, actions, name, node)
             for name, node in _expect(raw.get("tasks", {}), dict, "tasks").items()
         }
     except json.JSONDecodeError as exc:

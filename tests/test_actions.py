@@ -1,5 +1,6 @@
 """Actions: cost tables, validation, classification, and both updates."""
 
+import copy
 import random
 import re
 from collections import Counter
@@ -18,6 +19,7 @@ from attnplan.actions import (
     apply_sequence,
     attention_update,
     background_announcement,
+    branch_classes,
     is_nfl,
     product_update,
     validate_action,
@@ -42,6 +44,7 @@ from attnplan.logic import (
     PropAtom,
     Signature,
     TOP,
+    entails,
     parse_formula,
 )
 from attnplan.models import AttentionState, check, kripke_rendition, validate_state
@@ -1015,3 +1018,59 @@ class TestSequenceProperties:
             state, action = rand_applicable_pair(rng, SIG2, rand_nfl_action)
             out = attention_update(state, action)
             assert validate_state(out) == []
+
+
+class TestBranchAnswers:
+    """``_branches`` asks the prover once per distinct (precondition,
+    question) pair, by node identity, and its relations are the ones the
+    per-event answers give."""
+
+    @staticmethod
+    def variants(rng: random.Random, x: AttentionAction) -> dict[str, AttentionAction]:
+        """``x``; ``x`` with each question a distinct copy; and ``x`` with
+        its preconditions drawn from one of them and its negation, every
+        agent asked one of these or one of its own questions."""
+        model, agents = x.model, x.sig.agents
+        base = rng.choice(list(model.pre.values()))
+        pool = [base, Not(base)]
+        one = rng.choice(pool + [x.questions[agents[0]]])
+        return {
+            "unshared": x,
+            "copied": replace(x, questions={a: copy.deepcopy(q) for a, q in x.questions.items()}),
+            "shared": replace(
+                x,
+                model=replace(model, pre={e: rng.choice(pool) for e in model.events}),
+                questions=dict.fromkeys(agents, one),
+            ),
+        }
+
+    def test_one_prover_call_per_distinct_pair(self, monkeypatch):
+        original, calls = actions._entails, Counter()
+
+        def counting(sig, f, g):
+            calls[id(f), id(g)] += 1
+            return original(sig, f, g)
+
+        monkeypatch.setattr(actions, "_entails", counting)
+        sig = Signature(agents=("a", "b", "c"), attention_bound=2, prop_atoms=("p", "q"))
+        rng = random.Random(28)
+        seen: Counter[str] = Counter()
+        for _ in range(150):
+            drawn = rand_attention_action(rng, sig, max_events=4, total=False)
+            for kind, x in self.variants(rng, drawn).items():
+                model, questions = x.model, x.questions
+                calls.clear()
+                branches = x._branches
+                pairs = {(id(model.pre[e]), id(questions[a])) for a in sig.agents for e in model.events}
+                assert set(calls) == pairs and set(calls.values()) == {1}
+                assert branches == {
+                    a: branch_classes(
+                        model, a, {e: entails(sig, model.pre[e], questions[a]) for e in model.events}
+                    )
+                    for a in sig.agents
+                }
+                seen[kind] += len(pairs) < len(sig.agents) * len(model.events)
+                seen["witness"] += any(r.witness for pair in branches.values() for r in pair)
+        # Pairs shared in most drawn actions (unasked agents share ``T``) and
+        # in every shared variant; some relations are intransitive.
+        assert seen["shared"] == 150 and min(seen.values()) >= 20, seen

@@ -10,7 +10,9 @@ calls ``validate_action`` once per model and nowhere else.  Only the
 interning constructors ``att_eq`` and ``att_lt`` call ``AttEq`` and
 ``AttLess``, so every attention atom the package builds is the shared one.
 Only ``applicable`` reads the value of an action's gate ``_actual_pre``;
-every other site passes the gate as a marked bare statement.
+every other site passes the gate as a marked bare statement.  The only
+functions that call themselves are the listed recursive walkers, so no new
+walker overflows the stack on a deep formula.
 The reference modules under ``tests/`` import no private name of the
 package, apart from one listed exception.  No cached property hands out an
 empty table for code outside its class to fill, so every cached property
@@ -165,6 +167,7 @@ TRUSTED_SITES = [
     "actions.py: product_update",
     "models.py: AttentionState._read_off",
     "models.py: kripke_rendition",
+    "taskfile.py: _state",
 ]
 
 
@@ -257,6 +260,74 @@ VALIDATE_ACTION_SITES = ["taskfile.py: _model"]
 def test_the_loader_checks_each_model_once():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, "validate_action", called_names) == VALIDATE_ACTION_SITES
+
+
+# The functions that call themselves.  Every other walk over a formula runs
+# on an explicit stack (``logic._fold``, ``subformulas``), so it reads a
+# formula of any depth; these recurse once per level and stay so, the
+# labelling and the evaluator because explicit-stack versions were slower.
+SELF_CALLING = [
+    "bisim.py: distinguishing_formula.chi",
+    "logic.py: _Parser.formula",
+    "logic.py: _Parser.unary",
+    "logic.py: _satisfiable_branch",
+    "logic.py: _to_nnf",
+    "models.py: _Labelling.extension",
+    "models.py: _eval",
+]
+
+
+def own_calls(function: ast.FunctionDef, method: bool) -> set[str]:
+    """The names ``function`` calls bare or, for a ``method``, as ``self.name``."""
+    called = [sub.func for sub in ast.walk(function) if isinstance(sub, ast.Call)]
+    if not method:
+        return {f.id for f in called if isinstance(f, ast.Name)}
+    return {
+        f.attr
+        for f in called
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self"
+    }
+
+
+def self_calling(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each function that calls itself: a function or
+    nested function by its bare name (labelled ``outer.name``), a method as
+    ``self.name`` (labelled ``Class.name``)."""
+    out = []
+
+    def visit(module: str, node: ast.AST, prefix: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(module, child, prefix, in_class)
+                continue
+            label = prefix + child.name
+            if isinstance(child, ast.FunctionDef) and child.name in own_calls(child, in_class):
+                out.append(f"{module}: {label}")
+            visit(module, child, label + ".", isinstance(child, ast.ClassDef))
+
+    for module, source in sorted(sources.items()):
+        visit(module, ast.parse(source), "", False)
+    return out
+
+
+def test_the_check_finds_every_self_calling_function():
+    source = (
+        "def walk(f):\n    return [walk(g) for g in f]\n\n"
+        "def flat(f):\n    return walk(f)\n\n"
+        "def outer(n):\n"
+        "    def inner(k):\n        return inner(k - 1) if k else outer\n"
+        "    return inner(n)\n\n"
+        "class P:\n"
+        "    def unary(self):\n        return self.unary() or self.other()\n\n"
+        "    def other(self):\n        return P.other\n\n"
+        "    def walk(self):\n        return walk(self)\n"
+    )
+    assert self_calling({"a.py": source}) == ["a.py: walk", "a.py: outer.inner", "a.py: P.unary"]
+
+
+def test_only_the_listed_functions_call_themselves():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sorted(self_calling(sources)) == SELF_CALLING
 
 
 # The gate's value, the actual event's precondition, has one reader: the one

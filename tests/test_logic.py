@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -267,12 +268,33 @@ class TestHelpers:
 
     def test_deep_disjunction_validates(self):
         """A 400-way ``or_all`` nests about 1,200 nodes deep, past the
-        recursion limit of a recursive walk."""
+        recursion limit of a recursive walk: it validates, prints, has a
+        modal depth and parses back.  The parser recurses, so the printed
+        text parses back under a raised limit; the flat surface text
+        ``p | p | ...`` needs none."""
         f = or_all([PropAtom("p")] * 400)
         validate_formula(SIG, f)
         assert sum(1 for _ in subformulas(f)) == 5 * 400 - 4
         with pytest.raises(FormulaValidationError, match="unknown atom 'zz'"):
             validate_formula(SIG, or_all([PropAtom("p")] * 399 + [PropAtom("zz")]))
+        text = format_formula(f)
+        assert text.startswith("~(~~(~~(") and text.endswith(" & ~p)")
+        assert modal_depth(f) == 0
+        assert modal_depth(Know("i", f)) == 1
+        assert format_formula(parse_formula(SIG, " | ".join(["p"] * 400))) == text
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            assert format_formula(parse_formula(SIG, text)) == text
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_deep_knowledge_prints_and_measures(self):
+        f = PropAtom("p")
+        for k in range(2000):
+            f = Know("i", Not(f) if k % 2 else f)
+        assert modal_depth(f) == 2000
+        assert format_formula(f) == "K_i ~K_i " * 1000 + "p"
 
     def test_modal_depth(self):
         p = PropAtom("p")

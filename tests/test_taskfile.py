@@ -1,7 +1,9 @@
-"""Task documents: every malformed input fails with a typed error."""
+"""Task documents: every malformed input fails with a typed error, and a
+loaded document's equal formulas are one node."""
 
 import copy
 import json
+import random
 import re
 
 import pytest
@@ -10,7 +12,16 @@ from hypothesis import strategies as st
 
 from attnplan import taskfile
 from attnplan.errors import AttnPlanError, TaskFileError
-from attnplan.taskfile import TaskDocument, bundled_path, loads
+from attnplan.logic import format_formula, parse_formula, subformulas
+from attnplan.taskfile import (
+    TaskDocument,
+    action_document,
+    bundled_path,
+    loads,
+    state_fragment,
+)
+
+from generators import SIG2, rand_attention_action, rand_formula, rand_state
 
 BASE = json.loads(bundled_path("two_facts.task").read_text())
 
@@ -132,12 +143,14 @@ def test_a_question_for_an_unknown_agent_is_placed():
 
 DEEP = 10**5
 # Each overflows the interpreter's stack somewhere inside ``loads``: the JSON
-# decoder, the formula parser, or hashing a parsed cost-entry formula.  The
-# parser types its own overflow, so the loader places it like any other
-# formula error; the other two are refused for the whole document.
+# decoder, the formula parser, or hashing a parsed question or cost-entry
+# formula, which the pricing keys by.  The parser types its own overflow and
+# the loader hashes those two kinds where it reads them, so a formula is
+# refused at its place; too deep a JSON is refused for the whole document.
 DEEP_DOCUMENTS = {
     "json": '{"signature": ' + "[" * DEEP + "]" * DEEP + "}",
     "goal": mutated(("tasks", "main", "goal"), "~" * 3000 + "p"),
+    "question": mutated(("actions", "ask_p", "questions", "i"), "~" * 600 + "p"),
     "cost-entry": mutated(
         ("models", "facts", "costs", "entries", 0, "formula"), "~" * 800 + "p"
     ),
@@ -146,7 +159,10 @@ NESTED_TOO_DEEPLY = "document: nested too deeply to read"
 DEEP_COMPLAINTS = {  # patterns for the whole message
     "json": re.escape(NESTED_TOO_DEEPLY),
     "goal": r"tasks\.main\.goal: nested too deeply to read \(at position \d+\)",
-    "cost-entry": re.escape(NESTED_TOO_DEEPLY),
+    "question": re.escape("actions.ask_p.questions.i: nested too deeply to read"),
+    "cost-entry": re.escape(
+        "models.facts.costs.entries[0].formula: nested too deeply to read"
+    ),
 }
 
 
@@ -155,6 +171,89 @@ def test_a_document_nested_too_deeply_is_refused(name):
     with pytest.raises(TaskFileError) as info:
         loads(DEEP_DOCUMENTS[name])
     assert re.fullmatch(DEEP_COMPLAINTS[name], str(info.value))
+
+
+def loaded_formulas(text: str):
+    """``(text, formula)`` for each formula slot of the document ``text``: the
+    text as its JSON holds it, the formula as ``loads`` gives it."""
+    raw, doc = json.loads(text), loads(text)
+    for m, model in raw.get("models", {}).items():
+        for e, event in model["events"].items():
+            yield event["pre"], doc.models[m].pre[e]
+        for k, entry in enumerate(model.get("costs", {}).get("entries", [])):
+            yield entry["formula"], doc.models[m].cost.entries[k].formula
+    for a, action in raw.get("actions", {}).items():
+        for agent, question in action.get("questions", {}).items():
+            yield question, doc.actions[a].questions[agent]
+    for t, task in raw.get("tasks", {}).items():
+        yield task["goal"], doc.tasks[t].goal
+
+
+def seeded_document(rng: random.Random) -> str:
+    """A priced random action's document, plus a state and a task, whose
+    preconditions, questions and goal are drawn from three random formulas,
+    their negations and their conjunctions, so they share subformulas."""
+    x = rand_attention_action(rng, SIG2, max_events=4, total=False, priced=True)
+    doc = json.loads(action_document(x))
+    parts = [format_formula(rand_formula(rng, SIG2)) for _ in range(3)]
+    pool = parts + [f"~({p})" for p in parts] + [f"({p}) & ({q})" for p in parts for q in parts]
+    for event in doc["models"]["model"]["events"].values():
+        event["pre"] = rng.choice(pool)
+    questions = doc["actions"][x.name]["questions"]
+    for agent in questions:
+        questions[agent] = rng.choice(pool)
+    doc["states"] = {"s": state_fragment(rand_state(rng, SIG2))}
+    doc["tasks"] = {"t": {"initial": "s", "actions": [x.name], "goal": rng.choice(pool)}}
+    return json.dumps(doc)
+
+
+def seeded_documents(count: int) -> list[str]:
+    """The first ``count`` seeded documents that load; a negative price
+    refuses one now and then."""
+    rng, out = random.Random(28), []
+    while len(out) < count:
+        text = seeded_document(rng)
+        try:
+            loads(text)
+        except TaskFileError:
+            continue
+        out.append(text)
+    return out
+
+
+FIXTURE_TEXTS = [bundled_path(n).read_text() for n in ("two_facts.task", "muddy_children.task")]
+DOCUMENTS = FIXTURE_TEXTS + seeded_documents(60)
+
+
+def test_every_loaded_formula_equals_its_parse():
+    for text in DOCUMENTS:
+        sig = loads(text).sig
+        for source, formula in loaded_formulas(text):
+            assert formula == parse_formula(sig, source)
+
+
+def test_equal_subformulas_of_a_document_are_one_node():
+    """Every node of every formula a document loads, grouped by its printed
+    text: each group is one object."""
+    shared = 0
+    for text in DOCUMENTS:
+        node_of: dict[str, int] = {}
+        for _, formula in loaded_formulas(text):
+            for sub in subformulas(formula):
+                assert node_of.setdefault(format_formula(sub), id(sub)) == id(sub)
+        texts = [source for source, _ in loaded_formulas(text)]
+        shared += len(set(texts)) < len(texts)
+    assert shared >= 40, shared  # documents where one text fills two slots
+
+
+def test_muddy_children_shares_its_formulas(muddy_doc):
+    hear = muddy_doc.models["announce_pair"].pre["hear"]
+    assert muddy_doc.models["announce_pair"].pre["miss"].sub is hear
+    assert muddy_doc.models["announce"].pre["hear"] is hear
+    questions = [
+        q for name in ("attend", "attend_deaf") for q in muddy_doc.actions[name].questions.values()
+    ]
+    assert len(questions) == 6 and all(q is hear for q in questions)
 
 
 def nodes(node, path=()):

@@ -1,8 +1,9 @@
 """The trusted constructor's contract: every state built through
-``_normal`` (by ``attention_update``, ``AttentionState._read_off``, which
-writes the states the planner's ``_generated`` and the merging branch of
-``bisim._quotient`` cut down, ``kripke_rendition`` and ``product_update``)
-is already in the normal form the public constructor would give it.
+``_normal`` (by the loader's ``taskfile._state``, ``attention_update``,
+``AttentionState._read_off``, which writes the states the planner's
+``_generated`` and the merging branch of ``bisim._quotient`` cut down,
+``kripke_rendition`` and ``product_update``) is already in the normal form
+the public constructor would give it.
 
 ``repr`` pins the order of every dict and every partition's blocks, which
 ``==`` ignores.  The actions are drawn without the transitivity filter, so
@@ -32,6 +33,7 @@ from attnplan.errors import IllFormedResult, NotApplicable
 from attnplan.logic import TOP, PropAtom, Signature
 from attnplan.models import AttentionState, EpistemicState, kripke_rendition
 from attnplan.planner import _generated
+from attnplan.taskfile import load_bundled, loads, state_document
 
 from generators import SIG2, rand_attention_action, rand_post_action, rand_state
 
@@ -123,3 +125,23 @@ def test_epistemic_sites_build_the_normal_form(sig):
             assert_normal(product)
             seen[site] += 1
     assert min(seen[site] for site in ("hand-built", "compiled")) > 0, seen
+
+
+@pytest.mark.parametrize("name", ["two_facts.task", "muddy_children.task"])
+def test_loaded_fixture_states_are_in_normal_form(name):
+    for state in load_bundled(name).states.values():
+        assert_normal(state)
+
+
+@pytest.mark.parametrize(
+    "sig", [SIG2, replace(SIG2, agents=("b", "a"))], ids=["SIG2", "agents-unsorted"]
+)
+def test_loaded_states_are_in_normal_form(sig):
+    """``_state`` keys its maps in sorted agent order whatever the
+    signature's, and reloads each written state to an equal one."""
+    rng = random.Random(29)
+    for _ in range(200):
+        state = rand_state(rng, sig, max_worlds=5)
+        loaded = loads(state_document(state, "s")).states["s"]
+        assert_normal(loaded)
+        assert loaded == state
