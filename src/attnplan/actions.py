@@ -252,17 +252,17 @@ class AttentionAction:
         from the preconditions.  Passes the gate and prices first, so a missing
         price is reported before a bad question, then validates each once.
         The prover answers each distinct (precondition, question) pair once,
-        by node identity, exact while the action holds every formula."""
+        keyed by value."""
         model, sig, questions = self.model, self.sig, self.questions
         self._actual_pre  # the gate
         self._costs
         for agent in sig.agents:
             validate_formula(sig, questions[agent])
         pre, asked = model.pre, {agent: questions[agent] for agent in sig.agents}
-        pairs = {(id(pre[e]), id(q)): (pre[e], q) for q in asked.values() for e in model.events}
-        answers = {key: _entails(sig, *pair) for key, pair in pairs.items()}
+        pairs = dict.fromkeys((pre[e], q) for q in asked.values() for e in model.events)
+        answers = {pair: _entails(sig, *pair) for pair in pairs}
         return {
-            a: branch_classes(model, a, {e: answers[id(pre[e]), id(q)] for e in model.events})
+            a: branch_classes(model, a, {e: answers[pre[e], q] for e in model.events})
             for a, q in asked.items()
         }
 

@@ -132,10 +132,10 @@ def to_post(x: AttentionAction) -> EpistemicAction:
     of the original actual event are executable, so the actual is a family
     resolved per state (see ``resolve_actual``).  An event's variants share
     their guards and the prefixes of their left-associated preconditions,
-    so a labelling, whose memo is keyed by node, reads each once.  Variants
-    of events whose charges agree hold one shared post map, the union of
-    the agents' ``_attention_posts``; ``EpistemicAction`` keeps shared maps
-    shared.
+    so a labelling, whose memo is keyed by value, reads each once and meets
+    it by identity.  Variants of events whose charges agree hold one shared
+    post map, the union of the agents' ``_attention_posts``;
+    ``EpistemicAction`` keeps shared maps shared.
     Raises AttnPlanError for an inconsistent action, as the update does, and
     IllFormedResult if some agent's branch relations are not transitive, in
     which case no partition-form result exists.

@@ -6,17 +6,18 @@ knowledge modality ``K_i``.  Everything else (``F``, ``|``, ``->``, ``<->``,
 ``>=``, ``>``) is sugar that normalizes to the core at construction, so two
 formulas are equal iff their core ASTs are equal.
 
-Each attention atom has one shared object: the package builds ``AttEq``
-and ``AttLess`` only through the cached constructors ``att_eq`` and
-``att_lt``, so set and dict lookups meet renditions' and compiled actions'
-atoms by identity before calling the dataclass ``__eq__``.  Equality
-stays structural, so an atom built directly, or before the tables'
-``cache_clear``, is equal to the shared one; no code tests ``is`` on a
-formula.  The tables keep one atom per agent and value asked for.  Each
-atom stores its hash, that of its kind, agent and value, so the two kinds
-hash apart and a set holding both never compares one with the other; a
-pickle or deep copy rebuilds the atom through its constructor, since a
-stored hash holds only in the process that computed it.
+Every node stores its hash when it is built, taken over its kind name and
+fields, a child contributing its own stored hash; its ``__init__`` writes
+fields and hash straight into the instance dict, past the frozen
+``__setattr__``.  Hashing costs the same at any depth, and sets and dicts
+key formulas by value.  Equality stays
+structural, and a lookup meets an equal node by identity before calling the
+dataclass ``__eq__``; no code tests ``is`` on a formula.  A ``str`` hashes
+differently in each process, so a pickle or copy rebuilds each node through
+its constructor and never carries a stored hash over.  Each attention atom
+has one shared object: the package builds ``AttEq`` and ``AttLess`` only
+through the cached constructors ``att_eq`` and ``att_lt``, which a copy
+goes back to.  The tables keep one atom per agent and value asked for.
 
 ``subformulas`` and the fold ``_fold`` (``format_formula``, ``modal_depth``,
 the loader's hash-consing ``_intern``) walk on an explicit stack, so they
@@ -33,9 +34,9 @@ without extra rules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import FormulaSyntaxError, FormulaValidationError
 
@@ -90,52 +91,53 @@ class Formula:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls.__hash__ = Formula.__hash__  # in the class's own dict, so ``dataclass`` keeps it
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
 
 @dataclass(frozen=True)
 class Top(Formula):
-    pass
+    def __init__(self) -> None:
+        vars(self).update(_hash=hash(("Top",)))
 
 
 @dataclass(frozen=True)
 class PropAtom(Formula):
     name: str
 
-
-class _AttentionAtom(Formula):
-    """What the two attention atoms share: a hash stored at construction and
-    tagged by kind, so that ``(att_i = n)`` and ``(att_i < n)`` hash apart.
-    A ``str`` hashes differently in each process, so a pickled or copied
-    atom is rebuilt through its shared constructor (``__reduce__``) and
-    never carries a stored hash over."""
-
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((type(self).__name__, self.agent, self.bound)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, name: str) -> None:
+        vars(self).update(name=name, _hash=hash(("PropAtom", name)))
 
 
 @dataclass(frozen=True)
-class AttEq(_AttentionAtom):
+class AttEq(Formula):
     """``(att_agent = bound)`` — the agent's attention is exactly ``bound``."""
 
     agent: str
     bound: int
-    __hash__ = _AttentionAtom.__hash__  # explicit, so ``dataclass`` keeps it
+
+    def __init__(self, agent: str, bound: int) -> None:
+        vars(self).update(agent=agent, bound=bound, _hash=hash(("AttEq", agent, bound)))
 
     def __reduce__(self) -> tuple:
         return att_eq, (self.agent, self.bound)
 
 
 @dataclass(frozen=True)
-class AttLess(_AttentionAtom):
+class AttLess(Formula):
     """``(att_agent < bound)`` — the agent's attention is below ``bound``."""
 
     agent: str
     bound: int
-    __hash__ = _AttentionAtom.__hash__
+
+    def __init__(self, agent: str, bound: int) -> None:
+        vars(self).update(agent=agent, bound=bound, _hash=hash(("AttLess", agent, bound)))
 
     def __reduce__(self) -> tuple:
         return att_lt, (self.agent, self.bound)
@@ -145,17 +147,26 @@ class AttLess(_AttentionAtom):
 class Not(Formula):
     sub: Formula
 
+    def __init__(self, sub: Formula) -> None:
+        vars(self).update(sub=sub, _hash=hash(("Not", sub)))
+
 
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        vars(self).update(left=left, right=right, _hash=hash(("And", left, right)))
+
 
 @dataclass(frozen=True)
 class Know(Formula):
     agent: str
     sub: Formula
+
+    def __init__(self, agent: str, sub: Formula) -> None:
+        vars(self).update(agent=agent, sub=sub, _hash=hash(("Know", agent, sub)))
 
 
 TOP = Top()
@@ -266,18 +277,16 @@ def modal_depth(f: Formula) -> int:
     return _fold(f, _depth)
 
 
-def _intern(f: Formula, nodes: dict[Hashable, Formula]) -> Formula:
+def _intern(f: Formula, nodes: dict[Formula, Formula]) -> Formula:
     """``f`` built from ``nodes``' one node per distinct subformula, adding new
-    ones (hash-consing): a leaf keyed by itself, an inner node by its kind,
-    agent and interned children's identities, which ``nodes`` keeps alive."""
+    ones (hash-consing): each node is rebuilt on its interned children and
+    looked up by value, which its stored hash makes one dict probe and its
+    children's identity one level of ``__eq__``."""
 
     def node(g: Formula, kids: list[Formula]) -> Formula:
-        if not kids:
-            return nodes.setdefault(g, g)
-        key = (type(g), getattr(g, "agent", None), *map(id, kids))
-        if key not in nodes:
-            nodes[key] = Know(g.agent, *kids) if isinstance(g, Know) else type(g)(*kids)
-        return nodes[key]
+        if kids:
+            g = Know(g.agent, *kids) if isinstance(g, Know) else type(g)(*kids)
+        return nodes.setdefault(g, g)
 
     return _fold(f, node)
 

@@ -328,35 +328,29 @@ class _Labelling:
     """Extensions in ``s`` as bitmasks, bit k for ``s.worlds[k]``, built from
     the subformulas' (labelling model checking): ``Know`` keeps the blocks
     inside its argument's extension, an agent's masks built at its first
-    ``Know``, and a propositional atom's mask at the first node that names
-    it.  Atom masks are kept by name, since ``parse_formula`` gives each
-    occurrence of an atom its own node; nothing indexes the valuation up
-    front, because a rendition lists many attention atoms per world and a
-    formula reads few atoms.  The node memo, keyed by identity, lives as
-    long as the object, one update, so shared subformulas are evaluated
-    once; a loaded document's equal formulas are one node, so a negated
-    precondition costs one ``Not``.  A longer-lived memo could meet a new
-    formula at the address of a collected one."""
+    ``Know``, and an atom's mask at the first node that names it; nothing
+    indexes the valuation up front, because a rendition lists many
+    attention atoms per world and a formula reads few atoms.  The memo is
+    keyed by value, which each node's stored hash makes one dict probe, so
+    equal subformulas are evaluated once, whether or not they are one node;
+    it lives as long as the object, one update."""
 
     def __init__(self, s: _PartitionModel) -> None:
         self.s = s
         self.bit = {w: 1 << k for k, w in enumerate(s.worlds)}
         self.full = (1 << len(s.worlds)) - 1
-        self.memo: dict[int, int] = {}
-        self.atoms: dict[str, int] = {}
+        self.memo: dict[Formula, int] = {}
         self.blocks: dict[str, list[int]] = {}
 
     def extension(self, f: Formula) -> int:
-        if id(f) in self.memo:
-            return self.memo[id(f)]
+        out = self.memo.get(f)
+        if out is not None:
+            return out
         if isinstance(f, Top):
             out = self.full
         elif isinstance(f, PropAtom):
-            out = self.atoms.get(f.name)
-            if out is None:
-                val = self.s.valuation
-                out = sum(b for w, b in self.bit.items() if f.name in val[w])
-                self.atoms[f.name] = out
+            val = self.s.valuation
+            out = sum(b for w, b in self.bit.items() if f.name in val[w])
         elif isinstance(f, (AttEq, AttLess)):
             out = sum(b for w, b in self.bit.items() if self.s.holds_attention(f, w))
         elif isinstance(f, Not):
@@ -373,7 +367,7 @@ class _Labelling:
             out = sum(b for b in self.blocks[f.agent] if b & inner == b)
         else:
             raise ValueError(f"not a formula node: {f!r}")
-        self.memo[id(f)] = out
+        self.memo[f] = out
         return out
 
 

@@ -5,8 +5,9 @@ are stored as strings in the surface syntax, relations as lists of groups
 (closed into partitions on load; unmentioned worlds or events become
 singletons), and world order is the JSON key order, so a document reloads
 to exactly the same objects.  A loaded document's equal formulas are one
-node (``_Formulas``), so the labelling and the prover, which key by node,
-read each once; its states are built once, already in normal form.
+node (``_Formulas``), so the tables that key formulas by value, the
+labelling's and the prover's, meet each by identity; its states are built
+once, already in normal form.
 
 ``state_document``/``action_document`` produce reloadable documents from
 in-memory objects, and ``export_dot`` renders a state for graphviz.
@@ -18,7 +19,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Hashable, Mapping
+from typing import Any, Mapping
 
 from .actions import (
     AttentionAction,
@@ -67,20 +68,16 @@ class _Formulas:
     def __init__(self, sig: Signature) -> None:
         self.sig = sig
         self.texts: dict[str, Formula] = {}
-        self.nodes: dict[Hashable, Formula] = {}
+        self.nodes: dict[Formula, Formula] = {}
 
-    def __call__(self, text: Any, where: str, hashed: bool = False) -> Formula:
-        """The formula at ``where``; ``hashed`` hashes a future dict key here."""
+    def __call__(self, text: Any, where: str) -> Formula:
+        """The formula at ``where``."""
         _expect(text, str, where)
-        try:
-            if text not in self.texts:
+        if text not in self.texts:
+            try:
                 self.texts[text] = _intern(parse_formula(self.sig, text), self.nodes)
-            if hashed:
-                hash(self.texts[text])
-        except AttnPlanError as exc:
-            raise TaskFileError(f"{where}: {exc}")
-        except RecursionError:
-            raise TaskFileError(f"{where}: nested too deeply to read") from None
+            except AttnPlanError as exc:
+                raise TaskFileError(f"{where}: {exc}")
         return self.texts[text]
 
 
@@ -186,9 +183,7 @@ def _cost_table(
         entries.append(
             CostEntry(
                 agent=agent,
-                formula=formula(
-                    entry_node.get("formula"), f"{where}.entries[{k}].formula", hashed=True
-                ),
+                formula=formula(entry_node.get("formula"), f"{where}.entries[{k}].formula"),
                 event=event,
                 cost=_expect(entry_node.get("cost"), int, f"{where}.entries[{k}].cost"),
             )
@@ -240,7 +235,7 @@ def _action(
     for agent, text in questions_node.items():
         if agent not in sig.agents:
             raise TaskFileError(f"{where}.questions: unknown agent {agent!r}")
-        questions[agent] = formula(text, f"{where}.questions.{agent}", hashed=True)
+        questions[agent] = formula(text, f"{where}.questions.{agent}")
     actual = _expect(node.get("actual"), str, f"{where}.actual")
     if actual not in model.events:
         raise TaskFileError(f"{where}.actual: unknown event {actual!r}")

@@ -1022,8 +1022,8 @@ class TestSequenceProperties:
 
 class TestBranchAnswers:
     """``_branches`` asks the prover once per distinct (precondition,
-    question) pair, by node identity, and its relations are the ones the
-    per-event answers give."""
+    question) pair, by value, and its relations are the ones the per-event
+    answers give."""
 
     @staticmethod
     def variants(rng: random.Random, x: AttentionAction) -> dict[str, AttentionAction]:
@@ -1048,7 +1048,7 @@ class TestBranchAnswers:
         original, calls = actions._entails, Counter()
 
         def counting(sig, f, g):
-            calls[id(f), id(g)] += 1
+            calls[f, g] += 1
             return original(sig, f, g)
 
         monkeypatch.setattr(actions, "_entails", counting)
@@ -1057,12 +1057,14 @@ class TestBranchAnswers:
         seen: Counter[str] = Counter()
         for _ in range(150):
             drawn = rand_attention_action(rng, sig, max_events=4, total=False)
+            made: dict[str, int] = {}
             for kind, x in self.variants(rng, drawn).items():
                 model, questions = x.model, x.questions
                 calls.clear()
                 branches = x._branches
-                pairs = {(id(model.pre[e]), id(questions[a])) for a in sig.agents for e in model.events}
+                pairs = {(model.pre[e], questions[a]) for a in sig.agents for e in model.events}
                 assert set(calls) == pairs and set(calls.values()) == {1}
+                made[kind] = sum(calls.values())
                 assert branches == {
                     a: branch_classes(
                         model, a, {e: entails(sig, model.pre[e], questions[a]) for e in model.events}
@@ -1071,6 +1073,8 @@ class TestBranchAnswers:
                 }
                 seen[kind] += len(pairs) < len(sig.agents) * len(model.events)
                 seen["witness"] += any(r.witness for pair in branches.values() for r in pair)
+            # Copied questions are equal to the originals, so they share calls.
+            assert made["copied"] == made["unshared"]
         # Pairs shared in most drawn actions (unasked agents share ``T``) and
         # in every shared variant; some relations are intransitive.
         assert seen["shared"] == 150 and min(seen.values()) >= 20, seen

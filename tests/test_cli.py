@@ -33,6 +33,7 @@ from test_taskfile import (
     INTRANSITIVE,
     NAMES,
     NODES,
+    PARSEABLE_DEEP_DOCUMENTS,
     UNPRICED,
     UNUSED_MODEL_FAULTS,
     mutated,
@@ -248,6 +249,14 @@ class TestCommands:
         path.write_text(DEEP_DOCUMENTS[name])
         assert run(["validate", "--task", str(path)]) == 2
         assert re.fullmatch(f"error: {DEEP_COMPLAINTS[name]}\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", sorted(PARSEABLE_DEEP_DOCUMENTS))
+    def test_a_deep_parseable_document_validates_and_plans(self, capsys, tmp_path, name):
+        path = tmp_path / "deep.task"
+        path.write_text(PARSEABLE_DEEP_DOCUMENTS[name])
+        assert run(["validate", "--task", str(path)]) == 0
+        assert run(["plan", "--task", str(path), "--name", "main"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "costs,fault",

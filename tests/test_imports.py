@@ -9,6 +9,8 @@ index and the code that checks, copies or writes the table.  The loader
 calls ``validate_action`` once per model and nowhere else.  Only the
 interning constructors ``att_eq`` and ``att_lt`` call ``AttEq`` and
 ``AttLess``, so every attention atom the package builds is the shared one.
+Only the parser and the loader's JSON read catch ``RecursionError``, so no
+code papers over a walk that should run on an explicit stack.
 Only ``applicable`` reads the value of an action's gate ``_actual_pre``;
 every other site passes the gate as a marked bare statement.  The only
 functions that call themselves are the listed recursive walkers, so no new
@@ -328,6 +330,53 @@ def test_the_check_finds_every_self_calling_function():
 def test_only_the_listed_functions_call_themselves():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert sorted(self_calling(sources)) == SELF_CALLING
+
+
+# The sites that catch ``RecursionError``: the parser, which recurses, and
+# the loader, for the JSON decoder.  Every formula node stores its hash and
+# the other walks run on an explicit stack, so nothing else needs a handler.
+RECURSION_HANDLERS = ["logic.py: parse_formula", "taskfile.py: loads"]
+
+
+def recursion_handlers(sources: dict[str, str]) -> list[str]:
+    """``module: site`` (see ``sites``) for each site with an ``except``
+    clause naming ``RecursionError``, alone or in a tuple."""
+    return [
+        f"{module}: {label}"
+        for module, source in sorted(sources.items())
+        for label, node in sites(source)
+        if any(
+            isinstance(sub, ast.ExceptHandler)
+            and sub.type is not None
+            and "RecursionError" in referenced_names(sub.type)
+            for sub in ast.walk(node)
+        )
+    ]
+
+
+def test_the_check_finds_every_recursion_handler():
+    source = (
+        "def parse(text):\n"
+        "    try:\n        return walk(text)\n"
+        "    except RecursionError:\n        raise ValueError(text)\n\n"
+        "class F:\n"
+        "    def __call__(self, text):\n"
+        "        try:\n            return hash(text)\n"
+        "        except (KeyError, RecursionError) as exc:\n            raise ValueError(exc)\n\n"
+        "    def other(self):\n"
+        "        try:\n            return 1\n        except Exception:\n            return 0\n\n"
+        "try:\n    import json\nexcept builtins.RecursionError:\n    json = None\n"
+    )
+    assert recursion_handlers({"a.py": source}) == [
+        "a.py: parse",
+        "a.py: F.__call__",
+        "a.py: <module>",
+    ]
+
+
+def test_only_the_listed_sites_catch_recursion_errors():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert recursion_handlers(sources) == RECURSION_HANDLERS
 
 
 # The gate's value, the actual event's precondition, has one reader: the one

@@ -1,13 +1,17 @@
 """Language core: signatures, ASTs, parsing/printing, and the prover."""
 
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import attnplan
 from attnplan.errors import FormulaSyntaxError, FormulaValidationError
 from attnplan.logic import (
     And,
@@ -44,6 +48,16 @@ import reference_logic
 from generators import SIG2, rand_formula
 
 SIG = Signature(agents=("i",), attention_bound=3, prop_atoms=("p", "q"))
+# One formula of each node kind, the inner ones over the others.
+EVERY_KIND = (
+    TOP,
+    PropAtom("p"),
+    att_eq("a", 1),
+    att_lt("b", 2),
+    Not(PropAtom("q")),
+    And(PropAtom("p"), att_eq("a", 1)),
+    Know("a", And(Not(att_lt("b", 2)), TOP)),
+)
 
 
 class TestSignature:
@@ -126,6 +140,29 @@ class TestSharedAtoms:
                 assert pickle.loads(pickle.dumps(source)) is shared
                 assert copy.deepcopy(source) is shared
             assert copy.deepcopy(Know("a", And(direct, PropAtom("p")))).sub.left is shared
+        for f in EVERY_KIND:
+            for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+                assert type(copied) is type(f) and copied == f
+                assert hash(copied) == hash(f) and {f: "entry"}[copied] == "entry"
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_a_formula_pickled_in_another_process_finds_its_entry(self, seed):
+        """Pickled under another string-hash seed, each node hashes as one
+        built here, so a dict keyed by the original finds the loaded one."""
+        src = str(Path(attnplan.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = (
+            "import pickle, sys\n"
+            "from attnplan.logic import And, AttEq, AttLess, Know, Not, PropAtom, Top\n"
+            f"sys.stdout.buffer.write(pickle.dumps({EVERY_KIND!r}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True
+        ).stdout
+        table = {f: k for k, f in enumerate(EVERY_KIND)}
+        for k, (loaded, f) in enumerate(zip(pickle.loads(out), EVERY_KIND)):
+            assert loaded == f and hash(loaded) == hash(f) and table[loaded] == k
 
 
 class TestParsing:
@@ -274,6 +311,7 @@ class TestHelpers:
         ``p | p | ...`` needs none."""
         f = or_all([PropAtom("p")] * 400)
         validate_formula(SIG, f)
+        assert hash(f) == hash(or_all([PropAtom("p")] * 400)) and f in {f}
         assert sum(1 for _ in subformulas(f)) == 5 * 400 - 4
         with pytest.raises(FormulaValidationError, match="unknown atom 'zz'"):
             validate_formula(SIG, or_all([PropAtom("p")] * 399 + [PropAtom("zz")]))
@@ -295,6 +333,7 @@ class TestHelpers:
             f = Know("i", Not(f) if k % 2 else f)
         assert modal_depth(f) == 2000
         assert format_formula(f) == "K_i ~K_i " * 1000 + "p"
+        assert hash(f) != hash(f.sub) and {f: 1}[f] == 1
 
     def test_modal_depth(self):
         p = PropAtom("p")

@@ -143,25 +143,33 @@ def test_a_question_for_an_unknown_agent_is_placed():
 
 DEEP = 10**5
 # Each overflows the interpreter's stack somewhere inside ``loads``: the JSON
-# decoder, the formula parser, or hashing a parsed question or cost-entry
-# formula, which the pricing keys by.  The parser types its own overflow and
-# the loader hashes those two kinds where it reads them, so a formula is
-# refused at its place; too deep a JSON is refused for the whole document.
+# decoder or the formula parser.  The parser types its own overflow, so a
+# formula is refused at its place with the position where it stopped; too
+# deep a JSON is refused for the whole document.
 DEEP_DOCUMENTS = {
     "json": '{"signature": ' + "[" * DEEP + "]" * DEEP + "}",
     "goal": mutated(("tasks", "main", "goal"), "~" * 3000 + "p"),
-    "question": mutated(("actions", "ask_p", "questions", "i"), "~" * 600 + "p"),
+    "question": mutated(("actions", "ask_p", "questions", "i"), "~" * 3000 + "p"),
     "cost-entry": mutated(
-        ("models", "facts", "costs", "entries", 0, "formula"), "~" * 800 + "p"
+        ("models", "facts", "costs", "entries", 0, "formula"), "~" * 3000 + "p"
     ),
 }
 NESTED_TOO_DEEPLY = "document: nested too deeply to read"
 DEEP_COMPLAINTS = {  # patterns for the whole message
     "json": re.escape(NESTED_TOO_DEEPLY),
     "goal": r"tasks\.main\.goal: nested too deeply to read \(at position \d+\)",
-    "question": re.escape("actions.ask_p.questions.i: nested too deeply to read"),
-    "cost-entry": re.escape(
-        "models.facts.costs.entries[0].formula: nested too deeply to read"
+    "question": r"actions\.ask_p\.questions\.i: nested too deeply to read \(at position \d+\)",
+    "cost-entry": (
+        r"models\.facts\.costs\.entries\[0\]\.formula: "
+        r"nested too deeply to read \(at position \d+\)"
+    ),
+}
+# Deep, but within what the parser reads: once parsed, a formula hashes
+# from its stored hash at any depth, so a priced question loads.
+PARSEABLE_DEEP_DOCUMENTS = {
+    "question": mutated(("actions", "ask_p", "questions", "i"), "~" * 600 + "p"),
+    "cost-entry": mutated(
+        ("models", "facts", "costs", "entries", 0, "formula"), "~" * 800 + "p"
     ),
 }
 
@@ -171,6 +179,16 @@ def test_a_document_nested_too_deeply_is_refused(name):
     with pytest.raises(TaskFileError) as info:
         loads(DEEP_DOCUMENTS[name])
     assert re.fullmatch(DEEP_COMPLAINTS[name], str(info.value))
+
+
+@pytest.mark.parametrize("name", sorted(PARSEABLE_DEEP_DOCUMENTS))
+def test_a_deep_parseable_formula_loads(name):
+    """The deep formula loads at its place and hashes like a fresh parse."""
+    text = PARSEABLE_DEEP_DOCUMENTS[name]
+    sig = loads(text).sig
+    [(source, formula)] = [(s, f) for s, f in loaded_formulas(text) if s.startswith("~" * 600)]
+    assert format_formula(formula) == source
+    assert hash(formula) == hash(parse_formula(sig, source))
 
 
 def loaded_formulas(text: str):

@@ -16,7 +16,9 @@ to many states in turn shows that its tag table never goes stale.
 
 import random
 from collections import Counter
+from copy import deepcopy
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -491,8 +493,8 @@ def test_extension_sets_match_per_world_eval():
 
 
 def test_atom_masks_on_demand_match_per_world_eval():
-    """Atom masks are built when a formula first names an atom and kept by
-    name: formulas that repeat an atom in separate nodes, atoms that no
+    """Atom masks are built when a formula first names an atom and kept in
+    the value-keyed memo: formulas that repeat an atom in separate nodes, atoms that no
     world lists, on attention states, their renditions and epistemic states
     whose worlds list attention atoms."""
     sig = Signature(agents=("a", "b"), attention_bound=2, prop_atoms=("p", "q", "r"))
@@ -526,14 +528,38 @@ def test_atom_masks_on_demand_match_per_world_eval():
 
 
 def test_labelling_builds_atom_masks_by_name_when_asked():
+    """The memo starts empty and is keyed by value: each distinct atom is
+    labelled once, one valuation read per world, however many nodes name
+    it, and an equal formula built anew is answered from the memo."""
     s = rand_state(random.Random(4506), SIG2, max_worlds=6, min_worlds=6)
-    labels = _Labelling(s)
-    assert labels.atoms == {}
-    # The formulas stay alive: the memo is keyed by node identity.
-    formulas = And(PropAtom("p"), Not(PropAtom("p"))), Know("b", PropAtom("p")), PropAtom("q")
-    for formula, atoms in zip(formulas, (["p"], ["p"], ["p", "q"])):
-        labels.extension(formula)
-        assert list(labels.atoms) == atoms
+    reads = Counter()
+
+    class CountingValuation(dict):
+        def __getitem__(self, world):
+            reads[world] += 1
+            return super().__getitem__(world)
+
+    view = SimpleNamespace(
+        worlds=s.worlds,
+        partitions=s.partitions,
+        valuation=CountingValuation(s.valuation),
+        holds_attention=s.holds_attention,
+    )
+    labels = _Labelling(view)
+    assert labels.memo == {}
+    formulas = (
+        And(PropAtom("p"), Not(PropAtom("p"))),
+        Know("b", PropAtom("p")),
+        PropAtom("q"),
+        And(PropAtom("q"), Know("b", PropAtom("p"))),
+    )
+    for formula, atoms in zip(formulas, ("p", "p", "pq", "pq")):
+        mask = labels.extension(formula)
+        assert sorted(g.name for g in labels.memo if isinstance(g, PropAtom)) == list(atoms)
+        assert reads == dict.fromkeys(s.worlds, len(atoms))
+        size = len(labels.memo)
+        assert labels.extension(deepcopy(formula)) == mask and len(labels.memo) == size
+        assert [bool(mask >> k & 1) for k in range(6)] == [_eval(s, formula, w) for w in s.worlds]
 
 
 def test_labelling_builds_masks_for_the_agents_it_meets():
