@@ -10,11 +10,12 @@ Every node stores its hash when it is built, taken over its kind name and
 fields, a child contributing its own stored hash; its ``__init__`` writes
 fields and hash straight into the instance dict, past the frozen
 ``__setattr__``.  Hashing costs the same at any depth, and sets and dicts
-key formulas by value.  Equality stays
-structural, and a lookup meets an equal node by identity before calling the
-dataclass ``__eq__``; no code tests ``is`` on a formula.  A ``str`` hashes
-differently in each process, so a pickle or copy rebuilds each node through
-its constructor and never carries a stored hash over.  Each attention atom
+key formulas by value.  Equality stays structural: the one ``__eq__``
+tries identity, then the stored hashes, then walks both formulas on an
+explicit stack, so it compares formulas of any depth; no code tests ``is``
+on a formula.  A ``str`` hashes differently in each process, so a pickle
+or copy rebuilds each node through its constructor and never carries a
+stored hash over.  Each attention atom
 has one shared object: the package builds ``AttEq`` and ``AttLess`` only
 through the cached constructors ``att_eq`` and ``att_lt``, which a copy
 goes back to.  The tables keep one atom per agent and value asked for.
@@ -92,10 +93,44 @@ class Formula:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__hash__ = Formula.__hash__  # in the class's own dict, so ``dataclass`` keeps it
+        # In the class's own dict, so ``dataclass`` keeps them.
+        cls.__hash__ = Formula.__hash__
+        cls.__eq__ = Formula.__eq__
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        """Per pair of nodes: identity, then kind and stored hash, then the
+        fields.  The walk follows one child in place and stacks the other."""
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = []  # right-hand pairs still to compare
+        f, g = self, other
+        while True:
+            if f is not g:
+                kind = type(f)
+                if kind is not type(g) or f._hash != g._hash:
+                    return False
+                if kind is And:
+                    stack.append((f.right, g.right))
+                    f, g = f.left, g.left
+                    continue
+                if kind is Not or kind is Know:
+                    if kind is Know and f.agent != g.agent:
+                        return False
+                    f, g = f.sub, g.sub
+                    continue
+                if kind is PropAtom:
+                    if f.name != g.name:
+                        return False
+                elif kind is not Top and (f.agent != g.agent or f.bound != g.bound):
+                    return False
+            if not stack:
+                return True
+            f, g = stack.pop()
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))

@@ -10,10 +10,15 @@ finitely often, after which updates behave like announcements and the
 reachable quotients stop growing.
 
 The visited states sit in a hashed frontier.  ``_quotient`` contracts each
-state and keys it by the numbers its stable colouring gets from the
-search's one intern table.  The key is exact and, on point-generated
+state and keys it by one of two kinds of key, which never compare equal.  A
+discrete quotient, one whose worlds all differ in valuation or budgets, is
+keyed by its canonical form: per agent its blocks as sets of colours, and
+the actual world's colour; a discrete state is not refined at all.  Any
+other quotient is keyed by the numbers its stable colouring gets from the
+search's one intern table.  Both keys are exact and, on point-generated
 states, complete, so each key holds one state; ``bisimilar`` confirms every
-key hit, and a hit it refutes is an internal error.
+key hit, by colour matching when both states are discrete, and a hit it
+refutes is an internal error.
 
 Each successor is tested in this order: its key against the frontier, the
 confirming ``bisimilar`` on a key hit, and only then, on a new key, the

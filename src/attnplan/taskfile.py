@@ -58,7 +58,12 @@ def _expect(node: Any, kind: type, where: str) -> Any:
 
 
 def _strings(node: Any, where: str) -> list[str]:
-    return [_expect(x, str, where) for x in _expect(node, list, where)]
+    """``node`` if it is a list of strings; else ``_expect``'s error for the
+    list or for its first element that is not a string."""
+    items = _expect(node, list, where)
+    if not all(map(str.__instancecheck__, items)):
+        _expect(next(x for x in items if not isinstance(x, str)), str, where)
+    return items
 
 
 class _Formulas:

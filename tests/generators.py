@@ -137,6 +137,17 @@ def rand_state(
     )
 
 
+def rand_discrete_state(
+    rng: random.Random, sig: Signature, max_worlds: int = 4
+) -> AttentionState:
+    """A ``rand_state`` whose worlds all differ in valuation or budgets, so
+    that its colour column is injective (rejection-sampled)."""
+    while True:
+        s = rand_state(rng, sig, max_worlds=max_worlds)
+        if len(set(s.colours())) == len(s.worlds):
+            return s
+
+
 def muddy_children(
     rng: random.Random, n: int, budgets: dict[str, int] | None = None
 ) -> tuple[AttentionState, AttentionAction]:
@@ -204,6 +215,50 @@ def with_unreachable(s: AttentionState, extra: AttentionState, prefix: str) -> A
             for agent, per_world in s.attention.items()
         },
         actual=s.actual,
+    )
+
+
+def renamed(rng: random.Random, s: AttentionState) -> AttentionState:
+    """``s`` with its worlds renamed and declared in a shuffled order."""
+    names = [f"x{k}" for k in range(len(s.worlds))]
+    rng.shuffle(names)
+    name = dict(zip(s.worlds, names))
+    rng.shuffle(names)
+    return AttentionState(
+        sig=s.sig,
+        worlds=tuple(names),
+        partitions={
+            agent: tuple(frozenset(name[w] for w in block) for block in blocks)
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={name[w]: v for w, v in s.valuation.items()},
+        attention={
+            agent: {name[w]: n for w, n in per_world.items()}
+            for agent, per_world in s.attention.items()
+        },
+        actual=name[s.actual],
+    )
+
+
+def with_duplicate(rng: random.Random, s: AttentionState) -> AttentionState:
+    """``s`` plus a copy of one world, placed in that world's blocks."""
+    world = rng.choice(s.worlds)
+    twin = rng.choice(["a", "z"]) + world  # sorts before or after its original
+    worlds = list(s.worlds)
+    worlds.insert(rng.randrange(len(worlds) + 1), twin)
+    return AttentionState(
+        sig=s.sig,
+        worlds=tuple(worlds),
+        partitions={
+            agent: tuple(block | {twin} if world in block else block for block in blocks)
+            for agent, blocks in s.partitions.items()
+        },
+        valuation={**s.valuation, twin: s.valuation[world]},
+        attention={
+            agent: {**per_world, twin: per_world[world]}
+            for agent, per_world in s.attention.items()
+        },
+        actual=rng.choice([s.actual, twin]) if s.actual == world else s.actual,
     )
 
 

@@ -31,7 +31,15 @@ from attnplan.models import (
 )
 from attnplan.planner import _generated
 
-from generators import SIG2, rand_formula, rand_state, with_unreachable
+from generators import (
+    SIG2,
+    rand_discrete_state,
+    rand_formula,
+    rand_state,
+    renamed,
+    with_duplicate,
+    with_unreachable,
+)
 
 SIG = Signature(agents=("i",), attention_bound=2, prop_atoms=("p",))
 SIG3 = Signature(agents=("a", "b", "c"), attention_bound=1, prop_atoms=("p",))
@@ -88,28 +96,6 @@ def budget_spread_pair(bound: int) -> tuple[EpistemicState, EpistemicState]:
         actual="x",
     )
     return kripke_rendition(spread), kripke_rendition(only_x)
-
-
-def renamed(rng: random.Random, s: AttentionState) -> AttentionState:
-    """``s`` with its worlds renamed and declared in a shuffled order."""
-    names = [f"x{k}" for k in range(len(s.worlds))]
-    rng.shuffle(names)
-    name = dict(zip(s.worlds, names))
-    rng.shuffle(names)
-    return AttentionState(
-        sig=s.sig,
-        worlds=tuple(names),
-        partitions={
-            agent: tuple(frozenset(name[w] for w in block) for block in blocks)
-            for agent, blocks in s.partitions.items()
-        },
-        valuation={name[w]: v for w, v in s.valuation.items()},
-        attention={
-            agent: {name[w]: n for w, n in per_world.items()}
-            for agent, per_world in s.attention.items()
-        },
-        actual=name[s.actual],
-    )
 
 
 class TestComparison:
@@ -209,10 +195,10 @@ def quotient_key(table: dict, s: AttentionState):
 
 
 class TestCanonicalKey:
-    """The key ``_quotient`` reads off the stable numbers: against one
-    table, bisimilar point-generated states get equal keys, whatever their
-    names, world order and unreachable worlds, and equal keys mean
-    bisimilar."""
+    """The key ``_quotient`` reads off a discrete quotient's canonical form
+    or off the stable numbers: against one table, bisimilar
+    point-generated states get equal keys, whatever their names, world
+    order and unreachable worlds, and equal keys mean bisimilar."""
 
     @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
     def test_renamed_copies_get_equal_keys(self, sig):
@@ -286,6 +272,27 @@ class TestCanonicalKey:
                 if len(s.worlds) == len(t.worlds):
                     outcomes.add(same)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("sig", [SIG, SIG2, SIG3], ids=["one", "two", "three"])
+    def test_discrete_states_and_their_copies_get_one_key(self, sig):
+        """A discrete point-generated state, its copy with a duplicated world
+        and unreachable worlds, and a renamed copy get one key against one
+        table; over all the states, equal keys mean bisimilar and back."""
+        rng = random.Random(65)
+        table: dict = {}
+        keyed = []
+        for _ in range(100):
+            s = _generated(rand_discrete_state(rng, sig))
+            padded = with_unreachable(with_duplicate(rng, s), rand_state(rng, sig), "u")
+            keys = {quotient_key(table, t) for t in (s, padded, renamed(rng, s))}
+            assert len(keys) == 1
+            keyed.append((s, keys.pop()))
+        hits = 0
+        for k, (s, key) in enumerate(keyed):
+            for t, other in keyed[:k]:
+                hits += key == other
+                assert (key == other) == isinstance(bisimilar(s, t), BisimWitness)
+        assert hits > 0
 
     def test_discrete_quotient_is_the_state_itself(self):
         s = pair_state()

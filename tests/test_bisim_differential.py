@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import replace
 
 import reference_bisim as ref
+from attnplan import bisim
 from attnplan.bisim import (
     BisimWitness,
     _refine,
@@ -25,7 +26,15 @@ from attnplan.bisim import (
 from attnplan.logic import Signature, att_eq, format_formula, modal_depth
 from attnplan.models import AttentionState, EpistemicState, check, kripke_rendition
 
-from generators import SIG2, rand_epistemic_state, rand_partition, rand_state
+from generators import (
+    SIG2,
+    rand_discrete_state,
+    rand_epistemic_state,
+    rand_partition,
+    rand_state,
+    renamed,
+    with_duplicate,
+)
 
 SIG3 = Signature(agents=("a", "b", "c"), attention_bound=1, prop_atoms=("p",))
 EPISTEMIC_SIGS = (
@@ -33,28 +42,6 @@ EPISTEMIC_SIGS = (
     Signature(agents=("a",), attention_bound=0, prop_atoms=()),
     Signature(agents=("a", "b"), attention_bound=0, prop_atoms=()),
 )
-
-
-def with_duplicate(rng: random.Random, s: AttentionState) -> AttentionState:
-    """``s`` plus a copy of one world, placed in that world's blocks."""
-    world = rng.choice(s.worlds)
-    twin = rng.choice(["a", "z"]) + world  # sorts before or after its original
-    worlds = list(s.worlds)
-    worlds.insert(rng.randrange(len(worlds) + 1), twin)
-    return AttentionState(
-        sig=s.sig,
-        worlds=tuple(worlds),
-        partitions={
-            agent: tuple(block | {twin} if world in block else block for block in blocks)
-            for agent, blocks in s.partitions.items()
-        },
-        valuation={**s.valuation, twin: s.valuation[world]},
-        attention={
-            agent: {**per_world, twin: per_world[world]}
-            for agent, per_world in s.attention.items()
-        },
-        actual=rng.choice([s.actual, twin]) if s.actual == world else s.actual,
-    )
 
 
 def with_disjoint_copy(rng: random.Random, s: AttentionState) -> AttentionState:
@@ -87,7 +74,7 @@ def by_first_position(numbers: list[int]) -> list[int]:
 
 
 def assert_refinement_agrees(s1, s2) -> None:
-    *rounds, stable = _refine({}, s1, s2)
+    *rounds, stable = _refine({}, s1.colours() + s2.colours(), s1, s2)
     expected = ref.union_rounds(s1, s2)
     nodes = [(0, w) for w in s1.worlds] + [(1, w) for w in s2.worlds]
     assert list(map(by_first_position, rounds)) == [[ids[n] for n in nodes] for ids in expected]
@@ -175,6 +162,68 @@ def test_known_bisimilar_pairs_match_reference():
         assert_attention_pair_agrees(other, s)
         assert isinstance(bisimilar(s, other), BisimWitness)
         assert ref.separation_round(s, other) is None
+
+
+def with_block_split(rng: random.Random, s: AttentionState) -> AttentionState | None:
+    """``s`` with one agent's block of two or more worlds cut in two, or None
+    if every block is one world.  Budgets stay constant on each part."""
+    choices = [(a, b) for a, blocks in s.partitions.items() for b in blocks if len(b) > 1]
+    if not choices:
+        return None
+    agent, block = rng.choice(choices)
+    members = sorted(block)
+    rng.shuffle(members)
+    cut = rng.randrange(1, len(members))
+    parts = [b for b in s.partitions[agent] if b != block]
+    parts += [frozenset(members[:cut]), frozenset(members[cut:])]
+    return replace(s, partitions={**s.partitions, agent: parts})
+
+
+def test_discrete_pairs_match_reference(monkeypatch):
+    """Pairs with a discrete side agree with the reference, on the states
+    and on their renditions.  A renamed copy, or one whose actual world
+    moved, is matched by colour without refinement; a copy with one block
+    split, another discrete state and a copy with a duplicated world (only
+    one side discrete) fall back to refinement, always or mostly."""
+    refine, calls = bisim._refine, 0
+
+    def counting_refine(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(bisim, "_refine", counting_refine)
+    rng = random.Random(507)
+    sig1 = Signature(agents=("a",), attention_bound=2, prop_atoms=("p", "q"))
+    refined: Counter[tuple[str, bool]] = Counter()
+    outcomes = set()
+    for case in range(240):
+        s = rand_discrete_state(rng, (sig1, SIG2, SIG3)[case % 3])
+        copy = renamed(rng, s)
+        others = {
+            "renamed": copy,
+            "moved": replace(copy, actual=rng.choice(copy.worlds)),
+            "split": with_block_split(rng, s),
+            "other": rand_discrete_state(rng, s.sig),
+            "duplicate": with_duplicate(rng, s),
+        }
+        for kind, t in others.items():
+            if t is None:
+                continue
+            for left, right in ((s, t), (t, s)):
+                for compare, x, y in (
+                    (bisimilar, left, right),
+                    (kripke_bisimilar, kripke_rendition(left), kripke_rendition(right)),
+                ):
+                    before = calls
+                    outcome = compare(x, y)
+                    assert outcome == ref.compare(x, y)
+                    refined[kind, calls > before] += 1
+                    outcomes.add(getattr(outcome, "round", None))
+    assert not refined["renamed", True] and not refined["moved", True]
+    assert not refined["split", False] and not refined["duplicate", False]
+    assert refined["other", True] > refined["other", False] > 0
+    assert refined["moved", False] > 0 and {None, 0, 1} <= outcomes
 
 
 def test_disjoint_copies_match_reference():

@@ -11,6 +11,9 @@ interning constructors ``att_eq`` and ``att_lt`` call ``AttEq`` and
 ``AttLess``, so every attention atom the package builds is the shared one.
 Only the parser and the loader's JSON read catch ``RecursionError``, so no
 code papers over a walk that should run on an explicit stack.
+Only ``_quotient``, after its path for discrete states, and
+``_separation``, which ``_compare`` reaches after matching discrete states
+by colour, name the refinement loop ``_refine``.
 Only ``applicable`` reads the value of an action's gate ``_actual_pre``;
 every other site passes the gate as a marked bare statement.  The only
 functions that call themselves are the listed recursive walkers, so no new
@@ -241,6 +244,32 @@ def test_the_check_finds_every_site_calling_a_name():
 def test_only_the_trusted_sites_skip_normalization():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert naming_sites(sources, "_normal") == TRUSTED_SITES
+
+
+# The sites that run the refinement loop: ``_quotient`` after its path for
+# discrete states, and ``_separation``, which ``_compare`` reaches after its
+# colour matching and ``distinguishing_formula`` for the rounds.  A new
+# caller would skip the discrete paths.
+REFINE_SITES = ["bisim.py: _separation", "bisim.py: _quotient"]
+
+
+def test_the_check_finds_every_site_naming_refine():
+    source = (
+        "def _refine(table, colours, *states):\n    return [[0]]\n\n"
+        "def _separation(s1, s2, c):\n    return _refine({}, c, s1, s2)\n\n"
+        "def contract(s):\n    return bisim._refine({}, s.colours(), s)[-1]\n\n"
+        "def refiner():\n    return _refine\n"
+    )
+    assert naming_sites({"a.py": source}, "_refine") == [
+        "a.py: _separation",
+        "a.py: contract",
+        "a.py: refiner",
+    ]
+
+
+def test_only_the_listed_sites_refine():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert naming_sites(sources, "_refine") == REFINE_SITES
 
 
 # The interning constructors: every attention atom the package builds is

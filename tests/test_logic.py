@@ -327,6 +327,27 @@ class TestHelpers:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_deep_formulas_compare_by_value(self):
+        """Equality walks on an explicit stack.  Two 400-way ``or_all`` built
+        apart are equal and find each other in a dict.  Two 2,000-deep
+        chains whose stored hashes agree (CPython hashes -1 and -2 alike, so
+        atoms bounded -1 and -2 do too) differ at their deepest leaf only,
+        and equality walks down to it."""
+        f, g = or_all([PropAtom("p")] * 400), or_all([PropAtom("p")] * 400)
+        assert f is not g and f == g and not f != g
+        assert {f: "entry"}[g] == "entry"
+
+        def chain(leaf):
+            for k in range(2000):
+                leaf = Know("i", Not(leaf) if k % 2 else leaf)
+            return leaf
+
+        left, right = chain(AttEq("i", -1)), chain(AttEq("i", -2))
+        assert hash(left) == hash(right)
+        assert left != right and not left == right
+        assert right not in {left: "entry"} and left not in {right}
+        assert chain(AttEq("i", -1)) == left and {left: "entry"}[chain(AttEq("i", -1))]
+
     def test_deep_knowledge_prints_and_measures(self):
         f = PropAtom("p")
         for k in range(2000):

@@ -26,7 +26,7 @@ from itertools import product
 import pytest
 
 import reference_planner as ref
-from attnplan import planner, taskfile
+from attnplan import bisim, planner, taskfile
 from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
@@ -232,6 +232,27 @@ def test_no_key_hit_meets_the_goal(monkeypatch, sig):
             monkeypatch.setattr(planner, "_quotient", checking_quotient)
             _search(task, max_depth)
     assert hits > 0
+
+
+def test_survey_search_refines_nothing(monkeypatch):
+    """Every state the survey search keys or confirms gives each world its
+    own colour, so ``_quotient`` and ``bisimilar`` match colours and never
+    refine.  A start whose worlds all have copies is not discrete, and its
+    refinement is counted."""
+    refine, calls = bisim._refine, 0
+
+    def counting_refine(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(bisim, "_refine", counting_refine)
+    for seed in range(3):
+        assert solve_nfl(survey_task(5, 4, random.Random(814 + seed))) == NoSolution(explored=380)
+    assert calls == 0
+    copied = taskfile.loads(copied_survey_document(4, 3, 2, 0)).tasks["survey"]
+    assert isinstance(solve_nfl(copied), NoSolution)
+    assert calls > 0
 
 
 def test_refuted_key_hit_is_an_internal_error(monkeypatch):

@@ -306,6 +306,20 @@ def test_ill_typed_nodes_raise_task_file_errors(path, value, complaint):
     assert complaint in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (["i", 3, {}], "signature.agents: expected str, got int"),
+        ([{}, 3], "signature.agents: expected str, got dict"),
+        ("i", "signature.agents: expected list, got str"),
+    ],
+)
+def test_a_string_list_is_refused_at_its_first_bad_element(value, message):
+    with pytest.raises(TaskFileError) as info:
+        loads(mutated(("signature", "agents"), value))
+    assert str(info.value) == message
+
+
 NODES = list(nodes(BASE))
 # Keys and string leaves: names and formulas the loader resolves.
 NAMES = sorted({x for path, node in NODES for x in (path[-1], node) if isinstance(x, str)})
