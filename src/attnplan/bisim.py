@@ -1,14 +1,22 @@
 """Bisimulation checks, quotienting, and distinguishing formulas.
 
-All of them start from each state's colour column (``colours``): an
-attention state colours by propositional valuation and one budget per
-agent, an epistemic state by the full (propositional and attention-atom)
-valuation.  A state whose column is injective is *discrete*: no two of its
-worlds can be bisimilar, so it is its own quotient, and two discrete states
-are bisimilar exactly when the colour bijection between them maps each
-block onto a block.  ``_quotient`` keys a discrete quotient by its
-canonical form and ``_compare`` matches two discrete states by colour,
-with no refinement.
+All of them read each state's colour column, ``colours``, which the state
+computes once: an attention state colours a world by its propositional
+valuation and one budget per agent, an epistemic state by its full
+(propositional and attention-atom) valuation.  A state whose column is
+injective is *discrete* (``_discrete``): no two of its worlds can be
+bisimilar, so it is its own quotient.  Its canonical form
+(``_canonical_key``) is, per agent, the set of its blocks, each as the set
+of its worlds' colours, and the actual world's colour; two discrete states
+with one colour set and equal block forms are isomorphic by the colour
+bijection, which ``_compare`` returns with no refinement.
+
+The planner keys its frontier by ``_quotient``, with two kinds of key that
+never compare equal, chosen by the contracted state.  A discrete quotient
+is keyed by its canonical form.  Any other quotient is keyed by the numbers
+its stable colouring gets from the search's one intern table, and the
+actual world's number.  Both kinds are exact and, on point-generated
+states, complete, so each key holds one state up to bisimilarity.
 
 Everything else runs one colour-refinement loop, ``_refine``, over the
 disjoint union of the states it is given.  Each round numbers the set of
@@ -45,22 +53,22 @@ class NotBisimilar:
     round: int
 
 
-def _refine(table: dict[Hashable, int], colours: list[Hashable], *states) -> list[list[int]]:
+def _refine(table: dict[Hashable, int], *states) -> list[list[int]]:
     """Colour refinement over the disjoint union of ``states``.
 
     Worlds are indexed by position in the union; each agent's blocks are
-    lists of positions.  Round 0 keys worlds by ``colours``, the states'
-    ``colours()`` columns one after another; each later round numbers each
-    block's set of class numbers (a sorted tuple) and keys a world by its
-    class number, then per agent its block's set number.  ``table`` numbers
-    keys once for all calls sharing it.  Returns each round's numbers by
-    position, ending with the first round that splits no class.  Colours
-    hold a frozenset, round and met-set keys only ints; met-set keys hold
-    class numbers only, round keys after their first entry met-set numbers,
-    which follow the round's class numbers, so no tuple is ever two kinds of
-    key.  Over a fresh table every round's keys are thus new: its numbers
-    come in order of first position and rank the classes as ids numbered
-    0.. by first position would.
+    lists of positions.  Round 0 keys worlds by the states' ``colours``
+    columns one after another; each later round numbers each block's set of
+    class numbers (a sorted tuple) and keys a world by its class number,
+    then per agent its block's set number.  ``table`` numbers keys once for
+    all calls sharing it.  Returns each round's numbers by position, ending
+    with the first round that splits no class.  Colours hold a frozenset,
+    round and met-set keys only ints; met-set keys hold class numbers only,
+    round keys after their first entry met-set numbers, which follow the
+    round's class numbers, so no tuple is ever two kinds of key.  Over a
+    fresh table every round's keys are thus new: its numbers come in order
+    of first position and rank the classes as ids numbered 0.. by first
+    position would.
     """
     sig = states[0].sig
     if any(s.sig != sig for s in states):
@@ -72,7 +80,7 @@ def _refine(table: dict[Hashable, int], colours: list[Hashable], *states) -> lis
         for agent, own in zip(sig.agents, blocks):
             own.extend([position[w] for w in block] for block in s.partitions[agent])
         offset += len(s.worlds)
-    keys: list[Hashable] = colours
+    keys: list[Hashable] = [colour for s in states for colour in s.colours]
     rounds: list[list[int]] = []
     classes = 0  # in the previous round
     while True:
@@ -98,49 +106,50 @@ def _actual_position(s) -> int:
     return s.worlds.index(s.actual)
 
 
-def _separation(
-    s1, s2, colours: list[Hashable]
-) -> tuple[list[list[int]], int, int | None]:
-    """``_refine``'s rounds for ``s1`` and ``s2``, coloured by ``colours``, over a
-    fresh table, the position of ``s1``'s actual world and the first round
-    that separates the actual worlds, or None."""
-    rounds = _refine({}, colours, s1, s2)
+def _separation(s1, s2) -> tuple[list[list[int]], int, int | None]:
+    """``_refine``'s rounds for ``s1`` and ``s2`` over a fresh table, the
+    position of ``s1``'s actual world and the first round that separates
+    the actual worlds, or None."""
+    rounds = _refine({}, s1, s2)
     actual1, actual2 = _actual_position(s1), len(s1.worlds) + _actual_position(s2)
     separated = next((r for r, ids in enumerate(rounds) if ids[actual1] != ids[actual2]), None)
     return rounds, actual1, separated
 
 
-def _matching(s1, colours1: list[Hashable], s2, colours2: list[Hashable]) -> dict[str, str] | None:
-    """The colour bijection from ``s1``'s worlds to ``s2``'s when both states
-    are over one signature and discrete, their colours are the same set
-    and, for every agent, it maps each block onto a block; None otherwise
-    (``_refine`` refuses states over different signatures)."""
-    by_colour = dict(zip(colours2, s2.worlds))
-    if s1.sig != s2.sig or len(by_colour) != len(colours1) or len(colours2) != len(colours1):
-        return None
-    image = dict(zip(s1.worlds, map(by_colour.get, colours1)))
-    if None in image.values() or len(set(image.values())) != len(image):
-        return None
-    for agent, blocks in s1.partitions.items():
-        if {frozenset(map(image.__getitem__, b)) for b in blocks} != set(s2.partitions[agent]):
-            return None
-    return image
+def _discrete(s) -> bool:
+    """Whether no two of ``s``'s worlds agree on colour."""
+    return len(set(s.colours)) == len(s.worlds)
+
+
+def _canonical_key(s) -> tuple:
+    """A discrete state's canonical form: per agent, the set of its blocks,
+    each as the set of its worlds' colours, and the actual world's colour."""
+    colour = dict(zip(s.worlds, s.colours))
+    blocks = tuple(
+        frozenset(frozenset(map(colour.__getitem__, b)) for b in bs)
+        for bs in s.partitions.values()
+    )
+    return blocks, s.colours[_actual_position(s)]
 
 
 def _compare(s1, s2) -> BisimWitness | NotBisimilar:
     """The largest bisimulation between ``s1`` and ``s2``, or the round that
-    separates their actual worlds.  Two discrete states that ``_matching``
-    pairs up are isomorphic, and no other pair of their worlds agrees on
-    colour, so the matching is the largest bisimulation: round 0 separates
-    the actual worlds when their colours differ, and no round does
-    otherwise.  Any other pair is refined (``_separation``)."""
-    colours1, colours2 = s1.colours(), s2.colours()
-    image = _matching(s1, colours1, s2, colours2)
-    if image is not None:
-        if colours1[_actual_position(s1)] != colours2[_actual_position(s2)]:
-            return NotBisimilar(round=0)
-        return BisimWitness(frozenset(image.items()))
-    rounds, _, separated = _separation(s1, s2, colours1 + colours2)
+    separates their actual worlds.  Two discrete states over one signature
+    whose canonical forms have equal block parts, and whose colour sets are
+    equal, are isomorphic by the colour bijection, and no other pair of
+    their worlds agrees on colour, so the bijection is the largest
+    bisimulation: round 0 separates the actual worlds when their colours
+    differ, and no round does otherwise.  The colour sets are compared
+    because a partition that misses a world allows equal block parts
+    without them.  Any other pair is refined (``_separation``)."""
+    if s1.sig == s2.sig and _discrete(s1) and _discrete(s2):
+        (blocks1, actual1), (blocks2, actual2) = _canonical_key(s1), _canonical_key(s2)
+        if blocks1 == blocks2 and set(s1.colours) == set(s2.colours):
+            if actual1 != actual2:
+                return NotBisimilar(round=0)
+            world = dict(zip(s2.colours, s2.worlds))
+            return BisimWitness(frozenset(zip(s1.worlds, map(world.__getitem__, s1.colours))))
+    rounds, _, separated = _separation(s1, s2)
     if separated is not None:
         return NotBisimilar(round=separated)
     final, n1 = rounds[-1], len(s1.worlds)
@@ -153,7 +162,7 @@ def _compare(s1, s2) -> BisimWitness | NotBisimilar:
 
 def bisimilar(s1: AttentionState, s2: AttentionState) -> BisimWitness | NotBisimilar:
     """Compare two pointed attention states over the same signature: by
-    colour matching when both are discrete, else by refinement."""
+    colour when both are discrete, else by refinement."""
     return _compare(s1, s2)
 
 
@@ -164,64 +173,47 @@ def kripke_bisimilar(
     return _compare(k1, k2)
 
 
-def _canonical_key(s: AttentionState, colours: list[Hashable]) -> tuple:
-    """A discrete state's canonical form: per agent, the set of its blocks,
-    each as the set of its worlds' colours, and the actual world's colour.
-    Equal forms mean the colour bijection is an isomorphism."""
-    colour = dict(zip(s.worlds, colours))
-    blocks = tuple(
-        frozenset(frozenset(map(colour.__getitem__, b)) for b in bs)
-        for bs in s.partitions.values()
-    )
-    return blocks, colours[_actual_position(s)]
-
-
 def _quotient(s: AttentionState, table: dict[Hashable, int]) -> tuple[AttentionState, tuple]:
-    """``contract(s)`` and its key, of one of two kinds that never compare
-    equal, chosen by the contracted state.  A discrete quotient is keyed by
-    its canonical form (``_canonical_key``); a discrete ``s`` is its own
-    quotient and is not refined.  Any other quotient is keyed by its stable
-    numbers against ``table`` and the actual world's number.  Over one
-    table this key is exact: a stable number fixes the previous round's
-    class and the classes each block meets, each of which holds one stable
-    class, so equal numbers form a bisimulation.  Both keys are complete
-    when every world is reachable from the actual world: bisimilar such
-    states have isomorphic quotients, so they get keys of one kind;
-    isomorphic discrete quotients have one canonical form, and other
-    quotients meet the same classes in every round."""
-    colours = s.colours()
-    if len(set(colours)) == len(colours):
-        return s, _canonical_key(s, colours)
-    stable = _refine(table, colours, s)[-1]
-    key = (frozenset(stable), stable[_actual_position(s)])
-    if len(key[0]) == len(s.worlds):
-        return s, key
-    members: dict[int, list[str]] = {}
-    for world, number in zip(s.worlds, stable):
-        members.setdefault(number, []).append(world)
-    rep: dict[str, str] = {}  # class name -> first member
-    name_of: dict[str, str] = {}
-    for group in members.values():
-        name = min(group)
-        rep[name] = group[0]
-        name_of.update(dict.fromkeys(group, name))
+    """``contract(s)`` and its key, whose kind (module docstring) is decided
+    here once, on the contracted state; a discrete ``s`` is its own quotient
+    and is not refined.  Over one table the key by stable numbers is exact:
+    a stable number fixes the previous round's class and the classes each
+    block meets, each of which holds one stable class, so equal numbers
+    form a bisimulation.  Both keys are complete when every world is
+    reachable from the actual world: bisimilar such states have isomorphic
+    quotients, so they get keys of one kind; isomorphic discrete quotients
+    have one canonical form, and other quotients meet the same classes in
+    every round."""
+    quotient, discrete = s, _discrete(s)
+    if not discrete:
+        stable = _refine(table, s)[-1]
+        key = (frozenset(stable), stable[_actual_position(s)])
+        if len(key[0]) < len(s.worlds):
+            members: dict[int, list[str]] = {}
+            for world, number in zip(s.worlds, stable):
+                members.setdefault(number, []).append(world)
+            rep: dict[str, str] = {}  # class name -> first member
+            name_of: dict[str, str] = {}
+            for group in members.values():
+                name = min(group)
+                rep[name] = group[0]
+                name_of.update(dict.fromkeys(group, name))
 
-    # At the stable round, worlds of one class see the same set of classes
-    # in their blocks, so two blocks whose images share a class have equal
-    # images: each image is a whole quotient block, and only duplicates go.
-    # Each image's first class holds the first world of its input blocks, so
-    # the images come in normal order and the parts go in as they are.
-    partitions = {
-        agent: tuple(
-            dict.fromkeys(frozenset(name_of[w] for w in block) for block in blocks)
-        )
-        for agent, blocks in s.partitions.items()
-    }
-    quotient = s._read_off(rep, partitions, name_of[s.actual])
-    colours = quotient.colours()
-    if len(set(colours)) == len(colours):
-        return quotient, _canonical_key(quotient, colours)
-    return quotient, key
+            # At the stable round, worlds of one class see the same set of
+            # classes in their blocks, so two blocks whose images share a
+            # class have equal images: each image is a whole quotient block,
+            # and only duplicates go.  Each image's first class holds the
+            # first world of its input blocks, so the images come in normal
+            # order and the parts go in as they are.
+            partitions = {
+                agent: tuple(
+                    dict.fromkeys(frozenset(name_of[w] for w in block) for block in blocks)
+                )
+                for agent, blocks in s.partitions.items()
+            }
+            quotient = s._read_off(rep, partitions, name_of[s.actual])
+            discrete = _discrete(quotient)
+    return quotient, (_canonical_key(quotient) if discrete else key)
 
 
 def contract(s: AttentionState) -> AttentionState:
@@ -255,8 +247,8 @@ def distinguishing_formula(
     strip a leading ``~`` instead of adding a second one, and so does the
     disjunction of the classes met in a block, written ``~(~a & ~b)``.
     """
-    states, colours = (k1, k2), k1.colours() + k2.colours()
-    rounds, actual1, separated = _separation(k1, k2, colours)
+    states = (k1, k2)
+    rounds, actual1, separated = _separation(k1, k2)
     if separated is None or separated > max_rounds:
         return None
     sig, known = k1.sig, _known_atoms(k1.sig)
@@ -266,7 +258,7 @@ def distinguishing_formula(
     for r, ids in enumerate(rounds[: separated + 1]):
         for n, cid in enumerate(ids):
             reps.setdefault((r, cid), n)
-    valuations = dict(zip(rounds[0], colours))  # colour = valuation
+    valuations = dict(zip(rounds[0], k1.colours + k2.colours))  # colour = valuation
 
     def neg(f: Formula) -> Formula:
         return f.sub if isinstance(f, Not) else Not(f)

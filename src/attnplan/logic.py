@@ -205,10 +205,12 @@ class Know(Formula):
 
 
 TOP = Top()
+_BOT = Not(TOP)
 
 
 def bot() -> Formula:
-    return Not(TOP)
+    """``~T``, the one shared node for it, as ``TOP`` is for ``T``."""
+    return _BOT
 
 
 def or_(left: Formula, right: Formula) -> Formula:

@@ -216,10 +216,12 @@ class AttentionState(_PartitionModel):
         budget = self.attention[atom.agent][world]
         return budget == atom.bound if isinstance(atom, AttEq) else budget < atom.bound
 
-    def colours(self) -> list[Hashable]:
-        """Per world, the valuation zipped with each agent's budget, in signature order."""
+    @cached_property
+    def colours(self) -> tuple[Hashable, ...]:
+        """Per world, the valuation zipped with each agent's budget, in
+        signature order; computed once per state, as ``_blocks`` is."""
         budgets = [map(self.attention[a].__getitem__, self.worlds) for a in self.sig.agents]
-        return list(zip(map(self.valuation.__getitem__, self.worlds), *budgets))
+        return tuple(zip(map(self.valuation.__getitem__, self.worlds), *budgets))
 
 
 @dataclass(frozen=True)
@@ -236,9 +238,11 @@ class EpistemicState(_PartitionModel):
         """Attention atoms are extensional facts: true iff listed."""
         return atom in self.valuation[world]
 
-    def colours(self) -> list[Hashable]:
-        """What bisimilar worlds must agree on, per world: the full valuation."""
-        return list(map(self.valuation.__getitem__, self.worlds))
+    @cached_property
+    def colours(self) -> tuple[Hashable, ...]:
+        """What bisimilar worlds must agree on, per world: the full
+        valuation; computed once per state."""
+        return tuple(map(self.valuation.__getitem__, self.worlds))
 
 
 def validate_state(s: AttentionState) -> list[str]:
@@ -251,11 +255,10 @@ def validate_state(s: AttentionState) -> list[str]:
         out.append("world names are not unique")
     if s.actual not in s.worlds:
         out.append(f"actual world {s.actual!r} is not a world")
-    world_set = set(s.worlds)
+    world_set, props = set(s.worlds), frozenset(s.sig.prop_atoms)
     for world, atoms in s.valuation.items():
-        for atom in atoms:
-            if atom not in s.sig.prop_atoms:
-                out.append(f"world {world!r} carries unknown atom {atom!r}")
+        for atom in sorted(atoms - props, key=repr):
+            out.append(f"world {world!r} carries unknown atom {atom!r}")
     if set(s.partitions) != set(s.sig.agents):
         out.append("partitions do not cover exactly the signature's agents")
     for agent, blocks in s.partitions.items():

@@ -9,15 +9,10 @@ planning-friendly action class: questions keep draining budgets only
 finitely often, after which updates behave like announcements and the
 reachable quotients stop growing.
 
-The visited states sit in a hashed frontier.  ``_quotient`` contracts each
-state and keys it by one of two kinds of key, which never compare equal.  A
-discrete quotient, one whose worlds all differ in valuation or budgets, is
-keyed by its canonical form: per agent its blocks as sets of colours, and
-the actual world's colour; a discrete state is not refined at all.  Any
-other quotient is keyed by the numbers its stable colouring gets from the
-search's one intern table.  Both keys are exact and, on point-generated
-states, complete, so each key holds one state; ``bisimilar`` confirms every
-key hit, by colour matching when both states are discrete, and a hit it
+The visited states sit in a hashed frontier.  ``bisim._quotient`` contracts
+each state and keys it by one of the two kinds of key that ``bisim``'s
+module docstring describes, over the search's one intern table; each key
+holds one state.  ``bisimilar`` confirms every key hit, and a hit it
 refutes is an internal error.
 
 Each successor is tested in this order: its key against the frontier, the

@@ -144,7 +144,7 @@ def rand_discrete_state(
     that its colour column is injective (rejection-sampled)."""
     while True:
         s = rand_state(rng, sig, max_worlds=max_worlds)
-        if len(set(s.colours())) == len(s.worlds):
+        if len(set(s.colours)) == len(s.worlds):
             return s
 
 

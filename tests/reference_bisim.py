@@ -4,7 +4,7 @@ This is the earlier implementation: a refinement loop driven by callbacks
 (a colouring and a ``block_of`` lookup per node) that rebuilds, every round
 and for every world, the list of its block-mates and their class set.  It
 colours each world itself, from the state's fields (``colour``), rather than
-through the states' ``colours()`` columns.  The differential suite compares
+through the states' ``colours`` columns.  The differential suite compares
 the library's per-block ``_refine`` against it, and the printed
 distinguishing formulas against ``distinguishing_formula`` here, which
 builds them from these ids; nothing in the package imports this module.

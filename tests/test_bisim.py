@@ -143,6 +143,26 @@ class TestComparison:
         with pytest.raises(SignatureMismatch):
             bisimilar(triple_state(), other)
 
+    def test_partition_missing_a_world_is_refined_not_matched(self):
+        # Equal block forms over different colour sets: world b ({q}) and
+        # world d ({}) sit in no block, so no colour bijection exists.
+        sig = Signature(agents=("i",), attention_bound=1, prop_atoms=("p", "q"))
+
+        def partial(worlds, valuation, block):
+            return AttentionState._normal(
+                sig=sig,
+                worlds=worlds,
+                partitions={"i": (frozenset(block),)},
+                valuation=valuation,
+                attention={"i": dict.fromkeys(worlds, 1)},
+                actual=worlds[0],
+            )
+
+        s1 = partial(("a", "b"), {"a": frozenset("p"), "b": frozenset("q")}, "a")
+        s2 = partial(("c", "d"), {"c": frozenset("p"), "d": frozenset()}, "c")
+        assert bisimilar(s1, s2) == BisimWitness(frozenset({("a", "c")}))
+        assert bisimilar(s2, s1) == BisimWitness(frozenset({("c", "a")}))
+
     def test_bisimilar_states_agree_on_random_formulas(self):
         rng = random.Random(22)
         tried = 0

@@ -74,7 +74,7 @@ def by_first_position(numbers: list[int]) -> list[int]:
 
 
 def assert_refinement_agrees(s1, s2) -> None:
-    *rounds, stable = _refine({}, s1.colours() + s2.colours(), s1, s2)
+    *rounds, stable = _refine({}, s1, s2)
     expected = ref.union_rounds(s1, s2)
     nodes = [(0, w) for w in s1.worlds] + [(1, w) for w in s2.worlds]
     assert list(map(by_first_position, rounds)) == [[ids[n] for n in nodes] for ids in expected]
@@ -106,7 +106,7 @@ def assert_attention_pair_agrees(s1: AttentionState, s2: AttentionState) -> None
 
 
 def test_colour_columns_match_the_reference_colouring():
-    """``colours()`` lists each world's colour as the oracle reads it off
+    """``colours`` lists each world's colour as the oracle reads it off
     the fields, budgets in signature order, also when that order is not
     the sorted one in which the state keys its budgets."""
     rng = random.Random(505)
@@ -116,7 +116,7 @@ def test_colour_columns_match_the_reference_colouring():
         sig = (SIG2, SIG3, unsorted)[case % 3]
         s = rand_state(rng, sig)
         for state in (s, kripke_rendition(s), rand_epistemic_state(rng, EPISTEMIC_SIGS[case % 3])):
-            assert state.colours() == [ref.colour(state, w) for w in state.worlds]
+            assert state.colours == tuple(ref.colour(state, w) for w in state.worlds)
         if sig is unsorted:
             order_matters += any(
                 [s.attention[a][w] for a in sig.agents]

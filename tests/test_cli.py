@@ -359,6 +359,32 @@ class TestCommands:
         assert done.returncode == 2, done.stderr
 
 
+# The loader tests' malformed documents, and one whose world carries atoms
+# the signature does not know, as JSON text by name.
+HASH_SEED_DOCUMENTS = {
+    **{f"deep-{name}": text for name, text in DEEP_DOCUMENTS.items()},
+    **{f"spare-model-{n}": with_spare_model(c) for n, (c, _) in enumerate(UNUSED_MODEL_FAULTS)},
+    "unpriced": with_costs_emptied(),
+    "intransitive": with_intransitive_facts(),
+    "unknown-atoms": mutated(("states", "init", "worlds", "pq", "atoms"), list("pqrst")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_SEED_DOCUMENTS))
+def test_validate_prints_the_same_under_any_hash_seed(name, tmp_path):
+    task = tmp_path / "doc.task"
+    task.write_text(HASH_SEED_DOCUMENTS[name])
+    outcomes = [
+        subprocess.run(
+            [sys.executable, "-m", "attnplan", "validate", "--task", str(task)],
+            capture_output=True, env={**cli_env(), "PYTHONHASHSEED": seed}, timeout=60,
+        )
+        for seed in ("0", "1")
+    ]
+    first, second = ((d.returncode, d.stdout, d.stderr) for d in outcomes)
+    assert first == second
+
+
 def like(node):
     """A value of ``node``'s JSON type, from the bundled two-facts document
     where it can be: a key or string leaf for a string, a small integer for

@@ -246,18 +246,18 @@ def test_only_the_trusted_sites_skip_normalization():
     assert naming_sites(sources, "_normal") == TRUSTED_SITES
 
 
-# The sites that run the refinement loop: ``_quotient`` after its path for
-# discrete states, and ``_separation``, which ``_compare`` reaches after its
-# colour matching and ``distinguishing_formula`` for the rounds.  A new
-# caller would skip the discrete paths.
+# The sites that run the refinement loop: ``_quotient`` for states that are
+# not discrete, and ``_separation``, which ``_compare`` reaches unless two
+# discrete states have equal block forms and ``distinguishing_formula`` for
+# the rounds.  A new caller would skip the discrete paths.
 REFINE_SITES = ["bisim.py: _separation", "bisim.py: _quotient"]
 
 
 def test_the_check_finds_every_site_naming_refine():
     source = (
-        "def _refine(table, colours, *states):\n    return [[0]]\n\n"
-        "def _separation(s1, s2, c):\n    return _refine({}, c, s1, s2)\n\n"
-        "def contract(s):\n    return bisim._refine({}, s.colours(), s)[-1]\n\n"
+        "def _refine(table, *states):\n    return [[0]]\n\n"
+        "def _separation(s1, s2):\n    return _refine({}, s1, s2)\n\n"
+        "def contract(s):\n    return bisim._refine({}, s)[-1]\n\n"
         "def refiner():\n    return _refine\n"
     )
     assert naming_sites({"a.py": source}, "_refine") == [

@@ -111,6 +111,11 @@ class TestSharedAtoms:
         gt = parse_formula(SIG, "(att_i > 2)")
         assert gt.left.sub is att_lt("i", 2) and gt.right.sub is att_eq("i", 2)
 
+    def test_falsity_is_one_node(self):
+        assert bot() is bot() and bot() == Not(TOP) and bot().sub is TOP
+        assert parse_formula(SIG, "F") is bot()
+        assert format_formula(bot()) == "~T"
+
     def test_signature_lists_the_shared_objects(self):
         for atom in SIG2.attention_atoms():
             constructor = att_eq if isinstance(atom, AttEq) else att_lt

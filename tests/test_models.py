@@ -116,6 +116,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             close_into_partition(("a",), [["a", "zz"]])
 
+    def test_colour_column_is_computed_once_per_state(self):
+        s = small_state()
+        for state in (s, kripke_rendition(s)):  # built normalized, and by ``_normal``
+            assert "colours" not in vars(state)
+            assert state.colours is state.colours
+            assert vars(state)["colours"] is state.colours
+            copy = replace(state)
+            assert "colours" not in vars(copy)
+            assert copy.colours == state.colours and copy.colours is not state.colours
+
 
 class TestValidation:
     def test_clean_state_has_no_violations(self):
@@ -128,6 +138,13 @@ class TestValidation:
     def test_detects_unknown_atoms(self):
         s = small_state(valuation={"w": frozenset({"mystery"})})
         assert any("mystery" in v for v in validate_state(s))
+
+    def test_unknown_atoms_are_reported_in_repr_order(self):
+        # Not in frozenset order, which varies with the string hash seed.
+        s = small_state(valuation={"w": frozenset({"t", "p", "r", "q", "s"})})
+        assert validate_state(s) == [
+            f"world 'w' carries unknown atom {atom!r}" for atom in ("q", "r", "s", "t")
+        ]
 
     def test_detects_partition_not_covering(self):
         s = small_state(partitions={"i": (frozenset({"w"}),)})
