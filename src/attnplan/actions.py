@@ -78,7 +78,7 @@ from .models import (
     Partition,
     _Labelling,
     _eval,
-    _known_atoms,
+    _known_atom,
     _normalize_partition,
     _partition_faults,
     _require_actual,
@@ -337,9 +337,8 @@ class EpistemicAction:
         faults = _event_model_faults(self, dict.fromkeys((self.actual, *self.actual_family)))
         if faults:
             raise AttnPlanError(faults[0])
-        known = _known_atoms(self.sig)
         for event in {id(m): e for e, m in self.post.items()}.values():
-            unknown = self.post[event].keys() - known
+            unknown = [a for a in self.post[event] if not _known_atom(self.sig, a)]
             if unknown:
                 names = ", ".join(sorted(map(repr, unknown)))
                 raise AttnPlanError(f"post of {event!r} writes unknown atoms: {names}")

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Hashable
 
-from .errors import SignatureMismatch
+from .errors import SignatureMismatch, StateValidationError
 from .logic import Formula, Know, Not, PropAtom, and_all
-from .models import AttentionState, EpistemicState, _eval, _known_atoms, _require_actual
+from .models import AttentionState, EpistemicState, _eval, _known_atom, _require_actual
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,11 @@ def _refine(table: dict[Hashable, int], *states) -> list[list[int]]:
     offset = 0
     for s in states:
         position = dict(zip(s.worlds, range(offset, offset + len(s.worlds))))
-        for agent, own in zip(sig.agents, blocks):
-            own.extend([position[w] for w in block] for block in s.partitions[agent])
+        try:
+            for agent, own in zip(sig.agents, blocks):
+                own.extend([position[w] for w in block] for block in s.partitions[agent])
+        except KeyError:
+            raise StateValidationError(s._relation_faults()) from None
         offset += len(s.worlds)
     keys: list[Hashable] = [colour for s in states for colour in s.colours]
     rounds: list[list[int]] = []
@@ -125,10 +128,13 @@ def _canonical_key(s) -> tuple:
     """A discrete state's canonical form: per agent, the set of its blocks,
     each as the set of its worlds' colours, and the actual world's colour."""
     colour = dict(zip(s.worlds, s.colours))
-    blocks = tuple(
-        frozenset(frozenset(map(colour.__getitem__, b)) for b in bs)
-        for bs in s.partitions.values()
-    )
+    try:
+        blocks = tuple(
+            frozenset(frozenset(map(colour.__getitem__, b)) for b in bs)
+            for bs in s.partitions.values()
+        )
+    except KeyError:
+        raise StateValidationError(s._relation_faults()) from None
     return blocks, s.colours[_actual_position(s)]
 
 
@@ -251,7 +257,7 @@ def distinguishing_formula(
     rounds, actual1, separated = _separation(k1, k2)
     if separated is None or separated > max_rounds:
         return None
-    sig, known = k1.sig, _known_atoms(k1.sig)
+    sig = k1.sig
     nodes = [(side, w) for side, s in enumerate(states) for w in s.worlds]
     index = {node: n for n, node in enumerate(nodes)}
     reps: dict[tuple[int, int], int] = {}
@@ -269,7 +275,7 @@ def distinguishing_formula(
         if r == 0:
             own = valuations[cid]
             for other in valuations.values():
-                differ = [atom for atom in own ^ other if atom in known]
+                differ = [atom for atom in own ^ other if _known_atom(sig, atom)]
                 if differ:
                     atom = min(differ, key=repr)
                     f = PropAtom(atom) if isinstance(atom, str) else atom

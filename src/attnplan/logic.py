@@ -20,23 +20,28 @@ has one shared object: the package builds ``AttEq`` and ``AttLess`` only
 through the cached constructors ``att_eq`` and ``att_lt``, which a copy
 goes back to.  The tables keep one atom per agent and value asked for.
 
-``subformulas`` and the fold ``_fold`` (``format_formula``, ``modal_depth``,
-the loader's hash-consing ``_intern``) walk on an explicit stack, so they
-read a formula of any depth; the parser, ``_to_nnf`` and evaluators recurse.
+``subformulas``, the fold ``_fold`` (``format_formula``, ``modal_depth``,
+the loader's hash-consing ``_intern``) and the tableau walk on explicit
+stacks, so they read a formula of any depth; the parser and the evaluators
+recurse.
 
-Validity and entailment are decided by a tableau over equivalence-class
-("clique") relations: each agent's accessibility within a branch is a
-partition of the branch's worlds grown by diamond witnesses, and each
-(agent, clique) pair carries a set of candidate attention values narrowed
-by attention literals, which makes attention introspection come out valid
-without extra rules.
+Validity and entailment are decided by a signed tableau (Smullyan's signed
+formulas) over equivalence-class ("clique") relations.  Each obligation
+asks that a formula node be true or false at a world, so the tableau reads
+the formula as it is, with no normal form: a negation flips the sign, a
+true conjunction adds both sides and a false one is the only split, a true
+``K_i`` is a box and a false one a diamond.  Each agent's accessibility
+within a branch is a partition of the branch's worlds grown by diamond
+witnesses, and each (agent, clique) pair carries its candidate attention
+values, an interval less excluded values, narrowed by attention literals,
+which makes attention introspection come out valid without extra rules.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import FormulaSyntaxError, FormulaValidationError
@@ -553,38 +558,10 @@ def parse_formula(sig: Signature, text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Satisfiability: negation normal form
+# Satisfiability: signed clique tableau
 
-# NNF nodes are plain tuples so they hash cheaply:
-#   ("top",) ("bot",) ("lit", name, polarity)
-#   ("atteq", agent, n, polarity) ("attless", agent, n, polarity)
-#   ("and", a, b) ("or", a, b) ("box", agent, a) ("dia", agent, a)
-
-_Nnf = tuple
-
-
-def _to_nnf(f: Formula, positive: bool) -> _Nnf:
-    if isinstance(f, Top):
-        return ("top",) if positive else ("bot",)
-    if isinstance(f, PropAtom):
-        return ("lit", f.name, positive)
-    if isinstance(f, AttEq):
-        return ("atteq", f.agent, f.bound, positive)
-    if isinstance(f, AttLess):
-        return ("attless", f.agent, f.bound, positive)
-    if isinstance(f, Not):
-        return _to_nnf(f.sub, not positive)
-    if isinstance(f, And):
-        left = _to_nnf(f.left, positive)
-        right = _to_nnf(f.right, positive)
-        return ("and" if positive else "or", left, right)
-    if isinstance(f, Know):
-        return ("box" if positive else "dia", f.agent, _to_nnf(f.sub, positive))
-    raise ValueError(f"not a formula node: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Satisfiability: clique tableau
+# An obligation ``(world, formula, holds)`` asks that ``formula`` be true
+# (``holds``) or false at ``world``.
 
 
 class _Branch:
@@ -601,12 +578,12 @@ class _Branch:
         self.next_clique = 0
         self.clique: dict[tuple[str, int], int] = {}
         self.members: dict[int, list[int]] = {}
-        self.boxes: dict[int, list[_Nnf]] = {}
+        self.boxes: dict[int, list[Formula]] = {}  # bodies that hold at every member
         self.att: dict[int, tuple[int, int, frozenset[int]]] = {}
         self.lits: dict[tuple[int, str], bool] = {}
-        self.seen: set[tuple[int, _Nnf]] = set()
-        self.todo: list[tuple[int, _Nnf]] = []
-        self.splits: list[tuple[int, _Nnf]] = []
+        self.seen: set[tuple[int, Formula, bool]] = set()
+        self.todo: list[tuple[int, Formula, bool]] = []
+        self.splits: list[tuple[int, And]] = []  # conjunctions that fail
 
     def clone(self) -> "_Branch":
         other = _Branch.__new__(_Branch)
@@ -633,8 +610,8 @@ class _Branch:
             self.boxes[cid] = []
         return cid
 
-    def push(self, world: int, node: _Nnf) -> None:
-        key = (world, node)
+    def push(self, world: int, f: Formula, holds: bool) -> None:
+        key = (world, f, holds)
         if key not in self.seen:
             self.seen.add(key)
             self.todo.append(key)
@@ -643,93 +620,93 @@ class _Branch:
 def _expand(branch: _Branch) -> bool:
     """Apply non-branching rules to a fixpoint; False when the branch closes."""
     while branch.todo:
-        world, node = branch.todo.pop()
-        kind = node[0]
-        if kind == "top":
-            continue
-        if kind == "bot":
-            return False
-        if kind == "lit":
-            _, name, polarity = node
-            prior = branch.lits.get((world, name))
-            if prior is not None and prior != polarity:
+        world, f, holds = branch.todo.pop()
+        kind = type(f)
+        if kind is Not:
+            branch.push(world, f.sub, not holds)
+        elif kind is And:
+            if holds:
+                branch.push(world, f.left, True)
+                branch.push(world, f.right, True)
+            else:
+                branch.splits.append((world, f))
+        elif kind is PropAtom:
+            prior = branch.lits.get((world, f.name))
+            if prior is not None and prior != holds:
                 return False
-            branch.lits[(world, name)] = polarity
-        elif kind in ("atteq", "attless"):
-            _, agent, n, polarity = node
-            cid = branch.clique_of(agent, world)
+            branch.lits[(world, f.name)] = holds
+        elif kind is AttEq or kind is AttLess:
+            cid = branch.clique_of(f.agent, world)
             # The clique's budget lies in [low, high] and outside excluded.
             low, high, excluded = branch.att.get(cid, (0, branch.bound, frozenset()))
-            if kind == "atteq" and polarity:
-                low, high = max(low, n), min(high, n)
-            elif kind == "atteq":
-                excluded |= {n}
-            elif polarity:
-                high = min(high, n - 1)
+            if kind is AttEq and holds:
+                low, high = max(low, f.bound), min(high, f.bound)
+            elif kind is AttEq:
+                excluded |= {f.bound}
+            elif holds:
+                high = min(high, f.bound - 1)
             else:
-                low = max(low, n)
+                low = max(low, f.bound)
             branch.att[cid] = (low, high, excluded)
             if sum(low <= v <= high for v in excluded) > high - low:
                 return False
-        elif kind == "and":
-            branch.push(world, node[1])
-            branch.push(world, node[2])
-        elif kind == "or":
-            branch.splits.append((world, node))
-        elif kind == "box":
-            _, agent, body = node
-            cid = branch.clique_of(agent, world)
-            branch.boxes[cid].append(body)
+        elif kind is Know and holds:  # a box: the body holds across the clique
+            cid = branch.clique_of(f.agent, world)
+            branch.boxes[cid].append(f.sub)
             for member in branch.members[cid]:
-                branch.push(member, body)
-        elif kind == "dia":
-            _, agent, body = node
-            cid = branch.clique_of(agent, world)
-            if any((member, body) in branch.seen for member in branch.members[cid]):
+                branch.push(member, f.sub, True)
+        elif kind is Know:  # a diamond: the body fails at some member
+            cid = branch.clique_of(f.agent, world)
+            if any((member, f.sub, False) in branch.seen for member in branch.members[cid]):
                 continue
             fresh = branch.next_world
             branch.next_world += 1
-            branch.clique[(agent, fresh)] = cid
+            branch.clique[(f.agent, fresh)] = cid
             branch.members[cid].append(fresh)
-            branch.push(fresh, body)
-            for body_box in branch.boxes[cid]:
-                branch.push(fresh, body_box)
+            branch.push(fresh, f.sub, False)
+            for body in branch.boxes[cid]:
+                branch.push(fresh, body, True)
+        elif kind is Top:
+            if not holds:
+                return False
         else:
-            raise ValueError(f"unknown node kind {kind!r}")
+            raise ValueError(f"not a formula node: {f!r}")
     return True
 
 
-def _satisfiable_branch(branch: _Branch) -> bool:
-    if not _expand(branch):
-        return False
-    if not branch.splits:
-        return True
-    world, node = branch.splits.pop()
-    for alternative in (node[1], node[2]):
-        candidate = branch.clone()
-        candidate.push(world, alternative)
-        if _satisfiable_branch(candidate):
+def _satisfiable(bound: int, f: Formula, holds: bool) -> bool:
+    """Whether some model with budgets up to ``bound`` makes ``f`` true
+    (``holds``) or false at a world.  Depth first on an explicit stack of
+    (branch, pending disjunct) entries: a branch is cloned when an entry is
+    popped, and a failing conjunction's left side is tried first."""
+    root = _Branch(bound)
+    root.push(0, f, holds)
+    stack: list[tuple[_Branch, tuple[int, Formula] | None]] = [(root, None)]
+    while stack:
+        branch, pending = stack.pop()
+        if pending is not None:
+            branch = branch.clone()
+            branch.push(*pending, False)
+        if not _expand(branch):
+            continue
+        if not branch.splits:
             return True
+        world, conjunction = branch.splits.pop()
+        stack.append((branch, (world, conjunction.right)))
+        stack.append((branch, (world, conjunction.left)))
     return False
-
-
-@lru_cache(maxsize=65536)
-def _satisfiable(bound: int, node: _Nnf) -> bool:
-    branch = _Branch(bound)
-    branch.push(0, node)
-    return _satisfiable_branch(branch)
 
 
 def is_satisfiable(sig: Signature, f: Formula) -> bool:
     """Whether some pointed model over ``sig`` makes ``f`` true."""
     validate_formula(sig, f)
-    return _satisfiable(sig.attention_bound, _to_nnf(f, True))
+    return _satisfiable(sig.attention_bound, f, True)
 
 
 def is_valid(sig: Signature, f: Formula) -> bool:
     """Whether ``f`` holds at every world of every model over ``sig``."""
     validate_formula(sig, f)
-    return not _satisfiable(sig.attention_bound, _to_nnf(f, False))
+    return not _satisfiable(sig.attention_bound, f, False)
 
 
 def entails(sig: Signature, f: Formula, g: Formula) -> bool:
@@ -739,4 +716,4 @@ def entails(sig: Signature, f: Formula, g: Formula) -> bool:
 
 def _entails(sig: Signature, f: Formula, g: Formula) -> bool:
     """``entails`` for formulas already validated against ``sig``."""
-    return not _satisfiable(sig.attention_bound, _to_nnf(implies(f, g), False))
+    return not _satisfiable(sig.attention_bound, implies(f, g), False)

@@ -31,7 +31,7 @@ where building a labelling costs more than it saves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, TypeVar, Union
 
 from .errors import FormulaValidationError, SignatureMismatch, StateValidationError
@@ -54,12 +54,17 @@ Atom = Union[str, AttEq, AttLess]
 Partition = tuple[frozenset[str], ...]
 
 
-@cache
-def _known_atoms(sig: Signature) -> frozenset[Atom]:
-    """The atoms a valuation over ``sig`` may list: its propositional atoms
-    and its shared attention atoms, whose stored hashes a set difference
-    reuses."""
-    return frozenset(sig.prop_atoms + sig.attention_atoms())
+def _known_atom(sig: Signature, atom: Atom) -> bool:
+    """Whether a valuation over ``sig`` may list ``atom``: one of its
+    propositional atoms, or an attention atom of one of its agents with a
+    value in 0..bound.  Its cost does not grow with the bound."""
+    if isinstance(atom, str):
+        return atom in sig.prop_atoms
+    return (
+        isinstance(atom, (AttEq, AttLess))
+        and atom.agent in sig.agents
+        and atom.bound in range(sig.attention_bound + 1)
+    )
 
 
 def close_into_partition(items: tuple[str, ...], groups: Iterable[Iterable[str]]) -> Partition:
@@ -163,6 +168,17 @@ class _PartitionModel:
             for agent, blocks in self.partitions.items()
         }
 
+    def _relation_faults(self) -> list[str]:
+        """``validate_state``'s diagnostics of the partitions, which the bisim
+        entries raise when a block names a world that this state lacks."""
+        out = []
+        if set(self.partitions) != set(self.sig.agents):
+            out.append("partitions do not cover exactly the signature's agents")
+        for agent, blocks in self.partitions.items():
+            faults = _partition_faults(self.worlds, blocks, "worlds")
+            out.extend(f"agent {agent!r} {fault}" for fault in faults)
+        return out
+
     def block_of(self, agent: str, world: str) -> frozenset[str]:
         if agent not in self._blocks:  # from a formula no gate has walked
             raise FormulaValidationError(f"unknown agent {agent!r}")
@@ -259,11 +275,7 @@ def validate_state(s: AttentionState) -> list[str]:
     for world, atoms in s.valuation.items():
         for atom in sorted(atoms - props, key=repr):
             out.append(f"world {world!r} carries unknown atom {atom!r}")
-    if set(s.partitions) != set(s.sig.agents):
-        out.append("partitions do not cover exactly the signature's agents")
-    for agent, blocks in s.partitions.items():
-        faults = _partition_faults(s.worlds, blocks, "worlds")
-        out.extend(f"agent {agent!r} {fault}" for fault in faults)
+    out.extend(s._relation_faults())
     if set(s.attention) != set(s.sig.agents):
         out.append("attention map does not cover exactly the signature's agents")
     for agent, per_world in s.attention.items():

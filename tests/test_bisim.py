@@ -20,7 +20,7 @@ from attnplan.bisim import (
     kripke_bisimilar,
 )
 from attnplan.errors import SignatureMismatch, StateValidationError
-from attnplan.logic import Signature, format_formula, modal_depth
+from attnplan.logic import PropAtom, Signature, format_formula, modal_depth
 from attnplan.models import (
     AttentionState,
     EpistemicState,
@@ -29,7 +29,7 @@ from attnplan.models import (
     kripke_rendition,
     validate_state,
 )
-from attnplan.planner import _generated
+from attnplan.planner import PlanningTask, _generated, solve_bounded
 
 from generators import (
     SIG2,
@@ -497,3 +497,68 @@ class TestActualNotAWorld:
         k_bad = replace(k_good, actual=bad.actual)
         self.assert_refused(lambda: distinguishing_formula(k_bad, k_good), message)
         self.assert_refused(lambda: distinguishing_formula(k_good, k_bad), message)
+
+
+class TestBlockNamesNoWorld:
+    """Each entry refuses a hand-built state whose partition names a world it
+    lacks (worlds ``a, b``, blocks ``{a, z}, {b}``) with ``validate_state``'s
+    message, on a discrete state, which skips refinement, and on one that
+    is not, on either side of a comparison."""
+
+    SIG = Signature(agents=("i",), attention_bound=1, prop_atoms=("p",))
+    MESSAGE = "agent 'i' does not partition the worlds exactly: unknown ['z']"
+    BLOCKS = {"i": (frozenset({"a", "z"}), frozenset({"b"}))}
+
+    @pytest.fixture(params=["discrete", "not discrete"])
+    def valuation(self, request):
+        p = frozenset({"p"}) if request.param == "discrete" else frozenset()
+        return {"a": p, "b": frozenset()}
+
+    def attention_states(self, valuation):
+        bad = AttentionState(
+            sig=self.SIG,
+            worlds=("a", "b"),
+            partitions=self.BLOCKS,
+            valuation=valuation,
+            attention={"i": {"a": 0, "b": 0}},
+            actual="a",
+        )
+        assert validate_state(bad) == [self.MESSAGE]
+        good = replace(bad, partitions={"i": (frozenset({"a"}), frozenset({"b"}))})
+        return good, bad
+
+    def epistemic_states(self, valuation):
+        bad = EpistemicState(
+            sig=self.SIG, worlds=("a", "b"), partitions=self.BLOCKS, valuation=valuation, actual="a"
+        )
+        return replace(bad, partitions={"i": (frozenset({"a", "b"}),)}), bad
+
+    def assert_refused(self, call):
+        with pytest.raises(StateValidationError) as caught:
+            call()
+        assert caught.value.violations == [self.MESSAGE]
+
+    def test_bisimilar(self, valuation):
+        good, bad = self.attention_states(valuation)
+        self.assert_refused(lambda: bisimilar(bad, good))
+        self.assert_refused(lambda: bisimilar(good, bad))
+        self.assert_refused(lambda: bisimilar(bad, bad))
+
+    def test_contract(self, valuation):
+        _, bad = self.attention_states(valuation)
+        self.assert_refused(lambda: contract(bad))
+
+    def test_kripke_bisimilar(self, valuation):
+        good, bad = self.epistemic_states(valuation)
+        self.assert_refused(lambda: kripke_bisimilar(bad, good))
+        self.assert_refused(lambda: kripke_bisimilar(good, bad))
+
+    def test_distinguishing_formula(self, valuation):
+        good, bad = self.epistemic_states(valuation)
+        self.assert_refused(lambda: distinguishing_formula(bad, good))
+        self.assert_refused(lambda: distinguishing_formula(good, bad))
+
+    def test_solve_bounded(self, valuation):
+        _, bad = self.attention_states(valuation)
+        task = PlanningTask(name="t", initial=bad, actions=(), goal=PropAtom("p"))
+        self.assert_refused(lambda: solve_bounded(task, 2))

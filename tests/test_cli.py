@@ -258,6 +258,26 @@ class TestCommands:
         assert run(["plan", "--task", str(path), "--name", "main"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_a_flat_deep_question_answers_as_its_atom(self, capsys, tmp_path):
+        """``p | p | ...`` with 400 disjuncts parses flat but nests about
+        1,200 nodes deep; the prover reads it on explicit stacks, so each
+        command that asks it prints what the question ``p`` prints."""
+        commands = [
+            ["update", "--state", "init", "--actions", "ask_p,ask_imp"],
+            ["plan", "--name", "main"],
+            ["emulate", "--direction", "to-post", "--action", "ask_p"],
+        ]
+        path, deep = tmp_path / "question.task", " | ".join(["p"] * 400)
+        printed = {}
+        for question in ("p", deep):
+            path.write_text(mutated(("actions", "ask_p", "questions", "i"), question))
+            printed[question] = []
+            for command in commands:
+                code = run([command[0], "--task", str(path), *command[1:]])
+                printed[question].append((code, *capsys.readouterr()))
+        assert [code for code, _, _ in printed["p"]] == [0, 0, 0]
+        assert printed[deep] == printed["p"]
+
     @pytest.mark.parametrize(
         "costs,fault",
         [

@@ -1,6 +1,7 @@
 """Translations between budgeted actions and postcondition actions."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -329,6 +330,48 @@ class TestFromNopost:
         assert x.model.cost_of("i", P, "e") == 0
         assert x.questions["i"] == TOP
         assert x.model.q == y.q
+
+    def test_the_gate_does_not_grow_with_the_bound(self):
+        """The gate asks of each post key whether the signature knows it,
+        never listing the 2 * agents * (bound + 1) attention atoms, so at a
+        bound of a million it stays small, and its message names the
+        unknown keys, in repr order, as before."""
+        bound = 10**6
+        sig = Signature(agents=("i", "j"), attention_bound=bound, prop_atoms=("p",))
+        y = EpistemicAction(
+            sig=sig,
+            events=("e", "f"),
+            q={"i": (frozenset({"e"}), frozenset({"f"})), "j": (frozenset({"e", "f"}),)},
+            pre={"e": P, "f": Not(P)},
+            post={},
+            actual="e",
+        )
+        tracemalloc.start()
+        try:
+            x = from_nopost(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert x.model.events == ("e", "f")
+        known = {"p": TOP, att_eq("i", bound): TOP, att_lt("j", bound): TOP, att_eq("j", 0): TOP}
+        unknown = {AttEq("i", bound + 1): TOP, AttLess("j", -1): TOP, AttEq("zz", 0): TOP, "q": TOP}
+        writing = replace(y, post={"e": known, "f": {**known, **unknown}})
+        message = (
+            "post of 'f' writes unknown atoms: 'q', AttEq(agent='i', bound=1000001), "
+            "AttEq(agent='zz', bound=0), AttLess(agent='j', bound=-1)"
+        )
+        state = AttentionState(
+            sig=sig,
+            worlds=("w",),
+            partitions={"i": (frozenset({"w"}),), "j": (frozenset({"w"}),)},
+            valuation={"w": frozenset({"p"})},
+            attention={"i": {"w": 0}, "j": {"w": 0}},
+            actual="w",
+        )
+        with pytest.raises(AttnPlanError) as caught:
+            resolve_actual(writing, state)
+        assert str(caught.value) == message
 
 
 class TestEquivalence:

@@ -18,6 +18,8 @@ Only ``applicable`` reads the value of an action's gate ``_actual_pre``;
 every other site passes the gate as a marked bare statement.  The only
 functions that call themselves are the listed recursive walkers, so no new
 walker overflows the stack on a deep formula.
+Only the interning constructors ``att_eq`` and ``att_lt`` keep a
+process-wide memo (``cache`` or ``lru_cache``).
 The reference modules under ``tests/`` import no private name of the
 package, apart from one listed exception.  No cached property hands out an
 empty table for code outside its class to fill, so every cached property
@@ -294,15 +296,14 @@ def test_the_loader_checks_each_model_once():
 
 
 # The functions that call themselves.  Every other walk over a formula runs
-# on an explicit stack (``logic._fold``, ``subformulas``), so it reads a
-# formula of any depth; these recurse once per level and stay so, the
-# labelling and the evaluator because explicit-stack versions were slower.
+# on an explicit stack (``logic._fold``, ``subformulas``, the tableau's
+# ``_expand`` and ``_satisfiable``), so it reads a formula of any depth;
+# these recurse once per level and stay so, the labelling and the evaluator
+# because explicit-stack versions were slower.
 SELF_CALLING = [
     "bisim.py: distinguishing_formula.chi",
     "logic.py: _Parser.formula",
     "logic.py: _Parser.unary",
-    "logic.py: _satisfiable_branch",
-    "logic.py: _to_nnf",
     "models.py: _Labelling.extension",
     "models.py: _eval",
 ]
@@ -359,6 +360,50 @@ def test_the_check_finds_every_self_calling_function():
 def test_only_the_listed_functions_call_themselves():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert sorted(self_calling(sources)) == SELF_CALLING
+
+
+# The functions that keep a process-wide memo: the interning constructors,
+# whose tables give each attention atom one shared object.  The benchmark
+# empties every such table before each operation, as a fresh process would
+# have it, so a table that outlives one call should be a reviewed decision.
+MEMOISED = ["logic.py: att_eq", "logic.py: att_lt"]
+
+
+def memoised(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level function, and each method of a
+    module-level class (``Class.name``), decorated with ``cache`` or
+    ``lru_cache``, bare, called or through ``functools``."""
+    out = []
+    for module, source in sorted(sources.items()):
+        for label, node in sites(source):
+            if isinstance(node, ast.FunctionDef) and any(
+                {"cache", "lru_cache"} & referenced_names(d) for d in node.decorator_list
+            ):
+                out.append(f"{module}: {label}")
+    return out
+
+
+def test_the_check_finds_every_memoised_function():
+    source = (
+        "@cache\ndef atom(n):\n    return n\n\n"
+        "@functools.lru_cache(maxsize=8)\ndef sat(f):\n    return f\n\n"
+        "@lru_cache\ndef bare(f):\n    return f\n\n"
+        "def outer(f):\n    @cache\n    def inner(g):\n        return g\n    return inner(f)\n\n"
+        "class C:\n"
+        "    @functools.cache\n    def method(self):\n        return 1\n\n"
+        "    @cached_property\n    def column(self):\n        return 1\n"
+    )
+    assert memoised({"a.py": source}) == [
+        "a.py: atom",
+        "a.py: sat",
+        "a.py: bare",
+        "a.py: C.method",
+    ]
+
+
+def test_only_the_listed_functions_keep_a_process_wide_memo():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert memoised(sources) == MEMOISED
 
 
 # The sites that catch ``RecursionError``: the parser, which recurses, and

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -457,6 +458,36 @@ class TestProver:
             answers.append(is_satisfiable(sig, f))
             assert answers[-1] == any(check(s, f) for s in states)
         assert answers.count(True) >= 60 and answers.count(False) >= 30
+
+    def test_agrees_with_the_reference_tableau(self):
+        """The signed tableau gives the earlier normal-form tableau's answers
+        on seeded formulas with knowledge and attention atoms over two
+        agents at bounds 0 to 3, and each verdict occurs often."""
+        rng = random.Random(4217)
+        verdicts = Counter()
+        modal_and_attention = 0
+        for k in range(1200):
+            sig = Signature(agents=("a", "b"), attention_bound=k % 4, prop_atoms=("p", "q"))
+            f = rand_formula(rng, sig, max_modal_depth=2, max_size=rng.randint(3, 14))
+            satisfiable, valid = is_satisfiable(sig, f), is_valid(sig, f)
+            expected = reference_logic.is_satisfiable(sig, f), reference_logic.is_valid(sig, f)
+            assert (satisfiable, valid) == expected, format_formula(f)
+            verdicts["valid" if valid else "satisfiable" if satisfiable else "unsatisfiable"] += 1
+            kinds = {type(g) for g in subformulas(f)}
+            modal_and_attention += Know in kinds and bool(kinds & {AttEq, AttLess})
+        assert min(verdicts[v] for v in ("valid", "satisfiable", "unsatisfiable")) >= 50
+        assert modal_and_attention >= 200
+
+    def test_deep_formulas_are_decided(self):
+        """The tableau reads a formula under a sign on explicit stacks, so a
+        2,000-way disjunction (about 6,000 nodes deep) and a 2,000-way
+        conjunction, negated or not, are decided."""
+        p = PropAtom("p")
+        assert is_valid(SIG, or_all([p, Not(p)] * 1000))
+        assert not is_valid(SIG, or_all([p] * 2000))
+        assert is_satisfiable(SIG, Not(and_all([p, Not(p)] * 1000)))
+        assert not is_satisfiable(SIG, and_all([p, Not(p)] * 1000))
+        assert entails(SIG, and_all([p] * 2000), or_all([PropAtom("q"), p] * 1000))
 
     def test_cost_does_not_grow_with_the_bound(self):
         """A clique's budget is kept as an interval less some excluded
