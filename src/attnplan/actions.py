@@ -63,11 +63,13 @@ from .logic import (
     AttEq,
     AttLess,
     Formula,
+    Not,
     PropAtom,
     Signature,
     Top,
     TOP,
     _entails,
+    att_eq,
     or_all,
     validate_formula,
 )
@@ -272,18 +274,58 @@ class _Reading(NamedTuple):
     atoms that its atom-valued entries copy, as a valuation lists them (the
     name for a ``PropAtom``, the atom itself for an attention atom), with
     ``writes`` giving the keys each one sets; and its other entries' keys
-    grouped by formula.  The sets are frozensets, whose algebra reuses the
+    grouped by formula.  On an attention state, whose valuation lists no
+    attention atom, ``labelled`` groups by formula the propositional keys
+    whose formula is no ``PropAtom``, and ``charges`` gives each agent the
+    budget shift its attention entries make, None where they make none
+    (``_read_post``).  The sets are frozensets, whose algebra reuses the
     hashes they store."""
 
     keys: frozenset[Atom]
     read: frozenset[Atom]
     writes: dict[Atom, frozenset[Atom]]
     groups: dict[Formula, frozenset[Atom]]
+    labelled: dict[Formula, frozenset[str]]
+    charges: dict[str, int | None]
 
 
-def _read_post(post: Mapping[Atom, Formula]) -> _Reading:
+def _span(f: Formula, agent: str, bound: int) -> tuple[int, int] | None:
+    """The budgets in 0..bound at which ``f`` holds for ``agent``, an
+    interval ``(first, last)``, or ``(1, 0)`` for none; None unless ``f`` is
+    ``T``, ``~T`` or an attention atom of ``agent``."""
+    if isinstance(f, AttLess):
+        if f.agent == agent:
+            return (0, min(f.bound - 1, bound)) if f.bound > 0 else (1, 0)
+    elif isinstance(f, AttEq):
+        if f.agent == agent:
+            return (f.bound, f.bound) if 0 <= f.bound <= bound else (1, 0)
+    elif isinstance(f, Top):
+        return (0, bound)
+    elif isinstance(f, Not) and isinstance(f.sub, Top):
+        return (1, 0)
+    return None
+
+
+def _read_post(post: Mapping[Atom, Formula], sig: Signature) -> _Reading:
+    """One pass over ``post``'s entries.  Besides the groups, it decides per
+    agent whether the attention entries are a budget shift by a charge c:
+    every attention key of the agent holds at budget b exactly when it
+    would hold at ``max(0, b - c)``.  Each entry's formula holds on an
+    interval of budgets (``_span``), compared with the one its key needs.
+    c is read off the ``(att = 0)`` entry, which holds up to budget c, and
+    is 0 when no entry writes that key; an unwritten key keeps its own
+    value, so for c >= 1 every key but ``(att < 0)`` must be written.  The
+    gate has checked that every key is an atom of ``sig``."""
+    bound = sig.attention_bound
+    charges: dict[str, int | None] = {}
+    for agent in sig.agents:
+        zero = att_eq(agent, 0)
+        span = _span(post.get(zero, zero), agent, bound)
+        charges[agent] = span[1] if span is not None and span[0] == 0 <= span[1] else None
+    written = dict.fromkeys(sig.agents, 0)  # keys of each agent but (att < 0)
     writes: dict[Atom, list[Atom]] = {}
     groups: dict[Formula, list[Atom]] = {}
+    labelled: dict[Formula, list[str]] = {}
     for key, formula in post.items():
         if isinstance(formula, PropAtom):
             writes.setdefault(formula.name, []).append(key)
@@ -291,8 +333,30 @@ def _read_post(post: Mapping[Atom, Formula]) -> _Reading:
             writes.setdefault(formula, []).append(key)
         else:
             groups.setdefault(formula, []).append(key)
-    frozen = ({k: frozenset(keys) for k, keys in table.items()} for table in (writes, groups))
-    return _Reading(frozenset(post), frozenset(writes), *frozen)
+        if isinstance(key, str):
+            if not isinstance(formula, PropAtom):
+                labelled.setdefault(formula, []).append(key)
+            continue
+        agent, n = key.agent, key.bound
+        charge = charges[agent]
+        if charge is None:
+            continue
+        # The budgets b at which max(0, b - c) satisfies the key.
+        if isinstance(key, AttEq):
+            need = (n + charge, n + charge) if n else (0, charge)
+        else:
+            need = (0, n + charge - 1) if n else (1, 0)
+        if need[1] > bound:
+            need = (need[0], bound) if need[0] <= bound else (1, 0)
+        if _span(formula, agent, bound) != need:
+            charges[agent] = None
+        elif n or isinstance(key, AttEq):
+            written[agent] += 1
+    for agent, charge in charges.items():
+        if charge and written[agent] < 2 * bound + 1:
+            charges[agent] = None
+    frozen = ({k: frozenset(keys) for k, keys in t.items()} for t in (writes, groups, labelled))
+    return _Reading(frozenset(post), frozenset(writes), *frozen, charges)
 
 
 @dataclass(frozen=True)
@@ -351,13 +415,39 @@ class EpistemicAction:
         that share a map share its reading."""
         maps = {e: self.post.get(e, {}) for e in self.events}
         distinct = {id(m): m for m in maps.values()}
-        readings = {key: _read_post(m) for key, m in distinct.items()}
+        readings = {key: _read_post(m, self.sig) for key, m in distinct.items()}
         return {e: readings[id(m)] for e, m in maps.items()}
+
+    @cached_property
+    def _charges(self) -> dict[str, dict[str, int]] | str:
+        """Per agent, what each event's post map charges it, when every map
+        is a budget shift (``_Reading.charges``) and each agent's charge is
+        constant on its blocks of ``q``, as it must be for budgets of the
+        product to be constant on its blocks; otherwise the first fault, as
+        the message of the AttnPlanError that ``product_update`` raises on an
+        attention state."""
+        readings = self._readings
+        for e in self.events:
+            for agent, charge in readings[e].charges.items():
+                if charge is None:
+                    return f"post of {e!r} is no budget shift for agent {agent!r}"
+        charges = {a: {e: readings[e].charges[a] for e in self.events} for a in self.sig.agents}
+        for agent, charged in charges.items():
+            for block in self.q[agent]:
+                if len({charged[e] for e in block}) > 1:
+                    first, *rest = (e for e in self.events if e in block)
+                    e = next(e for e in rest if charged[e] != charged[first])
+                    return (
+                        f"post of {e!r} charges agent {agent!r} {charged[e]}, but "
+                        f"{first!r} in its block charges {charged[first]}: the "
+                        "budgets would not be constant on the agent's blocks"
+                    )
+        return charges
 
     def _member(self, actual: str) -> EpistemicAction:
         """This action with ``actual``, a member of its actual family, as
         its actual event.  The copy shares this action's maps, which this
-        action's gate has checked, and their readings, so it skips
+        action's gate has checked, their readings and charges, so it skips
         ``__post_init__``; its own gate checks only that ``actual`` is one of
         the events gated, and the readings are derived once for the whole
         family, however many members ``resolve_actual`` builds."""
@@ -370,6 +460,7 @@ class EpistemicAction:
             actual=actual,
             _actual_pre=self.pre[actual],
             _readings=self._readings,
+            _charges=self._charges,
         )
         return member
 
@@ -740,28 +831,51 @@ def background_announcement(x: AttentionAction) -> AttentionAction:
     )
 
 
-def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
-    """Standard product of an epistemic state with an epistemic action.
+def product_update(
+    k: AttentionState | EpistemicState, y: EpistemicAction
+) -> AttentionState | EpistemicState:
+    """Standard product of a state with an epistemic action, as a state of
+    the same kind.
 
-    A pair's valuation is its world's atoms minus the post map's keys plus
-    the keys whose formula holds at the world.  Each distinct map is read
-    through its reading (``EpistemicAction._readings``, derived once per
-    action).  A formula that is a bare atom holds at the world iff the
-    world's valuation lists it (a propositional atom by name, an attention
-    atom as itself), so one frozenset intersection with the reading's
-    ``read`` picks, exactly, the atom-valued entries that fire; each other
-    formula (``T``, ``~T``, compound ones) gets one ``extension`` per call,
-    and a pair tests one bit for it.  The result is written in normal form:
-    blocks in order of their first pair, maps in agent and pair order.
+    On an epistemic state, a pair's valuation is its world's atoms minus the
+    post map's keys plus the keys whose formula holds at the world.  Each
+    distinct map is read through its reading (``EpistemicAction._readings``,
+    derived once per action).  A formula that is a bare atom holds at the
+    world iff the world's valuation lists it (a propositional atom by name,
+    an attention atom as itself), so one frozenset intersection with the
+    reading's ``read`` picks, exactly, the atom-valued entries that fire;
+    each other formula (``T``, ``~T``, compound ones) gets one ``extension``
+    per call, and a pair tests one bit for it.
+
+    An attention state stands for its ``kripke_rendition``, and the result
+    is the attention state whose rendition is the product of that
+    rendition: every map must be a budget shift, whose charge for each
+    agent is constant on the agent's blocks of ``y.q``
+    (``EpistemicAction._charges``), and pair ``w*e`` gets budget
+    ``max(0, b - c)`` for its world's budget b and its event's charge c.
+    A propositional key is written as on an epistemic state, except that
+    a formula that is an attention atom is labelled, not intersected,
+    since the valuation lists no attention atom.
+
+    Names, partitions and order are those of the product either way, in
+    normal form: blocks in order of their first pair, maps in agent and
+    pair order.
 
     Raises SignatureMismatch, StateValidationError when the actual world is
     not a world, AttnPlanError when the action is no sound event model or
     writes an atom outside the signature (see ``EpistemicAction._actual_pre``),
     FormulaValidationError for a knowledge operator of an unknown agent in a
-    pre- or postcondition, and NotApplicable when the actual event fails at
-    the actual world.
+    pre- or postcondition, NotApplicable when the actual event fails at the
+    actual world, and, on an attention state, AttnPlanError naming an event
+    and agent whose map is no budget shift or whose charge is not constant
+    on the agent's blocks.
     """
     labels, survivors, names = _product_prelude(k, y)
+    budgeted = isinstance(k, AttentionState)
+    if budgeted:
+        charges = y._charges
+        if isinstance(charges, str):
+            raise AttnPlanError(charges)
 
     partitions: dict[str, Partition] = {}
     for agent in sorted(k.sig.agents):
@@ -772,11 +886,14 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
             grouped.setdefault((source_blocks[w], event_blocks[e]), []).append(name)
         partitions[agent] = tuple(frozenset(ws) for ws in grouped.values())
 
-    # Per distinct reading, its formula groups that hold somewhere, by extension.
+    # Per distinct reading, the groups it labels that hold somewhere, by extension.
     readings = y._readings
+    labelled = {
+        e: readings[e].labelled if budgeted else readings[e].groups
+        for e in dict.fromkeys(e for _, e in survivors)
+    }
     tables: dict[int, list[tuple[int, frozenset[Atom]]]] = {}
-    for e in dict.fromkeys(e for _, e in survivors):
-        groups = readings[e].groups
+    for groups in labelled.values():
         if id(groups) not in tables:
             extensions = zip(map(labels.extension, groups), groups.values())
             tables[id(groups)] = [(mask, atoms) for mask, atoms in extensions if mask]
@@ -784,16 +901,32 @@ def product_update(k: EpistemicState, y: EpistemicAction) -> EpistemicState:
     valuation: dict[str, frozenset[Atom]] = {}
     bit = labels.bit
     for name, (w, e) in zip(names, survivors):
-        keys, read, writes, groups = readings[e]
+        keys, read, writes = readings[e][:3]
         held = k.valuation[w]
         parts = [writes[atom] for atom in read & held]
-        parts += [atoms for mask, atoms in tables[id(groups)] if mask & bit[w]]
+        parts += [atoms for mask, atoms in tables[id(labelled[e])] if mask & bit[w]]
         valuation[name] = held.difference(keys).union(*parts)
 
-    return EpistemicState._normal(
+    actual = names[survivors.index((k.actual, y.actual))]
+    if not budgeted:
+        return EpistemicState._normal(
+            sig=k.sig,
+            worlds=tuple(names),
+            partitions=partitions,
+            valuation=valuation,
+            actual=actual,
+        )
+    worlds, events = zip(*survivors)
+    attention = {}
+    for agent in sorted(k.sig.agents):
+        budgets, charged = k.attention[agent], charges[agent]
+        left = [max(0, budgets[w] - charged[e]) for w, e in zip(worlds, events)]
+        attention[agent] = dict(zip(names, left))
+    return AttentionState._normal(
         sig=k.sig,
         worlds=tuple(names),
         partitions=partitions,
         valuation=valuation,
-        actual=names[survivors.index((k.actual, y.actual))],
+        attention=attention,
+        actual=actual,
     )

@@ -9,7 +9,9 @@ bisimilar, so it is its own quotient.  Its canonical form
 (``_canonical_key``) is, per agent, the set of its blocks, each as the set
 of its worlds' colours, and the actual world's colour; two discrete states
 with one colour set and equal block forms are isomorphic by the colour
-bijection, which ``_compare`` returns with no refinement.
+bijection, which ``_compare`` returns with no refinement.  Like the column,
+discreteness and the canonical form are cached properties of the state, so
+the planner's confirming ``bisimilar`` reuses what ``_quotient`` read.
 
 The planner keys its frontier by ``_quotient``, with two kinds of key that
 never compare equal, chosen by the contracted state.  A discrete quotient
@@ -119,25 +121,6 @@ def _separation(s1, s2) -> tuple[list[list[int]], int, int | None]:
     return rounds, actual1, separated
 
 
-def _discrete(s) -> bool:
-    """Whether no two of ``s``'s worlds agree on colour."""
-    return len(set(s.colours)) == len(s.worlds)
-
-
-def _canonical_key(s) -> tuple:
-    """A discrete state's canonical form: per agent, the set of its blocks,
-    each as the set of its worlds' colours, and the actual world's colour."""
-    colour = dict(zip(s.worlds, s.colours))
-    try:
-        blocks = tuple(
-            frozenset(frozenset(map(colour.__getitem__, b)) for b in bs)
-            for bs in s.partitions.values()
-        )
-    except KeyError:
-        raise StateValidationError(s._relation_faults()) from None
-    return blocks, s.colours[_actual_position(s)]
-
-
 def _compare(s1, s2) -> BisimWitness | NotBisimilar:
     """The largest bisimulation between ``s1`` and ``s2``, or the round that
     separates their actual worlds.  Two discrete states over one signature
@@ -148,8 +131,8 @@ def _compare(s1, s2) -> BisimWitness | NotBisimilar:
     differ, and no round does otherwise.  The colour sets are compared
     because a partition that misses a world allows equal block parts
     without them.  Any other pair is refined (``_separation``)."""
-    if s1.sig == s2.sig and _discrete(s1) and _discrete(s2):
-        (blocks1, actual1), (blocks2, actual2) = _canonical_key(s1), _canonical_key(s2)
+    if s1.sig == s2.sig and s1._discrete and s2._discrete:
+        (blocks1, actual1), (blocks2, actual2) = s1._canonical_key, s2._canonical_key
         if blocks1 == blocks2 and set(s1.colours) == set(s2.colours):
             if actual1 != actual2:
                 return NotBisimilar(round=0)
@@ -190,7 +173,7 @@ def _quotient(s: AttentionState, table: dict[Hashable, int]) -> tuple[AttentionS
     quotients, so they get keys of one kind; isomorphic discrete quotients
     have one canonical form, and other quotients meet the same classes in
     every round."""
-    quotient, discrete = s, _discrete(s)
+    quotient, discrete = s, s._discrete
     if not discrete:
         stable = _refine(table, s)[-1]
         key = (frozenset(stable), stable[_actual_position(s)])
@@ -218,8 +201,8 @@ def _quotient(s: AttentionState, table: dict[Hashable, int]) -> tuple[AttentionS
                 for agent, blocks in s.partitions.items()
             }
             quotient = s._read_off(rep, partitions, name_of[s.actual])
-            discrete = _discrete(quotient)
-    return quotient, (_canonical_key(quotient) if discrete else key)
+            discrete = quotient._discrete
+    return quotient, (quotient._canonical_key if discrete else key)
 
 
 def contract(s: AttentionState) -> AttentionState:

@@ -15,7 +15,16 @@ becomes ``(att < n + c)``, with out-of-range atoms read as constants (see
 charges each agent, so events whose charges agree share one map object, and
 the product update reads each distinct map once per compiled action.
 ``check_equivalent_on`` replays both presentations over given states and
-compares the results up to bisimilarity of their atom-level renditions.
+compares the results up to bisimilarity.
+
+The product update takes either state kind.  On an attention state it reads
+each map's attention entries as a budget shift by their formulas' truth
+over the budgets, never by ``_attention_posts``, and returns an attention
+state; a map that is no shift, or whose charge varies on an agent's blocks,
+is an AttnPlanError there.  So the check compares attention states, and
+renders states into attention atoms only for a negative verdict's
+distinguishing formula, or for an action whose maps are no shifts, whose
+product exists only on renditions.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .actions import (
     attention_update,
     product_update,
 )
-from .bisim import BisimWitness, distinguishing_formula, kripke_bisimilar
+from .bisim import BisimWitness, bisimilar, distinguishing_formula, kripke_bisimilar
 from .errors import AmbiguousActual, IllFormedResult, NotApplicable
 from .logic import TOP, And, AttEq, AttLess, Formula, att_eq, att_geq, att_lt, bot
 from .models import AttentionState, EpistemicState, _eval, _require_actual, kripke_rendition
@@ -244,12 +253,20 @@ class Verdict:
 def check_equivalent_on(
     x: AttentionAction, y: EpistemicAction, states: list[AttentionState]
 ) -> list[Verdict]:
-    """Replay ``x`` on each state and ``y`` on its rendition; compare.
+    """Replay ``x`` and ``y`` on each state; compare.
 
     Two runs agree when both are inapplicable, or both apply and the
-    rendition of the attention result is bisimilar to the epistemic
-    product.  A ``NotEquivalent`` verdict carries a distinguishing formula
-    when one exists within two knowledge alternations.
+    attention result is bisimilar to the product of the state with the
+    member of ``y``'s family that fires there.  When every post map of
+    ``y`` is a budget shift (``EpistemicAction._charges``), the product is
+    taken on the attention state itself and ``bisimilar`` compares
+    attention states; otherwise the product is taken on the state's
+    ``kripke_rendition`` and ``kripke_bisimilar`` compares it with the
+    rendered attention result.  Either way the verdict is the one the
+    renditions give, round included, since a rendition's valuation
+    determines the budgets and the budgets the rendition.  A negative
+    verdict carries a distinguishing formula of the renditions when one
+    exists within two knowledge alternations.
     """
     verdicts: list[Verdict] = []
     for s in states:
@@ -271,17 +288,23 @@ def check_equivalent_on(
         if not runs_x:
             verdicts.append(Verdict(True, "both inapplicable"))
             continue
-        r1 = kripke_rendition(attention_update(s, x))
-        r2 = product_update(kripke_rendition(s), resolved)
-        outcome = kripke_bisimilar(r1, r2)
+        r1 = attention_update(s, x)
+        if isinstance(resolved._charges, str):  # no budget shift: compare renditions
+            r1, r2 = kripke_rendition(r1), product_update(kripke_rendition(s), resolved)
+            outcome = kripke_bisimilar(r1, r2)
+        else:
+            r2 = product_update(s, resolved)
+            outcome = bisimilar(r1, r2)
         if isinstance(outcome, BisimWitness):
             verdicts.append(Verdict(True, "results bisimilar"))
-        else:
-            verdicts.append(
-                Verdict(
-                    False,
-                    f"results separated at refinement round {outcome.round}",
-                    distinguishing_formula(r1, r2),
-                )
+            continue
+        if isinstance(r1, AttentionState):
+            r1, r2 = kripke_rendition(r1), kripke_rendition(r2)
+        verdicts.append(
+            Verdict(
+                False,
+                f"results separated at refinement round {outcome.round}",
+                distinguishing_formula(r1, r2),
             )
+        )
     return verdicts

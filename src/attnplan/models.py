@@ -16,8 +16,9 @@ Five trusted sites skip that pass through the constructor ``_normal``, each
 writing its parts in that order: the loader's ``taskfile._state``;
 ``attention_update``; ``AttentionState._read_off``, the one builder of the
 planner's cut-down states (``_generated`` and the merging ``_quotient``);
-and, on the epistemic side of ``emulate.check_equivalent_on``,
-``kripke_rendition`` and ``product_update``.
+``kripke_rendition``; and ``product_update``, which writes an attention
+state from an attention state and an epistemic state from an epistemic
+one.
 
 Truth is defined here once for both kinds, which differ only in
 ``holds_attention``.  It comes in two shapes: ``_eval`` answers at one
@@ -178,6 +179,31 @@ class _PartitionModel:
             faults = _partition_faults(self.worlds, blocks, "worlds")
             out.extend(f"agent {agent!r} {fault}" for fault in faults)
         return out
+
+    @cached_property
+    def _discrete(self) -> bool:
+        """Whether no two worlds agree on colour (``bisim``'s module
+        docstring); decided once per state, as ``colours`` is computed."""
+        return len(set(self.colours)) == len(self.worlds)
+
+    @cached_property
+    def _canonical_key(self) -> tuple:
+        """A discrete state's canonical form: per agent, the set of its
+        blocks, each as the set of its worlds' colours, and the actual
+        world's colour; computed once per state, so a state that keys the
+        planner's frontier is not read again when a key hit is confirmed.
+        StateValidationError when a block names no world, or the actual
+        world is not a world."""
+        colour = dict(zip(self.worlds, self.colours))
+        try:
+            blocks = tuple(
+                frozenset(frozenset(map(colour.__getitem__, b)) for b in bs)
+                for bs in self.partitions.values()
+            )
+        except KeyError:
+            raise StateValidationError(self._relation_faults()) from None
+        _require_actual(self)
+        return blocks, self.colours[self.worlds.index(self.actual)]
 
     def block_of(self, agent: str, world: str) -> frozenset[str]:
         if agent not in self._blocks:  # from a formula no gate has walked

@@ -236,7 +236,9 @@ class TestResolveActual:
         y = to_post(paying_action(cost=1))
         derived = []
         read_post = actions._read_post
-        monkeypatch.setattr(actions, "_read_post", lambda post: derived.append(post) or read_post(post))
+        monkeypatch.setattr(
+            actions, "_read_post", lambda post, sig: derived.append(post) or read_post(post, sig)
+        )
         for budget in (2, 0, 1):
             member = resolve_actual(y, self.state(budget))
             assert member._readings is y._readings

@@ -274,6 +274,15 @@ def test_only_the_listed_sites_refine():
     assert naming_sites(sources, "_refine") == REFINE_SITES
 
 
+# ``to_post`` writes each budget shift through ``_attention_posts``; the
+# product update reads a shift off a map by its formulas' budgets alone, so
+# that reading never depends on the compiler's closed form, and a fault in
+# that form still shows as a negative verdict of ``check_equivalent_on``.
+def test_only_to_post_reads_the_compiled_shift():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert naming_sites(sources, "_attention_posts") == ["emulate.py: to_post"]
+
+
 # The interning constructors: every attention atom the package builds is
 # the one shared object for it, so set and dict lookups meet it by identity.
 INTERNING_SITES = {"AttEq": ["logic.py: att_eq"], "AttLess": ["logic.py: att_lt"]}

@@ -26,7 +26,7 @@ from itertools import product
 import pytest
 
 import reference_planner as ref
-from attnplan import bisim, planner, taskfile
+from attnplan import bisim, models, planner, taskfile
 from attnplan.actions import (
     AttentionAction,
     AttentionActionModel,
@@ -253,6 +253,29 @@ def test_survey_search_refines_nothing(monkeypatch):
     copied = taskfile.loads(copied_survey_document(4, 3, 2, 0)).tasks["survey"]
     assert isinstance(solve_nfl(copied), NoSolution)
     assert calls > 0
+
+
+def test_survey_search_reads_each_canonical_form_once(monkeypatch):
+    """A state computes its canonical form once: the confirming
+    ``bisimilar`` on a key hit reads what ``_quotient`` computed for both
+    states, the successor and the one the frontier holds."""
+    prop = models._PartitionModel.__dict__["_canonical_key"]
+    body, computed, confirmed = prop.func, [], 0
+
+    def counting_body(s):
+        computed.append(s)  # kept alive, so no two hold one id
+        return body(s)
+
+    def counting_bisimilar(s1, s2):
+        nonlocal confirmed
+        confirmed += 1
+        return bisimilar(s1, s2)
+
+    monkeypatch.setattr(prop, "func", counting_body)
+    monkeypatch.setattr(planner, "bisimilar", counting_bisimilar)
+    assert solve_nfl(survey_task(5, 4, random.Random(814))) == NoSolution(explored=380)
+    assert confirmed > 300
+    assert len(computed) == len(set(map(id, computed))) == 381  # the start and each successor
 
 
 def test_refuted_key_hit_is_an_internal_error(monkeypatch):

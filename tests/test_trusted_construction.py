@@ -2,8 +2,9 @@
 ``_normal`` (by the loader's ``taskfile._state``, ``attention_update``,
 ``AttentionState._read_off``, which writes the states the planner's
 ``_generated`` and the merging branch of ``bisim._quotient`` cut down,
-``kripke_rendition`` and ``product_update``) is already in the normal form
-the public constructor would give it.
+``kripke_rendition`` and ``product_update``, whose result is an epistemic
+or an attention state as its input is) is already in the normal form the
+public constructor would give it.
 
 ``repr`` pins the order of every dict and every partition's blocks, which
 ``==`` ignores.  The actions are drawn without the transitivity filter, so
@@ -125,6 +126,29 @@ def test_epistemic_sites_build_the_normal_form(sig):
             assert_normal(product)
             seen[site] += 1
     assert min(seen[site] for site in ("hand-built", "compiled")) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "sig", [SIG2, replace(SIG2, agents=("b", "a"))], ids=["SIG2", "agents-unsorted"]
+)
+def test_the_product_of_an_attention_state_is_in_normal_form(sig):
+    """On an attention state ``product_update`` writes budgets keyed by
+    agent in sorted order, then by pair, beside the partitions it writes
+    on an epistemic state."""
+    rng = random.Random(17)
+    built = 0
+    for _ in range(300):
+        s = rand_state(rng, sig)
+        with contextlib.suppress(IllFormedResult):
+            y = to_post(rand_attention_action(rng, sig, max_events=4, total=False))
+            try:
+                product = product_update(s, resolve_actual(y, s))
+            except NotApplicable:
+                continue
+            assert isinstance(product, AttentionState)
+            assert_normal(product)
+            built += 1
+    assert built > 50, built
 
 
 @pytest.mark.parametrize("name", ["two_facts.task", "muddy_children.task"])
